@@ -155,6 +155,8 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             ce_sum += c.item()
             scaled = total * inv_batch if cfg.batch_size > 1 else total
             scaled.backward()
+            # release this draw's graph before the next forward builds one
+            del logits, total, d, c, scaled
         optimizer.step()
         rec = StepRecord(step, loss_sum * inv_batch, dice_sum * inv_batch, ce_sum * inv_batch)
         history.append(rec)

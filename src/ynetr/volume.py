@@ -19,7 +19,8 @@ _ELEM_KINDS = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
 
 
 class VvolError(Exception):
-    """Malformed header, payload length mismatch, or unknown element kind."""
+    """Malformed header, payload length mismatch, unknown element kind, or
+    non-finite voxels in a volume payload."""
 
 
 @dataclass
@@ -144,6 +145,9 @@ def read_vvol(path):
     if kind == "volume":
         if elem != "f32":
             raise VvolError(f"{path}: volume payload must be f32, got {elem}")
+        bad = arr.size - int(np.isfinite(arr).sum())
+        if bad:
+            raise VvolError(f"{path}: {bad} non-finite voxels (NaN or inf)")
         return Volume3D(arr, spacing)
     if kind == "label":
         return LabelVolume(arr, spacing)

@@ -120,6 +120,11 @@ def primitive_cases(rng):
             lambda x, w: conv_transpose3d(x, w, stride=1, padding=1),
             [r(1, 3, 3, 3), r(1, 2, 3, 3, 3)],
         ),
+        (
+            "conv3d_noncubic_nopad",
+            lambda x, w: conv3d(x, w, stride=1, padding=0),
+            [r(2, 5, 4, 3), r(3, 2, 3, 3, 3)],
+        ),
     ]
     return cases
 

@@ -55,6 +55,51 @@ def convt3d_oracle(x, w, stride, pad):
     return yp
 
 
+def _window(stride, k, a, b, c):
+    return (
+        slice(None),
+        slice(a * stride, a * stride + k),
+        slice(b * stride, b * stride + k),
+        slice(c * stride, c * stride + k),
+    )
+
+
+def conv3d_grad_oracle(x, w, g, stride, pad):
+    """(gx, gw) of <conv3d(x, w), g>, one output voxel at a time in float64."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad))).astype(np.float64)
+    w64, g64 = w.astype(np.float64), g.astype(np.float64)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    for a, b, c in np.ndindex(*g.shape[1:]):
+        win = _window(stride, k, a, b, c)
+        gxp[win] += np.einsum("o,oixyz->ixyz", g64[:, a, b, c], w64)
+        gw += np.einsum("o,ixyz->oixyz", g64[:, a, b, c], xp[win])
+    nx, ny, nz = x.shape[1:]
+    return gxp[:, pad : pad + nx, pad : pad + ny, pad : pad + nz], gw
+
+
+def convt3d_grad_oracle(x, w, g, stride, pad):
+    """(gx, gw) of <conv_transpose3d(x, w), g>, one input voxel at a time."""
+    k = w.shape[2]
+    gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (pad, pad))).astype(np.float64)
+    x64, w64 = x.astype(np.float64), w.astype(np.float64)
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for a, b, c in np.ndindex(*x.shape[1:]):
+        win = _window(stride, k, a, b, c)
+        gx[:, a, b, c] = np.einsum("ioxyz,oxyz->i", w64, gp[win])
+        gw += np.einsum("i,oxyz->ioxyz", x64[:, a, b, c], gp[win])
+    return gx, gw
+
+
+def tape_grads(op, x, w, g, stride, pad):
+    """(gx, gw) of <op(x, w), g> through the tape."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (op(xt, wt, stride=stride, padding=pad) * Tensor(g)).sum().backward()
+    return xt.grad, wt.grad
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -113,6 +158,61 @@ class TestForwardValues:
             conv3d(x, w2)
         with pytest.raises(ValueError, match="stride"):
             conv3d(x, Tensor(np.zeros((1, 2, 3, 3, 3), dtype=np.float32)), stride=0)
+
+
+class TestConvBackwardOracles:
+    """Kernel gradients against loop oracles on non-cubic volumes, where a
+    shift or wrap-around slip in the flat padded layout would show."""
+
+    # channel pairs that reach every accumulation order of the kernels
+    @pytest.mark.parametrize("cin, cout", [(2, 3), (2, 1), (1, 8)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conv_grads_match_loop_oracle(self, k, pad, stride, cin, cout):
+        rng = np.random.default_rng(100 + 9 * k + 3 * pad + stride + cout)
+        x = rng.standard_normal((cin, 5, 4, 6)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+        out = conv3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+        np.testing.assert_allclose(out, conv3d_oracle(x, w, stride, pad), rtol=1e-5, atol=1e-5)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        gx, gw = tape_grads(conv3d, x, w, g, stride, pad)
+        want_gx, want_gw = conv3d_grad_oracle(x, w, g, stride, pad)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("cin, cout", [(1, 8), (8, 8)])
+    def test_conv_grads_match_loop_oracle_over_many_blocks(self, cin, cout):
+        # large enough that the kernels split every pass into several blocks
+        rng = np.random.default_rng(300 + cin)
+        x = rng.standard_normal((cin, 20, 22, 24)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
+        out = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1))).astype(np.float64)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))
+        want = np.einsum("ixyzabc,oiabc->oxyz", windows, w.astype(np.float64))
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-4)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        gx, gw = tape_grads(conv3d, x, w, g, 1, 1)
+        want_gx, want_gw = conv3d_grad_oracle(x, w, g, 1, 1)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-3)
+
+    @pytest.mark.parametrize("cout", [3, 1])
+    @pytest.mark.parametrize(
+        "k, stride, pad",
+        [(2, 2, 0), (3, 3, 0), (2, 1, 0), (3, 1, 1), (3, 1, 2), (2, 2, 1), (3, 2, 0), (3, 2, 1)],
+    )
+    def test_conv_transpose_grads_match_loop_oracle(self, k, stride, pad, cout):
+        rng = np.random.default_rng(200 + 9 * k + 3 * pad + stride + cout)
+        x = rng.standard_normal((2, 5, 4, 6)).astype(np.float32)
+        w = rng.standard_normal((2, cout, k, k, k)).astype(np.float32)
+        out = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        gx, gw = tape_grads(conv_transpose3d, x, w, g, stride, pad)
+        want_gx, want_gw = convt3d_grad_oracle(x, w, g, stride, pad)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
 
 
 class TestBackwardBasics:
@@ -203,6 +303,18 @@ class TestOperatorProperties:
         a = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
         b = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cin, cout, stride", [(2, 6, 1), (6, 2, 1), (3, 4, 2)])
+    def test_deterministic_backward(self, cin, cout, stride):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((cin, 12, 10, 14)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
+        out = conv3d(Tensor(x), Tensor(w), stride=stride, padding=1).data
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        gx1, gw1 = tape_grads(conv3d, x, w, g, stride, 1)
+        gx2, gw2 = tape_grads(conv3d, x, w, g, stride, 1)
+        assert gx1.tobytes() == gx2.tobytes()
+        assert gw1.tobytes() == gw2.tobytes()
 
     def test_concat_roundtrip(self):
         a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)

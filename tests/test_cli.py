@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ynetr.checkpoint import save_checkpoint
 from ynetr.cli import cli
-from ynetr.volume import LabelVolume, read_vvol, write_vvol
+from ynetr.model import ModelConfig, YNetr
+from ynetr.volume import LabelVolume, Volume3D, read_vvol, write_vvol
 
 TOY_CONFIG = {
     "name": "toy-run",
@@ -187,3 +189,21 @@ class TestExitCodes:
         )
         assert res.exit_code == 3
         assert "io-error:" in res.output
+
+    def test_infer_nonfinite_volume_is_3(self, tmp_path, runner):
+        model = YNetr(ModelConfig(**TOY_CONFIG["model"]))
+        ckpt = tmp_path / "model.ynck"
+        save_checkpoint(ckpt, model)
+        vox = np.zeros((16, 16, 16), dtype=np.float32)
+        vox[3, 4, 5] = np.nan
+        write_vvol(Volume3D(vox, (1, 1, 1)), tmp_path / "nan.vvol")
+        res = runner.invoke(
+            cli,
+            ["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred"),
+             str(tmp_path / "nan.vvol")],
+        )
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("io-error:")
+        assert "1 non-finite voxels" in lines[0]
+        assert "Traceback" not in res.output

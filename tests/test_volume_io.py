@@ -71,6 +71,17 @@ def test_unknown_element_kind(tmp_path):
         read_vvol(path)
 
 
+def test_nonfinite_voxels_rejected(tmp_path):
+    vox = np.zeros((3, 4, 5), dtype=np.float32)
+    vox[0, 1, 2] = np.nan
+    vox[2, 3, 4] = np.inf
+    vox[1, 0, 0] = -np.inf
+    path = tmp_path / "nan.vvol"
+    write_vvol(Volume3D(vox, (1.0, 1.0, 1.0)), path)
+    with pytest.raises(VvolError, match="3 non-finite voxels"):
+        read_vvol(path)
+
+
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.vvol"
     path.write_bytes(b"vvol 1\nshape\nend\n")
