@@ -17,7 +17,7 @@ from .losses import (
     label_onehot,
     segmentation_loss,
 )
-from .metrics import ConfusionCounts, confusion, dice_coefficient, dice_score, evaluate
+from .metrics import ConfusionCounts, confusion, dice_coefficient, evaluate
 from .model import (
     ModelConfig,
     PatchSequence,
@@ -25,10 +25,9 @@ from .model import (
     YNetr,
     fuse_add,
     patchify,
-    unpatchify,
 )
 from .optim import AdamW
-from .phantom import PhantomError, PhantomSpec, component_volumes_cm3, generate_phantom
+from .phantom import PhantomError, PhantomSpec, generate_phantom
 from .sampling import (
     NoBackgroundError,
     NoForegroundError,
@@ -52,6 +51,6 @@ from .volume import (
     read_vvol,
     write_vvol,
 )
-from .wavelet import FrequencyPair, SubbandSet2D, dwt2_haar, idwt2_haar, split_frequency
+from .wavelet import FrequencyPair, split_frequency
 
 __version__ = "0.1.0"

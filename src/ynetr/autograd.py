@@ -85,9 +85,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -444,10 +441,3 @@ def conv_transpose3d(x, w, stride=1, padding=0):
             w._accum(gw)
 
     return out._record((x, w), bw)
-
-
-def ensure_grads(params):
-    """Give every parameter a gradient buffer; untouched ones get zeros."""
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)

@@ -9,10 +9,12 @@ back a checkpoint written from the same state is bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import ConfigError, build_config
 from .model import ModelConfig, YNetr
 from .optim import AdamW
 
@@ -31,12 +33,11 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
     return asdict(cfg)
 
 
-def model_config_from_dict(d: dict) -> ModelConfig:
-    known = {f for f in ModelConfig.__dataclass_fields__}
-    unknown = set(d) - known
-    if unknown:
-        raise CheckpointError(f"unknown model config keys: {sorted(unknown)}")
-    return ModelConfig(**d)
+def model_config_from_dict(d) -> ModelConfig:
+    try:
+        return build_config(ModelConfig, d, "model_config").validate()
+    except (ConfigError, ValueError) as exc:
+        raise CheckpointError(f"invalid model config: {exc}") from exc
 
 
 @dataclass
@@ -78,35 +79,59 @@ def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, step: in
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _tensor_entry(line):
+    """(name, shape, nbytes) of a ``tensor <name> <ndim> <dims...> <nbytes>`` line."""
+    parts = line.split()
+    try:
+        name, ndim = parts[1], int(parts[2])
+        shape = tuple(int(x) for x in parts[3 : 3 + ndim])
+        nbytes = int(parts[3 + ndim])
+    except (IndexError, ValueError):
+        raise CheckpointError(f"malformed tensor line {line!r}") from None
+    if len(parts) != 4 + ndim or min(shape, default=0) < 0 or nbytes != 4 * math.prod(shape):
+        raise CheckpointError(f"tensor line {line!r}: shape does not match the byte count")
+    return name, shape, nbytes
+
+
+def _parse_manifest(text: bytes):
+    """(meta, tensor directory) of the manifest lines between magic and ``end``."""
+    try:
+        lines = text.decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        raise CheckpointError("manifest is not ASCII text") from None
+    meta, directory = None, []
+    for line in lines:
+        if line.startswith("meta "):
+            try:
+                meta = json.loads(line[5:])
+            except json.JSONDecodeError as exc:
+                raise CheckpointError(f"meta line is not valid JSON ({exc})") from None
+        elif line.startswith("tensor "):
+            directory.append(_tensor_entry(line))
+        else:
+            raise CheckpointError(f"unexpected manifest line {line!r}")
+    if not isinstance(meta, dict):
+        raise CheckpointError("manifest has no meta object")
+    model_config_from_dict(meta.get("model_config"))
+    if not isinstance(meta.get("extra", {}), dict):
+        raise CheckpointError("meta 'extra' is not a JSON object")
+    return meta, directory
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; malformed content raises CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0 or raw[:nl].decode("ascii", "replace") != MAGIC:
+    if not raw.startswith(MAGIC.encode() + b"\n"):
         raise CheckpointError(f"{path}: not a checkpoint file")
-    pos = nl + 1
-    meta = None
-    directory = []
-    while True:
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise CheckpointError(f"{path}: manifest not terminated")
-        line = raw[pos:nl].decode("ascii")
-        pos = nl + 1
-        if line == "end":
-            break
-        if line.startswith("meta "):
-            meta = json.loads(line[5:])
-        elif line.startswith("tensor "):
-            parts = line.split()
-            name, ndim = parts[1], int(parts[2])
-            shape = tuple(int(x) for x in parts[3 : 3 + ndim])
-            nbytes = int(parts[3 + ndim])
-            directory.append((name, shape, nbytes))
-        else:
-            raise CheckpointError(f"{path}: unexpected manifest line {line!r}")
-    if meta is None:
-        raise CheckpointError(f"{path}: manifest has no meta line")
+    stop = raw.find(b"\nend\n")
+    if stop < 0:
+        raise CheckpointError(f"{path}: manifest not terminated")
+    try:
+        meta, directory = _parse_manifest(raw[len(MAGIC) + 1 : stop])
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    pos = stop + len(b"\nend\n")
     arrays = {}
     for name, shape, nbytes in directory:
         chunk = raw[pos : pos + nbytes]

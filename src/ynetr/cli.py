@@ -23,7 +23,13 @@ from .checkpoint import (
     restore_model,
     save_checkpoint,
 )
-from .config import ConfigError, load_run_config, write_config_echo
+from .config import (
+    ConfigError,
+    IntensityConfig,
+    build_config,
+    load_run_config,
+    write_config_echo,
+)
 from .inference import InferenceConfig, infer_volume
 from .metrics import confusion, evaluate
 from .model import YNetr
@@ -41,10 +47,10 @@ EXIT_NUMERIC = 4
 def _reporting():
     try:
         yield
-    except (ConfigError, PhantomError, CheckpointError, ValueError) as exc:
+    except (ConfigError, PhantomError, ValueError) as exc:
         click.echo(f"config-error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (VvolError, OSError) as exc:
+    except (VvolError, CheckpointError, OSError) as exc:
         click.echo(f"io-error: {exc}", err=True)
         sys.exit(EXIT_IO)
     except (TrainingDiverged, FloatingPointError) as exc:
@@ -132,9 +138,7 @@ def train_cmd(config_path, data_dir, out_dir):
             "intensity": dataclasses.asdict(cfg.intensity),
             "inference": dataclasses.asdict(cfg.inference),
         }
-        history, optimizer = train(
-            model, cases, cfg.train, cfg.sampler, checkpoint_path=None
-        )
+        history, optimizer = train(model, cases, cfg.train, cfg.sampler)
         save_checkpoint(ckpt_path, model, optimizer, step=cfg.train.total_steps, extra=extra)
         write_history_csv(history, out / "loss_history.csv")
         click.echo(
@@ -153,15 +157,17 @@ def infer(ckpt_path, out_dir, inputs):
         ckpt = load_checkpoint(ckpt_path)
         model = restore_model(ckpt)
         extra = ckpt.meta.get("extra", {})
-        hu = extra.get("intensity", {"lo": -175.0, "hi": 250.0})
-        inf = InferenceConfig(**extra.get("inference", {}))
+        hu = build_config(IntensityConfig, extra.get("intensity", {}), "extra.intensity")
+        inf = build_config(InferenceConfig, extra.get("inference", {}), "extra.inference")
+        hu.validate()
+        inf.validate()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         window = model.cfg.input_dims
         for path in inputs:
             src = Path(path)
             vol = read_vvol(src)
-            norm = normalize_intensity(vol, hu["lo"], hu["hi"])
+            norm = normalize_intensity(vol, hu.lo, hu.hi)
             prob, mask = infer_volume(model.predict, norm, window, inf)
             stem = src.name[: -len(".vvol")] if src.name.endswith(".vvol") else src.stem
             write_vvol(prob, out / f"{stem}.prob.vvol")

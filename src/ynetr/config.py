@@ -1,18 +1,20 @@
 """Run configuration: one JSON document wiring every pipeline stage.
 
-Loading is strict (unknown keys are rejected at every level) and the
-canonical re-serialization spells out every default, so a config echo
-fully determines a run.
+Loading is strict: unknown keys, and values that do not fit a field's
+type annotation, are rejected at every level. The canonical
+re-serialization spells out every default, so a config echo fully
+determines a run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .inference import InferenceConfig
-from .losses import LossConfig
 from .model import ModelConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
@@ -49,8 +51,6 @@ class PhantomRunConfig:
 @dataclass
 class RunConfig:
     name: str = "run"
-    seed: int = 0
-    deterministic: bool = True
     intensity: IntensityConfig = field(default_factory=IntensityConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -78,59 +78,68 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {
-    "intensity": IntensityConfig,
-    "model": ModelConfig,
-    "sampler": SamplerConfig,
-    "train": TrainConfig,
-    "inference": InferenceConfig,
-    "phantom": PhantomRunConfig,
-}
-
-_NESTED = {
-    TrainConfig: {"loss": LossConfig},
-    PhantomRunConfig: {"spec": PhantomSpec},
-}
+def _type_name(tp):
+    return tp.__name__ if isinstance(tp, type) and not get_args(tp) else str(tp)
 
 
-def _build(cls, data, path):
+def _check(tp, value, key):
+    """``value`` as the field annotation ``tp`` wants it (JSON arrays become
+    tuples, JSON objects nested dataclasses, ints in float fields floats),
+    or a ConfigError naming ``key``."""
+    if is_dataclass(tp):
+        return build_config(tp, value, key)
+    origin, args = get_origin(tp), get_args(tp)
+    got = type(value).__name__
+    if origin in (Union, UnionType):
+        for arm in args:
+            try:
+                return _check(arm, value, key)
+            except ConfigError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+            if len(items) == len(value):
+                return tuple(
+                    _check(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(items, value))
+                )
+            got = f"{len(value)} items"
+    elif isinstance(value, bool):
+        if tp is bool:
+            return value
+    elif tp is float and isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            got = "int out of float range"
+    elif isinstance(value, tp):
+        return value
+    raise ConfigError(f"{key}: expected {_type_name(tp)}, got {got}")
+
+
+def build_config(cls, data, path):
+    """Strictly build dataclass ``cls`` from a JSON object: unknown keys and
+    values that do not fit the field annotations raise ConfigError."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+        raise ConfigError(f"{path or 'config document'}: expected an object, "
+                          f"got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    sub = _NESTED.get(cls, {})
-    for key, value in data.items():
-        if key in sub:
-            kwargs[key] = _build(sub[key], value, f"{path}.{key}")
-        else:
-            kwargs[key] = value
+        where = f"{path}: unknown keys" if path else "unknown top-level keys"
+        raise ConfigError(f"{where} {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {
+        key: _check(hints[key], value, f"{path}.{key}" if path else key)
+        for key, value in data.items()
+    }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    names = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - names
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return build_config(RunConfig, data, "").validate()
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:

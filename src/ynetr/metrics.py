@@ -52,10 +52,6 @@ def dice_coefficient(c: ConfusionCounts) -> float:
     return 2.0 * c.tp / denom
 
 
-def dice_score(pred, gt) -> float:
-    return dice_coefficient(confusion(pred, gt))
-
-
 def evaluate(preds, gts):
     """Per-volume Dice scores, their mean, and pooled confusion totals."""
     if len(preds) != len(gts):

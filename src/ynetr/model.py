@@ -58,6 +58,10 @@ class ModelConfig:
         for d in self.input_dims:
             if d % p != 0:
                 raise ValueError(f"input dims {self.input_dims} must be divisible by patch {p}")
+        sizes = (*self.input_dims, self.in_channels, self.embed_dim, self.num_heads,
+                 self.mlp_ratio, *self.decoder_channels)
+        if min(sizes) < 1:
+            raise ValueError("dims, channels, embed dim, heads and mlp ratio must be >= 1")
         if self.depth % 4 != 0:
             raise ValueError(f"encoder depth must be divisible by 4, got {self.depth}")
         if self.embed_dim % self.num_heads != 0:
@@ -114,7 +118,7 @@ class SkipPyramid:
 
 
 def patchify(x: Tensor, patch: int) -> PatchSequence:
-    """(C, X, Y, Z) -> (N, P^3*C) tokens; inverse of :func:`unpatchify`."""
+    """(C, X, Y, Z) -> (N, P^3*C) tokens, one per P^3 block in (gx, gy, gz) order."""
     c, X, Y, Z = x.shape
     p = patch
     if X % p or Y % p or Z % p:
@@ -126,16 +130,6 @@ def patchify(x: Tensor, patch: int) -> PatchSequence:
         .reshape(gx * gy * gz, p**3 * c)
     )
     return PatchSequence(tok, (gx, gy, gz), p, c)
-
-
-def unpatchify(seq: PatchSequence) -> Tensor:
-    gx, gy, gz = seq.grid
-    p, c = seq.patch, seq.channels
-    return (
-        seq.tokens.reshape(gx, gy, gz, p, p, p, c)
-        .permute(6, 0, 3, 1, 4, 2, 5)
-        .reshape(c, gx * p, gy * p, gz * p)
-    )
 
 
 def tokens_to_grid(tokens: Tensor, grid) -> Tensor:
@@ -153,7 +147,7 @@ class MultiHeadSelfAttention(nn.Module):
         self.qkv = nn.Linear(rng, embed_dim, 3 * embed_dim)
         self.proj = nn.Linear(rng, embed_dim, embed_dim)
 
-    def forward(self, x, return_weights=False):
+    def forward(self, x):
         n = x.shape[0]
         h, dh = self.num_heads, self.head_dim
         qkv = self.qkv(x).reshape(n, 3, h, dh).permute(1, 2, 0, 3)
@@ -161,10 +155,7 @@ class MultiHeadSelfAttention(nn.Module):
         scores = (q @ k.permute(0, 2, 1)) * float(dh**-0.5)
         attn = scores.softmax(axis=-1)
         out = (attn @ v).permute(1, 0, 2).reshape(n, self.embed_dim)
-        out = self.proj(out)
-        if return_weights:
-            return out, attn.data
-        return out
+        return self.proj(out)
 
 
 class TransformerBlock(nn.Module):
@@ -254,9 +245,6 @@ class TransformerBranch(nn.Module):
         ]
         return SkipPyramid(levels, self.cfg.pyramid_scales)
 
-    def projection_modules(self):
-        return [self.proj_deep, self.proj_mid, self.proj_shallow, self.proj_top, self.stem]
-
 
 class DownBlock(nn.Module):
     def __init__(self, rng, cin, cout):
@@ -290,9 +278,6 @@ class CnnBranch(nn.Module):
             feats.append(h)
         levels = [feats[-1], feats[-2], feats[-3], feats[-4], f]
         return SkipPyramid(levels, self.cfg.pyramid_scales)
-
-    def projection_modules(self):
-        return [self.stem, self.stages]
 
 
 def fuse_add(a: SkipPyramid, b: SkipPyramid) -> SkipPyramid:
@@ -376,17 +361,6 @@ class YNetr(nn.Module):
         with no_grad():
             out = self.forward(Tensor(volume_to_input(lf)), Tensor(volume_to_input(hf)))
         return out.data
-
-    def zero_branch_projections(self, which: str):
-        """Silence one branch: zero every parameter feeding its pyramid.
-
-        With additive fusion this makes the output exactly independent
-        of that branch's input.
-        """
-        branch = {"lf": self.lf_branch, "hf": self.hf_branch}[which]
-        for mod in branch.projection_modules():
-            for _, p in mod.named_parameters():
-                p.data[...] = 0.0
 
 
 def volume_to_input(arr: np.ndarray) -> np.ndarray:

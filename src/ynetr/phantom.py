@@ -237,17 +237,3 @@ def _calibrate(rho, noise, target_cm3, vox_cm3, tol=0.03):
     if abs(best_vol - target_cm3) > limit:
         return None, 0.0
     return best_mask, best_vol
-
-
-def component_volumes_cm3(label: LabelVolume):
-    """Connected components (6-neighborhood) with physical volumes.
-
-    Returns a list of (component id, volume in cm^3), ids starting at 1.
-    """
-    structure = ndimage.generate_binary_structure(3, 1)
-    comp, n = ndimage.label(label.labels, structure=structure)
-    if n == 0:
-        return []
-    counts = np.bincount(comp.ravel(), minlength=n + 1)
-    vox = voxel_volume_cm3(label.spacing_mm)
-    return [(i, float(counts[i]) * vox) for i in range(1, n + 1)]

@@ -28,7 +28,6 @@ class NoBackgroundError(Exception):
 class SamplerConfig:
     window: tuple[int, int, int] = (128, 128, 128)
     jitter_max: int = 48
-    seed: int = 0
 
     def __post_init__(self):
         self.window = tuple(int(w) for w in self.window)

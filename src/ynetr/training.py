@@ -1,4 +1,4 @@
-"""Training loop: balanced window draws, Dice-CE descent, checkpoints.
+"""Training loop: balanced window draws and Dice-CE descent.
 
 Each optimizer step uses its own counter-keyed random stream, so a run
 is bitwise reproducible and resuming from a checkpoint at step k replays
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import save_checkpoint
 from .losses import LossConfig, segmentation_loss
 from .optim import AdamW
 from .sampling import (
@@ -46,9 +45,7 @@ class TrainConfig:
     batch_size: int = 1
     weight_decay: float = 0.01
     loss: LossConfig = field(default_factory=LossConfig)
-    deterministic: bool = True
     seed: int = 0
-    checkpoint_every: int = 0
 
     def validate(self):
         if self.learning_rate <= 0:
@@ -119,8 +116,7 @@ def step_rng(seed, step):
 
 
 def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
-          optimizer: AdamW | None = None, start_step: int = 0,
-          checkpoint_path=None, progress=None):
+          optimizer: AdamW | None = None, start_step: int = 0, progress=None):
     """Run (or resume) the optimization; returns (history, optimizer).
 
     ``start_step`` is the number of steps already taken; the loop runs
@@ -162,14 +158,6 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
         history.append(rec)
         if progress is not None:
             progress(rec)
-        if (
-            checkpoint_path is not None
-            and cfg.checkpoint_every
-            and step % cfg.checkpoint_every == 0
-        ):
-            save_checkpoint(checkpoint_path, model, optimizer, step=step)
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model, optimizer, step=cfg.total_steps)
     return history, optimizer
 
 
@@ -178,13 +166,3 @@ def write_history_csv(history, path):
         fh.write("step,loss,dice_component,ce_component\n")
         for rec in history:
             fh.write(f"{rec.step},{rec.loss!r},{rec.dice!r},{rec.ce!r}\n")
-
-
-def read_history_csv(path):
-    records = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            s, l, d, c = line.strip().split(",")
-            records.append(StepRecord(int(s), float(l), float(d), float(c)))
-    return records

@@ -19,8 +19,9 @@ _ELEM_KINDS = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
 
 
 class VvolError(Exception):
-    """Malformed header, payload length mismatch, unknown element kind, or
-    non-finite voxels in a volume payload."""
+    """Malformed header, payload length mismatch, unknown element kind,
+    non-finite voxels in a volume payload, invalid geometry, or label
+    values other than 0 and 1."""
 
 
 @dataclass
@@ -130,6 +131,8 @@ def read_vvol(path):
         order = fields["byteorder"]
     except (KeyError, ValueError) as exc:
         raise VvolError(f"{path}: malformed header ({exc})") from exc
+    if min(nx, ny, nz) < 1:
+        raise VvolError(f"{path}: shape dims must be positive, got {(nx, ny, nz)}")
     if elem not in _ELEM_KINDS:
         raise VvolError(f"{path}: unknown element kind {elem!r}")
     if order != "little":
@@ -148,10 +151,15 @@ def read_vvol(path):
         bad = arr.size - int(np.isfinite(arr).sum())
         if bad:
             raise VvolError(f"{path}: {bad} non-finite voxels (NaN or inf)")
-        return Volume3D(arr, spacing)
-    if kind == "label":
-        return LabelVolume(arr, spacing)
-    raise VvolError(f"{path}: unknown kind {kind!r}")
+        cls = Volume3D
+    elif kind == "label":
+        cls = LabelVolume
+    else:
+        raise VvolError(f"{path}: unknown kind {kind!r}")
+    try:
+        return cls(arr, spacing)
+    except ValueError as exc:  # bad spacing or label values
+        raise VvolError(f"{path}: {exc}") from exc
 
 
 def normalize_intensity(v: Volume3D, lo: float = -175.0, hi: float = 250.0) -> Volume3D:

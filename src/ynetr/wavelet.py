@@ -1,15 +1,14 @@
-"""Single-level orthonormal Haar transform and the low/high frequency split.
+"""Low/high frequency split of a volume: single-level Haar, in closed form.
 
-The split runs per axial slice (z fixed): each (x, y) plane is analyzed
-into an approximation subband and three detail subbands, then two
-band-limited planes are synthesized at the original resolution — one from
-the approximation alone (LF) and one from the details alone (HF). By
-linearity LF + HF reconstructs the input exactly, and a locally constant
-slice has zero HF.
-
-Subband naming convention: the first letter is the filter applied along
-x, the second along y (L = low-pass, H = high-pass). Odd plane dims are
-reflect-padded to even before analysis and cropped back after synthesis.
+The split runs per axial slice (z fixed). One orthonormal Haar analysis
+step maps each in-plane 2x2 block (a, b; c, d) to the approximation
+coefficient (a + b + c + d) / 2 plus three detail coefficients.
+Synthesizing from the approximation alone puts (a + b + c + d) / 4 on
+all four voxels of the block, so the low-frequency image (LF) is the
+2x2 block mean repeated back to full resolution. By linearity the three
+detail subbands synthesize the rest, so the high-frequency image is
+HF = x - LF: LF + HF reconstructs the input and a constant block has
+zero HF. Odd in-plane dims are reflect-padded to even and cropped back.
 """
 
 from __future__ import annotations
@@ -20,27 +19,6 @@ import numpy as np
 
 from .volume import Volume3D
 
-_INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
-
-
-@dataclass
-class SubbandSet2D:
-    """Haar coefficient planes of one analysis pass.
-
-    ``ll`` is the approximation; ``lh``, ``hl``, ``hh`` are the detail
-    planes. ``src_shape`` is the unpadded source plane shape, kept so
-    synthesis can undo the reflect padding.
-    """
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-    src_shape: tuple[int, int]
-
-    def planes(self):
-        return self.ll, self.lh, self.hl, self.hh
-
 
 @dataclass
 class FrequencyPair:
@@ -50,84 +28,18 @@ class FrequencyPair:
     hf: Volume3D
 
 
-def _analyze_axis(x, axis):
-    """One orthonormal Haar step along ``axis`` (length must be even)."""
-    x = np.moveaxis(x, axis, 0)
-    a = (x[0::2] + x[1::2]) * _INV_SQRT2
-    d = (x[0::2] - x[1::2]) * _INV_SQRT2
-    return np.moveaxis(a, 0, axis), np.moveaxis(d, 0, axis)
-
-
-def _synthesize_axis(a, d, axis):
-    """Inverse of :func:`_analyze_axis`."""
-    a = np.moveaxis(a, axis, 0)
-    d = np.moveaxis(d, axis, 0)
-    out = np.empty((2 * a.shape[0],) + a.shape[1:], dtype=np.float32)
-    out[0::2] = (a + d) * _INV_SQRT2
-    out[1::2] = (a - d) * _INV_SQRT2
-    return np.moveaxis(out, 0, axis)
-
-
-def _pad_even(plane):
-    nx, ny = plane.shape[0], plane.shape[1]
-    px, py = nx % 2, ny % 2
-    if px or py:
-        pad = [(0, px), (0, py)] + [(0, 0)] * (plane.ndim - 2)
-        plane = np.pad(plane, pad, mode="reflect")
-    return plane
-
-
-def dwt2_haar(plane: np.ndarray) -> SubbandSet2D:
-    """Single-level 2-D orthonormal Haar analysis of a plane.
-
-    Accepts an (nx, ny) plane or an (nx, ny, ...) stack, transforming the
-    first two axes. Odd dims are reflect-padded to even first.
-    """
-    plane = np.asarray(plane, dtype=np.float32)
-    if plane.ndim < 2 or plane.shape[0] < 2 or plane.shape[1] < 2:
-        raise ValueError(f"plane dims must be >= 2, got {plane.shape}")
-    src_shape = (plane.shape[0], plane.shape[1])
-    work = _pad_even(plane)
-    lo_x, hi_x = _analyze_axis(work, 0)
-    ll, lh = _analyze_axis(lo_x, 1)
-    hl, hh = _analyze_axis(hi_x, 1)
-    return SubbandSet2D(ll, lh, hl, hh, src_shape)
-
-
-def idwt2_haar(s: SubbandSet2D) -> np.ndarray:
-    """Synthesis counterpart of :func:`dwt2_haar`; crops reflect padding."""
-    shapes = {p.shape for p in s.planes()}
-    if len(shapes) != 1:
-        raise ValueError(f"inconsistent subband shapes: {sorted(shapes)}")
-    lo_x = _synthesize_axis(s.ll, s.lh, 1)
-    hi_x = _synthesize_axis(s.hl, s.hh, 1)
-    out = _synthesize_axis(lo_x, hi_x, 0)
-    return out[: s.src_shape[0], : s.src_shape[1]]
-
-
-def _band_limited(s: SubbandSet2D, keep_ll: bool) -> np.ndarray:
-    zero = np.zeros_like(s.ll)
-    if keep_ll:
-        parts = SubbandSet2D(s.ll, zero, zero, zero, s.src_shape)
-    else:
-        parts = SubbandSet2D(zero, s.lh, s.hl, s.hh, s.src_shape)
-    return idwt2_haar(parts)
-
-
 def split_frequency(v: Volume3D) -> FrequencyPair:
-    """Split a volume into its low- and high-frequency images.
-
-    The whole volume is transformed at once (all axial slices share the
-    same separable filtering along x and y), so train-time and inference
-    crops see identical frequency content.
-    """
-    nx, ny, _ = v.voxels.shape
+    """Split a volume into its low- and high-frequency images."""
+    x = v.voxels
+    nx, ny, nz = x.shape
     if nx < 2 or ny < 2:
-        raise ValueError(f"in-plane dims must be >= 2 for the split, got {v.voxels.shape}")
-    bands = dwt2_haar(v.voxels)
-    lf = _band_limited(bands, keep_ll=True)
-    hf = _band_limited(bands, keep_ll=False)
+        raise ValueError(f"in-plane dims must be >= 2 for the split, got {x.shape}")
+    if nx % 2 or ny % 2:
+        x = np.pad(x, [(0, nx % 2), (0, ny % 2), (0, 0)], mode="reflect")
+    px, py = x.shape[0] // 2, x.shape[1] // 2
+    mean = x.reshape(px, 2, py, 2, nz).mean(axis=(1, 3), dtype=np.float32)
+    lf = mean.repeat(2, axis=0).repeat(2, axis=1)[:nx, :ny]
     return FrequencyPair(
         lf=Volume3D(lf, v.spacing_mm),
-        hf=Volume3D(hf, v.spacing_mm),
+        hf=Volume3D(v.voxels - lf, v.spacing_mm),
     )

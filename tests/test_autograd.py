@@ -7,10 +7,16 @@ from ynetr.autograd import (
     concat,
     conv3d,
     conv_transpose3d,
-    ensure_grads,
     layer_norm,
     no_grad,
 )
+
+
+def ensure_grads(params):
+    """Give every parameter a gradient buffer; untouched ones get zeros."""
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def conv3d_oracle(x, w, stride, pad):

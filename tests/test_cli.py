@@ -11,7 +11,6 @@ from ynetr.volume import LabelVolume, Volume3D, read_vvol, write_vvol
 
 TOY_CONFIG = {
     "name": "toy-run",
-    "seed": 11,
     "model": {
         "input_dims": [16, 16, 16],
         "embed_dim": 32,
@@ -207,3 +206,60 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("io-error:")
         assert "1 non-finite voxels" in lines[0]
         assert "Traceback" not in res.output
+
+    def test_wrong_typed_config_value_is_2(self, tmp_path, runner):
+        bad = dict(TOY_CONFIG, train={"epochs": "3"})
+        cfg = _write_config(tmp_path, bad)
+        res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == ["config-error: train.epochs: expected int, got str"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"inference": {"overlap": 0.5, "mystery": 1}},
+             "config-error: extra.inference: unknown keys ['mystery']"),
+            ({"inference": {"overlap": "x"}},
+             "config-error: extra.inference.overlap: expected float, got str"),
+            ({"intensity": {"lo": 300.0, "hi": 250.0}},
+             "config-error: intensity window needs lo < hi, got [300.0, 250.0]"),
+        ],
+    )
+    def test_infer_bad_checkpoint_settings_is_2(self, tmp_path, runner, extra, message):
+        ckpt = tmp_path / "model.ynck"
+        save_checkpoint(ckpt, YNetr(ModelConfig(**TOY_CONFIG["model"])), extra=extra)
+        write_vvol(Volume3D(np.zeros((16, 16, 16), dtype=np.float32), (1, 1, 1)),
+                   tmp_path / "x.vvol")
+        res = runner.invoke(
+            cli, ["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred"),
+                  str(tmp_path / "x.vvol")],
+        )
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [message]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"embed_dim": 32', b'"embed_dim": "32"'),  # invalid model_config
+            (b'"model_config"', b'"model_confix"'),  # missing model_config
+            (b"meta {", b"meta ["),  # meta is not valid JSON
+            (b"tensor param:", b"tensor \xc3\xa9:"),  # non-ASCII manifest
+            (b" 16384\n", b"\n"),  # short tensor line
+            (b" 16384\n", b" 16380\n"),  # shape does not match the byte count
+        ],
+    )
+    def test_infer_malformed_checkpoint_is_3(self, tmp_path, runner, old, new):
+        ckpt = tmp_path / "model.ynck"
+        save_checkpoint(ckpt, YNetr(ModelConfig(**TOY_CONFIG["model"])))
+        raw = ckpt.read_bytes()
+        assert old in raw
+        ckpt.write_bytes(raw.replace(old, new, 1))
+        write_vvol(Volume3D(np.zeros((16, 16, 16), dtype=np.float32), (1, 1, 1)),
+                   tmp_path / "x.vvol")
+        res = runner.invoke(
+            cli, ["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred"),
+                  str(tmp_path / "x.vvol")],
+        )
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"io-error: {ckpt}: ")

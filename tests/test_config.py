@@ -15,7 +15,6 @@ from ynetr.config import (
 def minimal_dict(**overrides):
     data = {
         "name": "toy",
-        "seed": 3,
         "model": {
             "input_dims": [32, 32, 32],
             "embed_dim": 64,
@@ -72,8 +71,7 @@ def test_canonical_form_is_fixed_point():
     # canonical form spells out every default
     doc = json.loads(text)
     assert set(doc) == {
-        "name", "seed", "deterministic", "intensity", "model",
-        "sampler", "train", "inference", "phantom",
+        "name", "intensity", "model", "sampler", "train", "inference", "phantom",
     }
     assert doc["train"]["loss"]["kind"] == "dice_ce"
 
@@ -83,7 +81,7 @@ def test_load_from_file(tmp_path):
     path.write_text(json.dumps(minimal_dict()))
     cfg = load_run_config(path)
     assert cfg.name == "toy"
-    assert run_config_to_dict(cfg)["seed"] == 3
+    assert run_config_to_dict(cfg)["train"]["steps_per_epoch"] == 2
 
 
 def test_invalid_json(tmp_path):
@@ -99,3 +97,71 @@ def test_default_runconfig_consistent():
     cfg.validate()
     assert cfg.model.input_dims == (128, 128, 128)
     assert cfg.sampler.window == (128, 128, 128)
+
+
+def test_removed_keys_are_unknown():
+    # seed and deterministic were never read; echoes that carry them are refused
+    with pytest.raises(ConfigError, match=r"unknown top-level keys \['deterministic', 'seed'\]"):
+        run_config_from_dict(minimal_dict(seed=3, deterministic=True))
+    for section, key in [("train", "deterministic"), ("train", "checkpoint_every"),
+                         ("sampler", "seed")]:
+        bad = minimal_dict()
+        bad[section][key] = 0
+        with pytest.raises(ConfigError, match=f"{section}: unknown keys"):
+            run_config_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("train", "epochs", "3", "train.epochs: expected int, got str"),
+        ("train", "epochs", True, "train.epochs: expected int, got bool"),
+        ("train", "epochs", 1.0, "train.epochs: expected int, got float"),
+        ("inference", "overlap", "x", "inference.overlap: expected float, got str"),
+        ("inference", "overlap", None, "inference.overlap: expected float, got NoneType"),
+        ("intensity", "lo", 10**400, "intensity.lo: expected float, got int out of float range"),
+        ("model", "input_dims", 5, r"model.input_dims: expected tuple\[int, int, int\], got int"),
+        ("model", "input_dims", [32, 32],
+         r"model.input_dims: expected tuple\[int, int, int\], got 2 items"),
+        ("model", "input_dims", [32, "32", 32], r"model.input_dims\[1\]: expected int, got str"),
+        ("model", "tap_layers", [3, 6, 9.5, 12], r"model.tap_layers\[2\]: expected int, got float"),
+        ("model", "zero_init_head", 1, "model.zero_init_head: expected bool, got int"),
+        ("model", "lf_branch", ["cnn"], "model.lf_branch: expected str, got list"),
+        ("model", "num_heads", 0, "must be >= 1"),
+        ("sampler", "window", {"x": 32},
+         r"sampler.window: expected tuple\[int, int, int\], got dict"),
+        ("train", "loss", [], "train.loss: expected an object, got list"),
+        ("phantom", "count", "2", "phantom.count: expected int, got str"),
+    ],
+)
+def test_wrong_typed_values(section, key, value, message):
+    bad = minimal_dict()
+    bad.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=message):
+        run_config_from_dict(bad)
+
+
+def test_nested_and_optional_values_are_checked():
+    bad = minimal_dict()
+    bad["train"]["loss"] = {"alpha": "half"}
+    with pytest.raises(ConfigError, match="train.loss.alpha: expected float, got str"):
+        run_config_from_dict(bad)
+    bad = minimal_dict()
+    bad["phantom"]["spec"]["liver_center"] = [1.0, 2.0]
+    want = r"phantom.spec.liver_center: expected tuple\[float, float, float\] \| None, got list"
+    with pytest.raises(ConfigError, match=want):
+        run_config_from_dict(bad)
+    with pytest.raises(ConfigError, match="name: expected str, got int"):
+        run_config_from_dict(minimal_dict(name=3))
+
+
+def test_well_typed_values_accepted():
+    doc = minimal_dict()
+    doc["intensity"] = {"lo": -100, "hi": 200.5}  # ints are accepted for floats
+    doc["model"]["tap_layers"] = [2, 4, 8, 12]  # variadic tuple
+    doc["phantom"]["spec"]["liver_center"] = None
+    cfg = run_config_from_dict(doc)
+    assert cfg.intensity.lo == -100.0 and isinstance(cfg.intensity.lo, float)
+    assert cfg.model.tap_layers == (2, 4, 8, 12)
+    doc["phantom"]["spec"]["liver_center"] = [10, 11.5, 12]
+    assert run_config_from_dict(doc).phantom.spec.liver_center == (10.0, 11.5, 12.0)

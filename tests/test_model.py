@@ -9,8 +9,37 @@ from ynetr.model import (
     fuse_add,
     patchify,
     tokens_to_grid,
-    unpatchify,
 )
+
+
+def unpatchify(seq):
+    """Inverse of :func:`patchify`: tokens back to a (C, X, Y, Z) tensor."""
+    gx, gy, gz = seq.grid
+    p, c = seq.patch, seq.channels
+    return (
+        seq.tokens.reshape(gx, gy, gz, p, p, p, c)
+        .permute(6, 0, 3, 1, 4, 2, 5)
+        .reshape(c, gx * p, gy * p, gz * p)
+    )
+
+
+def attention_weights(attn, x):
+    """The (heads, N, N) softmax weights that ``attn`` applies to ``x``."""
+    n, h, dh = x.shape[0], attn.num_heads, attn.head_dim
+    qkv = attn.qkv(x).data.reshape(n, 3, h, dh).transpose(1, 2, 0, 3)
+    scores = qkv[0] @ qkv[1].transpose(0, 2, 1) * dh**-0.5
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def zero_branch_projections(model, which):
+    """Silence one branch: zero every parameter feeding its pyramid, i.e.
+    all but the transformer encoder. With additive fusion this makes the
+    output exactly independent of that branch's input."""
+    branch = {"lf": model.lf_branch, "hf": model.hf_branch}[which]
+    for name, p in branch.named_parameters():
+        if not name.startswith("encoder."):
+            p.data[...] = 0.0
 
 
 def tiny_config(**overrides):
@@ -111,7 +140,7 @@ class TestEncoder:
         seq = patchify(x, 16)
         h = enc.embed(seq.tokens) + enc.pos
         block = enc.blocks[0]
-        _, weights = block.attn(block.ln1(h), return_weights=True)
+        weights = attention_weights(block.attn, block.ln1(h))
         np.testing.assert_allclose(weights, 1.0 / 8.0, atol=1e-6)
 
 
@@ -142,7 +171,7 @@ class TestPyramid:
 
     def test_zeroed_projections_give_zero_pyramid(self):
         model = YNetr(tiny_config())
-        model.zero_branch_projections("hf")
+        zero_branch_projections(model, "hf")
         x = Tensor(np.random.default_rng(5).standard_normal((1, 32, 32, 32)).astype(np.float32))
         pyr = model.hf_branch(x)
         for lvl in pyr.levels:
@@ -201,7 +230,7 @@ class TestForward:
 
     def test_hf_branch_neutralized(self):
         model = YNetr(tiny_config(zero_init_head=False))
-        model.zero_branch_projections("hf")
+        zero_branch_projections(model, "hf")
         rng = np.random.default_rng(9)
         lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
         outs = [

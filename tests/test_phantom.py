@@ -2,9 +2,24 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from ynetr.phantom import PhantomError, PhantomSpec, component_volumes_cm3, generate_phantom
-from ynetr.volume import LabelVolume
+from ynetr.phantom import PhantomError, PhantomSpec, generate_phantom
+from ynetr.volume import LabelVolume, voxel_volume_cm3
+
+
+def component_volumes_cm3(label: LabelVolume):
+    """Connected components (6-neighborhood) with physical volumes.
+
+    Returns a list of (component id, volume in cm^3), ids starting at 1.
+    """
+    structure = ndimage.generate_binary_structure(3, 1)
+    comp, n = ndimage.label(label.labels, structure=structure)
+    if n == 0:
+        return []
+    counts = np.bincount(comp.ravel(), minlength=n + 1)
+    vox = voxel_volume_cm3(label.spacing_mm)
+    return [(i, float(counts[i]) * vox) for i in range(1, n + 1)]
 
 
 def flood_fill_components(labels):

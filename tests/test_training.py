@@ -15,15 +15,25 @@ from ynetr.optim import AdamW
 from ynetr.phantom import PhantomSpec, generate_phantom
 from ynetr.sampling import SamplerConfig
 from ynetr.training import (
+    StepRecord,
     TrainConfig,
     TrainingDiverged,
     prepare_case,
     train,
     write_history_csv,
-    read_history_csv,
 )
 
 WINDOW = (16, 16, 16)
+
+
+def read_history_csv(path):
+    records = []
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            s, l, d, c = line.strip().split(",")
+            records.append(StepRecord(int(s), float(l), float(d), float(c)))
+    return records
 
 
 def tiny_model(seed=0, zero_head=True):

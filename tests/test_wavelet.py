@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haar import SubbandSet2D, dwt2_haar, haar_split, idwt2_haar
 from ynetr.volume import Volume3D
-from ynetr.wavelet import SubbandSet2D, dwt2_haar, idwt2_haar, split_frequency
+from ynetr.wavelet import split_frequency
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -161,6 +162,33 @@ class TestSplitFrequency:
         pair = split_frequency(v)
         assert pair.lf.spacing_mm == v.spacing_mm
         assert pair.hf.spacing_mm == v.spacing_mm
+
+
+class TestClosedFormMatchesHaar:
+    @pytest.mark.parametrize(
+        "shape",
+        [(8, 8, 3), (16, 12, 2), (7, 9, 4), (9, 5, 1), (2, 2, 1), (2, 6, 3), (5, 2, 2), (3, 2, 5)],
+    )
+    def test_matches_ll_only_synthesis(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = (3.0 * rng.standard_normal(shape)).astype(np.float32)
+        pair = split_frequency(self._vol(x))
+        lf, hf = haar_split(x)
+        tol = 1e-6 * float(np.abs(x).max())
+        assert np.abs(pair.lf.voxels - lf).max() <= tol
+        assert np.abs(pair.hf.voxels - hf).max() <= tol
+
+    @pytest.mark.parametrize("c", [7.0, 0.1, -1.0 / 3.0, 1e-30, 3.0e7])
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (7, 9, 4), (2, 3, 1)])
+    def test_constant_volume_has_exactly_zero_hf(self, shape, c):
+        x = np.full(shape, c, dtype=np.float32)
+        pair = split_frequency(self._vol(x))
+        np.testing.assert_array_equal(pair.lf.voxels, x)
+        np.testing.assert_array_equal(pair.hf.voxels, 0.0)
+
+    @staticmethod
+    def _vol(arr):
+        return Volume3D(arr, (1.0, 1.0, 1.0))
 
 
 @settings(max_examples=25, deadline=None)
