@@ -109,9 +109,12 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def _accum(self, g):
+    def _accum(self, g, owned=False):
+        """Add ``g`` into ``.grad``. ``owned`` says the caller just
+        allocated ``g`` as float32 and keeps no other reference to it, so
+        the first accumulation may adopt it instead of copying."""
         if self.grad is None:
-            self.grad = g.astype(np.float32, copy=True)
+            self.grad = g if owned else g.astype(np.float32, copy=True)
         else:
             self.grad += g
 
@@ -150,7 +153,7 @@ class Tensor:
         out = Tensor(-self.data)
 
         def bw(g):
-            self._accum(-g)
+            self._accum(-g, owned=True)
 
         return out._record((self,), bw)
 
@@ -160,9 +163,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
+                self._accum(_unbroadcast(g * other.data, self.data.shape), owned=True)
             if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
+                other._accum(_unbroadcast(g * self.data, other.data.shape), owned=True)
 
         return out._record((self, other), bw)
 
@@ -174,10 +177,11 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
+                self._accum(_unbroadcast(g / other.data, self.data.shape), owned=True)
             if other.requires_grad:
                 other._accum(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
+                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
+                    owned=True,
                 )
 
         return out._record((self, other), bw)
@@ -190,7 +194,7 @@ class Tensor:
         out = Tensor(self.data**np.float32(e))
 
         def bw(g):
-            self._accum(g * np.float32(e) * self.data ** np.float32(e - 1.0))
+            self._accum(g * np.float32(e) * self.data ** np.float32(e - 1.0), owned=True)
 
         return out._record((self,), bw)
 
@@ -203,10 +207,10 @@ class Tensor:
         def bw(g):
             if self.requires_grad:
                 ga = g @ other.data.swapaxes(-1, -2)
-                self._accum(_unbroadcast(ga, self.data.shape))
+                self._accum(_unbroadcast(ga, self.data.shape), owned=True)
             if other.requires_grad:
                 gb = self.data.swapaxes(-1, -2) @ g
-                other._accum(_unbroadcast(gb, other.data.shape))
+                other._accum(_unbroadcast(gb, other.data.shape), owned=True)
 
         return out._record((self, other), bw)
 
@@ -241,7 +245,7 @@ class Tensor:
         def bw(g):
             full = np.zeros(src_shape, dtype=np.float32)
             full[idx] = g
-            self._accum(full)
+            self._accum(full, owned=True)
 
         return out._record((self,), bw)
 
@@ -252,7 +256,7 @@ class Tensor:
         src_shape = self.data.shape
 
         def bw(g):
-            self._accum(_spread(g, src_shape, axis, keepdims))
+            self._accum(_spread(g, src_shape, axis, keepdims), owned=True)
 
         return out._record((self,), bw)
 
@@ -262,7 +266,7 @@ class Tensor:
         n = self.data.size if axis is None else _axis_count(src_shape, axis)
 
         def bw(g):
-            self._accum(_spread(g, src_shape, axis, keepdims) / np.float32(n))
+            self._accum(_spread(g, src_shape, axis, keepdims) / np.float32(n), owned=True)
 
         return out._record((self,), bw)
 
@@ -273,7 +277,7 @@ class Tensor:
         out = Tensor(val)
 
         def bw(g):
-            self._accum(g * val)
+            self._accum(g * val, owned=True)
 
         return out._record((self,), bw)
 
@@ -281,7 +285,7 @@ class Tensor:
         out = Tensor(np.log(self.data))
 
         def bw(g):
-            self._accum(g / self.data)
+            self._accum(g / self.data, owned=True)
 
         return out._record((self,), bw)
 
@@ -290,7 +294,7 @@ class Tensor:
         out = Tensor(val)
 
         def bw(g):
-            self._accum(g * np.float32(0.5) / val)
+            self._accum(g * np.float32(0.5) / val, owned=True)
 
         return out._record((self,), bw)
 
@@ -299,7 +303,7 @@ class Tensor:
         out = Tensor(np.where(mask, self.data, np.float32(0.0)))
 
         def bw(g):
-            self._accum(g * mask)
+            self._accum(g * mask, owned=True)
 
         return out._record((self,), bw)
 
@@ -311,7 +315,7 @@ class Tensor:
 
         def bw(g):
             pdf = np.exp(np.float32(-0.5) * x * x) * np.float32(1.0 / math.sqrt(2.0 * math.pi))
-            self._accum(g * (cdf + x * pdf))
+            self._accum(g * (cdf + x * pdf), owned=True)
 
         return out._record((self,), bw)
 
@@ -323,7 +327,7 @@ class Tensor:
 
         def bw(g):
             dot = (g * val).sum(axis=axis, keepdims=True)
-            self._accum(val * (g - dot))
+            self._accum(val * (g - dot), owned=True)
 
         return out._record((self,), bw)
 
@@ -336,7 +340,7 @@ class Tensor:
 
         def bw(g):
             soft = np.exp(val)
-            self._accum(g - soft * g.sum(axis=axis, keepdims=True))
+            self._accum(g - soft * g.sum(axis=axis, keepdims=True), owned=True)
 
         return out._record((self,), bw)
 
@@ -417,9 +421,9 @@ def conv3d(x, w, stride=1, padding=0):
     def bw(g):
         gx, gw = _ck.conv3d_backward(x.data, w.data, g, stride, padding)
         if x.requires_grad:
-            x._accum(gx)
+            x._accum(gx, owned=True)
         if w.requires_grad:
-            w._accum(gw)
+            w._accum(gw, owned=True)
 
     return out._record((x, w), bw)
 
@@ -436,8 +440,8 @@ def conv_transpose3d(x, w, stride=1, padding=0):
     def bw(g):
         gx, gw = _ck.convt3d_backward(x.data, w.data, g, stride, padding)
         if x.requires_grad:
-            x._accum(gx)
+            x._accum(gx, owned=True)
         if w.requires_grad:
-            w._accum(gw)
+            w._accum(gw, owned=True)
 
     return out._record((x, w), bw)

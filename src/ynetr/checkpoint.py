@@ -170,22 +170,41 @@ def load_into(model: YNetr, ckpt: Checkpoint):
         p.data[...] = arr
 
 
-def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
-    opt_meta = ckpt.meta.get("optimizer")
+def _optimizer_meta(opt_meta):
+    """Validated AdamW hyperparameters and step count from the checkpoint meta."""
     if opt_meta is None:
         raise CheckpointError("checkpoint carries no optimizer state")
+    if not isinstance(opt_meta, dict):
+        raise CheckpointError("optimizer meta is not a JSON object")
+    out = {}
+    for key in ("t", "lr", "beta1", "beta2", "eps", "weight_decay"):
+        value = opt_meta.get(key)
+        kinds, what = (int, "an integer") if key == "t" else ((int, float), "a finite number")
+        if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
+            raise CheckpointError(f"optimizer meta {key!r} must be {what}, got {value!r}")
+        out[key] = value
+    if out["t"] < 0:
+        raise CheckpointError(f"optimizer step count t is negative: {out['t']}")
+    for key in ("beta1", "beta2"):
+        if not 0 <= out[key] < 1:
+            raise CheckpointError(f"optimizer {key} {out[key]!r} is outside [0, 1)")
+    return out
+
+
+def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
+    meta = _optimizer_meta(ckpt.meta.get("optimizer"))
     n = len(optimizer.params)
     try:
         m = [ckpt.arrays[f"adamw.m:{i}"] for i in range(n)]
         v = [ckpt.arrays[f"adamw.v:{i}"] for i in range(n)]
     except KeyError as exc:
         raise CheckpointError(f"optimizer state incomplete: {exc}") from exc
-    optimizer.load_state_arrays({"m": m, "v": v, "t": opt_meta["t"]})
-    optimizer.lr = float(opt_meta["lr"])
-    optimizer.beta1 = float(opt_meta["beta1"])
-    optimizer.beta2 = float(opt_meta["beta2"])
-    optimizer.eps = float(opt_meta["eps"])
-    optimizer.weight_decay = float(opt_meta["weight_decay"])
+    try:
+        optimizer.load_state_arrays({"m": m, "v": v, "t": meta["t"]})
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
+    for key in ("lr", "beta1", "beta2", "eps", "weight_decay"):
+        setattr(optimizer, key, float(meta[key]))
 
 
 def _normalize(d):

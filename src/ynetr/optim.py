@@ -3,11 +3,90 @@
 Moments are bias-corrected with the step count incremented before the
 correction; decay is applied to the parameter directly rather than mixed
 into the moment estimates.
+
+The step is bitwise equal to the per-tensor formula
+
+    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps);  p -= (lr*wd) * p
+
+evaluated one whole-tensor float32 operation at a time. Instead of a
+dozen passes over each tensor, each allocating a temporary, it views
+parameters, gradients and moments as flat arrays and runs the same
+operations, in the same order, on chunks of ``_CHUNK`` elements, in
+place and through two work buffers of one chunk each: the six
+streams of a chunk stay in one core's L2 cache. Every operation is one
+exactly rounded IEEE float32 operation on the same operands as in the
+per-tensor formula, so the chunking changes no bit.
+
+The chunks are dealt round-robin to one worker thread per usable core.
+numpy releases the GIL inside its elementwise loops, so the workers run
+in parallel; chunks are disjoint and no element depends on another, so
+the result does not depend on how the threads are scheduled.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+# elements per chunk: 256 KB per float32 stream
+_CHUNK = 65536
+
+_ZEROS = np.zeros(_CHUNK, dtype=np.float32)  # the gradient of a parameter without one
+_ZEROS.flags.writeable = False
+
+_pool = None  # (pid, workers, executor or None), made by the first step of a process
+
+
+def _executor():
+    """(worker count, executor); no executor on a 1-core host."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():  # a forked child needs its own threads
+        if hasattr(os, "sched_getaffinity"):
+            n = len(os.sched_getaffinity(0))
+        else:
+            n = os.cpu_count() or 1
+        _pool = (os.getpid(), n, ThreadPoolExecutor(n, "adamw") if n > 1 else None)
+    return _pool[1], _pool[2]
+
+
+def _flat_data(p):
+    if p.data.dtype != np.float32 or not p.data.flags.c_contiguous:
+        raise ValueError(
+            f"AdamW needs C-contiguous float32 parameters, got {p.data.dtype} "
+            f"with shape {p.data.shape}"
+        )
+    return p.data.reshape(-1)
+
+
+def _update(chunks, b1, b2, c1, c2, lr, eps, lr_wd):
+    """Run the AdamW update on ``chunks`` of (p, g, m, v) flat slices."""
+    a = np.empty(_CHUNK, dtype=np.float32)
+    b = np.empty(_CHUNK, dtype=np.float32)
+    one_b1 = np.float32(1.0) - b1
+    one_b2 = np.float32(1.0) - b2
+    for p, g, m, v in chunks:
+        n = p.size
+        a_, b_ = a[:n], b[:n]
+        m *= b1
+        np.multiply(one_b1, g, out=a_)
+        m += a_
+        np.multiply(g, g, out=a_)
+        np.multiply(one_b2, a_, out=a_)
+        v *= b2
+        v += a_
+        np.divide(m, c1, out=a_)
+        np.multiply(lr, a_, out=a_)
+        np.divide(v, c2, out=b_)
+        np.sqrt(b_, out=b_)
+        b_ += eps
+        a_ /= b_
+        p -= a_
+        if lr_wd is not None:
+            np.multiply(lr_wd, p, out=a_)
+            p -= a_
 
 
 class AdamW:
@@ -15,6 +94,8 @@ class AdamW:
         if lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {lr}")
         self.params = list(params)
+        for p in self.params:
+            _flat_data(p)
         self.lr = float(lr)
         self.beta1, self.beta2 = (float(b) for b in betas)
         self.eps = float(eps)
@@ -28,39 +109,49 @@ class AdamW:
             p.grad = None
 
     def step(self):
+        # every parameter is checked before the first one is touched
+        chunks = []
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is not None:
+                if g.shape != p.data.shape:
+                    raise ValueError(
+                        f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
+                    )
+                g = np.ascontiguousarray(g, dtype=np.float32).reshape(-1)
+            p, m, v = _flat_data(p), m.reshape(-1), v.reshape(-1)
+            for i in range(0, p.size, _CHUNK):
+                j = min(i + _CHUNK, p.size)
+                chunks.append((p[i:j], _ZEROS[: j - i] if g is None else g[i:j], m[i:j], v[i:j]))
         self.t += 1
         b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
         c1 = np.float32(1.0 - self.beta1**self.t)
         c2 = np.float32(1.0 - self.beta2**self.t)
         lr = np.float32(self.lr)
-        eps = np.float32(self.eps)
         wd = np.float32(self.weight_decay)
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
-                )
-            m *= b1
-            m += (np.float32(1.0) - b1) * g
-            v *= b2
-            v += (np.float32(1.0) - b2) * (g * g)
-            m_hat = m / c1
-            v_hat = v / c2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            if wd != 0.0:
-                p.data -= lr * wd * p.data
+        consts = (b1, b2, c1, c2, lr, np.float32(self.eps), lr * wd if wd != 0.0 else None)
+        n, executor = _executor()
+        if executor is None:
+            _update(chunks, *consts)
+        else:
+            shares = [executor.submit(_update, chunks[w::n], *consts) for w in range(n)]
+            for share in shares:
+                share.result()
 
     def state_arrays(self):
         """Moment buffers and step count, for checkpointing."""
         return {"m": self.m, "v": self.v, "t": self.t}
 
     def load_state_arrays(self, state):
-        if len(state["m"]) != len(self.params):
-            raise ValueError("optimizer state does not match parameter count")
+        for key in ("m", "v"):
+            if len(state[key]) != len(self.params):
+                raise ValueError(f"optimizer state {key!r} does not match parameter count")
+            for dst, src in zip(getattr(self, key), state[key]):
+                if dst.shape != src.shape:
+                    raise ValueError(
+                        f"optimizer moment {key!r} shape {src.shape} does not match {dst.shape}"
+                    )
         for dst, src in zip(self.m, state["m"]):
-            if dst.shape != src.shape:
-                raise ValueError("optimizer moment shape mismatch")
             dst[...] = src
         for dst, src in zip(self.v, state["v"]):
             dst[...] = src

@@ -31,8 +31,8 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step, value):
-        super().__init__(f"non-finite loss {value!r} at step {step}")
+    def __init__(self, step, value, what="loss"):
+        super().__init__(f"non-finite {what} {value!r} at step {step}")
         self.step = step
         self.value = value
 
@@ -110,6 +110,17 @@ def _draw(case, want_positive, rng, sampler_cfg):
         return sample_any_window(case.lf, case.hf, case.label, rng, sampler_cfg)
 
 
+def grad_norm(params):
+    """Global L2 norm of the parameter gradients (``None`` counts as zero):
+    one float32 dot product per gradient, summed as Python floats."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            flat = p.grad.reshape(-1)
+            total += float(np.dot(flat, flat))
+    return math.sqrt(total)
+
+
 def step_rng(seed, step):
     """Counter-keyed stream: deterministic and resume-safe."""
     return np.random.default_rng([seed, step])
@@ -153,6 +164,9 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             scaled.backward()
             # release this draw's graph before the next forward builds one
             del logits, total, d, c, scaled
+        norm = grad_norm(optimizer.params)
+        if not math.isfinite(norm):
+            raise TrainingDiverged(step, norm, "gradient norm")
         optimizer.step()
         rec = StepRecord(step, loss_sum * inv_batch, dice_sum * inv_batch, ce_sum * inv_batch)
         history.append(rec)

@@ -8,6 +8,7 @@ clinical-imaging dependency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class LabelVolume:
 def _check_geometry(shape, spacing):
     if len(shape) != 3 or any(n < 1 for n in shape):
         raise ValueError(f"volume shape must be 3-D with positive dims, got {shape}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be positive along every axis, got {spacing}")
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be finite and positive along every axis, got {spacing}")
 
 
 def write_vvol(volume, path):

@@ -330,3 +330,51 @@ class TestOperatorProperties:
         (out[:, :3]).sum().backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 3), dtype=np.float32))
         np.testing.assert_array_equal(b.grad, np.zeros((2, 2), dtype=np.float32))
+
+
+class TestOwnedGradients:
+    """Adopting freshly allocated gradients instead of copying them on the
+    first accumulation must not change any gradient bit."""
+
+    @staticmethod
+    def _grads(monkeypatch, always_copy, run):
+        if always_copy:
+            original = Tensor._accum
+            monkeypatch.setattr(Tensor, "_accum", lambda self, g, owned=False: original(self, g))
+        params = run()
+        monkeypatch.undo()
+        return [p.grad.tobytes() for p in params]
+
+    def _check(self, monkeypatch, run):
+        assert self._grads(monkeypatch, False, run) == self._grads(monkeypatch, True, run)
+
+    def test_tiny_model_backward(self, monkeypatch):
+        from ynetr.losses import LossConfig, segmentation_loss
+        from ynetr.model import ModelConfig, YNetr
+
+        def run():
+            model = YNetr(ModelConfig(input_dims=(16, 16, 16), embed_dim=32, num_heads=4,
+                                      decoder_channels=(16, 16, 8, 8, 4), init_seed=2,
+                                      zero_init_head=False))
+            rng = np.random.default_rng(0)
+            lf, hf = (Tensor(rng.standard_normal((1, 16, 16, 16)).astype(np.float32))
+                      for _ in range(2))
+            labels = (rng.random((16, 16, 16)) < 0.2).astype(np.float32)
+            total, _, _ = segmentation_loss(LossConfig(), labels, model(lf, hf))
+            total.backward()
+            return model.parameters()
+
+        self._check(monkeypatch, run)
+
+    def test_residual_and_reused_tensor(self, monkeypatch):
+        def run():
+            rng = np.random.default_rng(1)
+            x = Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True)
+            w = Tensor(rng.standard_normal((5, 5)).astype(np.float32), requires_grad=True)
+            a = x @ w
+            b = a.gelu()
+            h = a + b  # residual whose operands have other consumers too
+            ((h * h).sum() + (b * a).mean() + (x * x).sum()).backward()  # reused tensors
+            return [x, w]
+
+        self._check(monkeypatch, run)

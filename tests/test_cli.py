@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ynetr.autograd import Tensor, _build_tape
 from ynetr.checkpoint import save_checkpoint
 from ynetr.cli import cli
 from ynetr.model import ModelConfig, YNetr
@@ -206,6 +207,29 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("io-error:")
         assert "1 non-finite voxels" in lines[0]
         assert "Traceback" not in res.output
+
+    def test_train_nonfinite_gradient_is_4(self, tmp_path, runner, monkeypatch):
+        cfg = _write_config(tmp_path)
+        data = tmp_path / "data"
+        assert runner.invoke(
+            cli, ["phantom", "--config", str(cfg), "--out", str(data)]
+        ).exit_code == 0
+        backward = Tensor.backward
+
+        def poisoned(self):
+            backward(self)
+            leaf = next(n for n in _build_tape(self) if n.requires_grad and not n._parents)
+            leaf.grad.reshape(-1)[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        res = runner.invoke(
+            cli, ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "r")]
+        )
+        assert res.exit_code == 4
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric-error:")
+        assert "gradient" in lines[0] and "step 1" in lines[0]
+        assert not (tmp_path / "r" / "checkpoint.ynck").exists()
 
     def test_wrong_typed_config_value_is_2(self, tmp_path, runner):
         bad = dict(TOY_CONFIG, train={"epochs": "3"})

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ynetr.autograd import Tensor
 from ynetr.checkpoint import (
+    CheckpointError,
     ConfigMismatchError,
     load_checkpoint,
     load_into,
@@ -18,6 +20,7 @@ from ynetr.training import (
     StepRecord,
     TrainConfig,
     TrainingDiverged,
+    grad_norm,
     prepare_case,
     train,
     write_history_csv,
@@ -213,3 +216,98 @@ class TestCheckpoint:
               optimizer=opt2, start_step=3)
 
         assert param_bytes(fresh) == param_bytes(straight)
+
+
+class TestNonFiniteGradient:
+    def test_nan_gradient_stops_before_the_update(self, monkeypatch):
+        backward = Tensor.backward
+
+        def poisoned(self):
+            backward(self)
+            model.decoder.head.weight.grad.reshape(-1)[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        model = tiny_model()
+        before = param_bytes(model)
+        opt = AdamW(model.parameters(), lr=1e-3)
+        with pytest.raises(TrainingDiverged, match="gradient") as err:
+            train(model, tiny_cases(), train_cfg(), SamplerConfig(window=WINDOW, jitter_max=4),
+                  optimizer=opt)
+        assert err.value.step == 1
+        assert "step 1" in str(err.value)
+        assert param_bytes(model) == before
+        assert opt.t == 0
+        assert not any(m.any() for m in opt.m + opt.v)
+
+    def test_grad_norm(self):
+        a = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
+        c = Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)
+        a.grad = np.array([3.0], dtype=np.float32)
+        b.grad = np.array([[0.0, 4.0], [0.0, 0.0]], dtype=np.float32)
+        assert grad_norm([a, b, c]) == 5.0
+        b.grad[1, 1] = np.inf
+        assert grad_norm([a, b, c]) == np.inf
+
+
+class TestRestoreOptimizerValidation:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        model = tiny_model(seed=1)
+        opt = AdamW(model.parameters(), lr=1e-3)
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model, opt, step=2)
+        return model, path
+
+    @pytest.mark.parametrize("key", ["t", "lr", "beta1", "beta2", "eps", "weight_decay"])
+    @pytest.mark.parametrize("bad", ["missing", "0.5", None, True, float("nan")])
+    def test_missing_or_non_numeric_meta(self, saved, key, bad):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        if bad == "missing":
+            del ckpt.meta["optimizer"][key]
+        else:
+            ckpt.meta["optimizer"][key] = bad
+        opt = AdamW(model.parameters(), lr=5e-4)
+        with pytest.raises(CheckpointError, match=key):
+            restore_optimizer(opt, ckpt)
+        assert opt.lr == 5e-4 and opt.t == 0
+
+    def test_fractional_step_count(self, saved):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.meta["optimizer"]["t"] = 2.5
+        with pytest.raises(CheckpointError, match="'t'"):
+            restore_optimizer(AdamW(model.parameters()), ckpt)
+
+    def test_negative_step_count(self, saved):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.meta["optimizer"]["t"] = -1
+        with pytest.raises(CheckpointError, match="negative"):
+            restore_optimizer(AdamW(model.parameters()), ckpt)
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
+    def test_beta_outside_unit_interval(self, saved, key, value):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.meta["optimizer"][key] = value
+        with pytest.raises(CheckpointError, match=key):
+            restore_optimizer(AdamW(model.parameters()), ckpt)
+
+    def test_non_object_meta(self, saved):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.meta["optimizer"] = [1, 2]
+        with pytest.raises(CheckpointError, match="optimizer"):
+            restore_optimizer(AdamW(model.parameters()), ckpt)
+
+    def test_second_moment_shape_checked(self, saved):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.arrays["adamw.v:0"] = np.zeros(1, dtype=np.float32)
+        opt = AdamW(model.parameters())
+        with pytest.raises(CheckpointError, match="shape"):
+            restore_optimizer(opt, ckpt)
+        assert opt.t == 0

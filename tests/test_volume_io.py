@@ -147,3 +147,23 @@ class TestNormalizeIntensity:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             normalize_intensity(self._vol(0.0), 100.0, 100.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.0"])
+def test_non_finite_or_zero_spacing_in_header_rejected(tmp_path, bad):
+    path = tmp_path / "bad.vvol"
+    header = (
+        f"vvol 1\nkind volume\nshape 1 1 1\nspacing {bad} 1.0 1.0\n"
+        "elem f32\nbyteorder little\nend\n"
+    )
+    path.write_bytes(header.encode() + b"\x00" * 4)
+    with pytest.raises(VvolError, match="spacing"):
+        read_vvol(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_spacing_rejected_in_memory(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Volume3D(np.zeros((2, 2, 2), dtype=np.float32), (bad, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite and positive"):
+        LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, bad))
