@@ -7,17 +7,19 @@ time):
 * conv_transpose3d input (Cin, X, Y, Z), weight (Cin, Cout, k, k, k)
 
 No kernel unrolls its input into a full strided im2col matrix or
-scatters through a col2im loop. Stride-1 convolutions read shifted
-contiguous slices of a flat padded volume in cache-sized blocks
-(implicit GEMM, after Chetlur et al., arXiv 1410.0759, and MEC, Cho &
-Brand, arXiv 1706.06873), so the time goes to threaded BLAS rather than
-to single-threaded copies.
+scatters through a col2im loop. Every pass of both ops, forward and
+backward, is a valid stride-1 correlation or its weight gradient, read
+as shifted contiguous slices of a flat padded volume in cache-sized
+blocks (implicit GEMM, after Chetlur et al., arXiv 1410.0759, and MEC,
+Cho & Brand, arXiv 1706.06873), so the time goes to threaded BLAS rather
+than to single-threaded copies.
 
-Flat padded layout (stride 1). The input is zero-padded once to the grid
-(C, Xp, Yp, Zp) and viewed as the matrix ``flat`` of shape (C, Xp*Yp*Zp),
-followed by a zero tail. Output voxel (a, b, c) of the valid correlation
-is computed at column q = (a*Yp + b)*Zp + c, and its input under kernel
-offset (dx, dy, dz) sits at column q + d with the constant shift
+Flat padded layout. The input is zero-padded once to the grid
+(C, Xp, Yp, Zp) and viewed as the matrix ``flat`` of shape
+(C, Xp*Yp*Zp), followed by a zero tail. Output voxel (a, b, c) of the
+valid correlation is computed at column q = (a*Yp + b)*Zp + c, and its
+input under kernel offset (dx, dy, dz) sits at column q + d with the
+constant shift
 
     d = (dx*Yp + dy)*Zp + dz.
 
@@ -29,20 +31,46 @@ around into the next row. They are computed and dropped when the result
 is cropped to (Cout, ox, oy, oz). The zero tail of (k-1)*(Zp+1) columns
 keeps the last shifted slice inside the buffer.
 
-Backward (stride 1). conv_transpose3d with the same weight array is the
-adjoint of conv3d, and at stride 1 it is itself a valid correlation: the
-one of ``g`` zero-padded by k-1-pad (a negative pad crops) with the
-flipped, channel-swapped weight, so the input gradient is the forward
-routine again:
+Space-to-depth (stride s). Write a kernel offset as dx = u*s + r with
+0 <= r < s. Output a of a stride-s conv reads padded voxel
+a*s + dx = (a + u)*s + r: residue r of cell a + u, when the padded input
+is cut into cells of s voxels per axis. With the s**3 residues of a cell
+moved into the channels, (C, Xc*s, Yc*s, Zc*s) -> (C*s**3, Xc, Yc, Zc),
+the conv is a valid stride-1 correlation with kernel size kk = ceil(k/s)
+(the sub-pixel equivalence of Shi et al., arXiv 1609.05158). Its weight
+is rearranged the same way, with zero taps where u*s + r >= k. The input
+is padded or cropped at the far end to Xc = ox + kk - 1 cells, the cells
+the outputs read. At s = 1 this is the padded input itself.
 
-    gx = corr(pad(g, k-1-pad), flip(w).swapaxes(0, 1)).
+Backward. The input gradient of a valid correlation is the valid
+correlation of ``g`` zero-padded by kk-1 with the flipped,
+channel-swapped weight:
 
-The weight gradient of offset d is ``g_full @ flat[:, d:d + n].T``,
-where ``g_full`` is ``g`` written into the padded-grid layout with zeros
-in the wrap-around columns. Those zeros keep the junk windows out of
-``gw``; without them ``gw`` is silently wrong. For a same-size conv
-(2*pad == k-1) the padded ``g`` of the input gradient lies on the same
-grid as ``x``, and ``g_full`` is a view of it, shifted by the pad.
+    gx = corr(pad(g, kk-1), flip(w).swapaxes(0, 1)).
+
+Only the cells from pad // s on are computed (``g`` is padded by
+kk-1-pad//s in front; a negative pad crops). They are put back from
+depth to space and cropped to the input, which starts at voxel pad % s.
+At s = 1 that is ``g`` padded by k-1-pad, with nothing to crop. The
+weight gradient of offset d is ``g_full @ flat[:, d:d + n].T``, where
+``g_full`` is ``g`` written into the padded-grid layout with zeros in
+the wrap-around columns. Those zeros keep the junk windows out of
+``gw``; without them ``gw`` is silently wrong. When the padded ``g``
+lies on the same grid as ``x`` (at s = 1, a same-size conv,
+2*pad == k-1), ``g_full`` is a view of it, shifted by the pad. The
+gradient of the rearranged weight is gathered back and its zero taps
+dropped.
+
+Transposed conv. conv_transpose3d with weight (Cin, Cout, k, k, k) is
+the adjoint of conv3d that reads the same array as its (Cout, Cin)
+weight (Dumoulin & Visin, arXiv 1603.07285). So its forward is conv3d's
+input gradient with ``x`` as the upstream gradient. Its backward is
+conv3d's forward of ``g`` (the input gradient) and conv3d's weight
+gradient with ``g`` as the input and ``x`` as the upstream gradient,
+both on one space-to-depth copy of ``g``. At k == stride and pad 0
+(every up-step of the model) kk = 1: the forward is one GEMM on a view
+of ``x`` and a depth-to-space reshape, the backward one space-to-depth
+copy and two GEMMs.
 
 Accumulation order follows from the shapes. The k**3 shifted slices of
 a block of m output columns are copied into a block of columns
@@ -50,24 +78,12 @@ a block of m output columns are copied into a block of columns
 in cache, and each block is one GEMM with K = k**3*cin (forward and
 input gradient) or with N = k**3*cin (weight gradient). A GEMM per
 offset instead, with K = cin, would stream a full-size output through
-memory 27 times. For k = 1 the block is a view and nothing is copied.
-When k**3*cout <= 4*cin (the 16 -> 1 input gradient of the one-channel
-stem conv) the block of columns would be 27 times the input for a
-handful of output rows, so instead one GEMM per block gives the products
-of every offset at once, and they are added into the output at their
-shifts.
-
-Transposed conv with k == stride and pad 0 (every up-step of the model)
-has non-overlapping outputs: one GEMM to (Cout, k, k, k, X, Y, Z) and a
-depth-to-space reshape. Its backward is a space-to-depth reshape and two
-GEMMs.
-
-Every other case (conv with stride > 1, transposed conv other than
-k == stride with pad 0; in the model only the CNN ablation branch) is a
-loop over the k**3 offsets, one GEMM each, with a strided gather of the
-window of the offset (conv forward, weight gradients, transposed-conv
-input gradient) or a strided slice-add into the output (conv input
-gradient, transposed-conv forward).
+memory 27 times. With a single offset (k = 1) the block is a view of
+all n columns and nothing is copied. When k**3*cout <= 4*cin (the
+16 -> 1 input gradient of the one-channel stem conv) the block of
+columns would be 27 times the input for a handful of output rows, so
+instead one GEMM per block gives the products of every offset at once,
+and they are added into the output at their shifts.
 
 Every loop runs in a fixed order, so results are bitwise deterministic.
 """
@@ -75,6 +91,7 @@ Every loop runs in a fixed order, so results are bitwise deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -100,15 +117,6 @@ def _check_conv_args(shape, k, stride, pad):
             )
 
 
-def _pad3(x, pad):
-    """Zero-pad the three spatial axes by ``pad``; a negative pad crops."""
-    if pad > 0:
-        return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    if pad < 0:
-        return x[:, -pad:pad, -pad:pad, -pad:pad]
-    return x
-
-
 def _offsets(k):
     return list(itertools.product(range(k), repeat=3))
 
@@ -124,22 +132,70 @@ def _flip(w):
     return w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
 
 
-# -- stride 1: shifted GEMMs over the flat padded volume -------------------
+# -- space-to-depth ---------------------------------------------------------
 
 
-def _flat_padded(x, pad, k):
-    """``x`` padded by ``pad`` as a flat (C, Xp*Yp*Zp + tail) array, and
-    the padded grid (Xp, Yp, Zp); see the module docstring."""
+def _s2d_weight(w, s):
+    """(A, B, k, k, k) -> (A, B*s**3, kk, kk, kk), kk = ceil(k/s): tap
+    u*s + r of input channel b becomes tap u of channel (b, r); taps past
+    k are zero."""
+    a, b, k = w.shape[:3]
+    kk = -(-k // s)
+    if kk * s > k:
+        e = kk * s - k
+        w = np.pad(w, ((0, 0), (0, 0), (0, e), (0, e), (0, e)))
+    w = w.reshape(a, b, kk, s, kk, s, kk, s).transpose(0, 1, 3, 5, 7, 2, 4, 6)
+    return w.reshape(a, b * s**3, kk, kk, kk)
+
+
+def _s2d_weight_grad(gw, s, k):
+    """Gradient of the (A, B, k, k, k) weight from the gradient ``gw`` of
+    its :func:`_s2d_weight` rearrangement."""
+    a, bs, kk = gw.shape[:3]
+    gw = gw.reshape(a, bs // s**3, s, s, s, kk, kk, kk).transpose(0, 1, 5, 2, 6, 3, 7, 4)
+    gw = gw.reshape(a, -1, kk * s, kk * s, kk * s)
+    return np.ascontiguousarray(gw[:, :, :k, :k, :k])
+
+
+def _span(lo, s, r, n, cells):
+    """(cell slice, voxel slice) along one axis: the cells a < ``cells``
+    whose residue-r voxel a*s + r holds voxel a*s + r - lo of an axis of
+    n voxels."""
+    a0 = max(0, -((r - lo) // s))
+    a1 = max(a0, min(cells, -((r - lo - n) // s)))
+    v0 = a0 * s + r - lo
+    return slice(a0, a1), slice(v0, v0 + (a1 - a0) * s, s)
+
+
+def _flat_padded(x, lo, cells, k, s=1):
+    """``x`` (C, X, Y, Z) at voxel offset ``lo`` (a negative offset crops)
+    in a zero volume of ``cells[i]*s`` voxels per axis, in the
+    space-to-depth layout (C*s**3, *cells) with channel (c, rx, ry, rz),
+    as a flat array with the zero tail of a k-kernel; returns
+    (flat, cells). See the module docstring."""
     c = x.shape[0]
-    grid = tuple(n + 2 * pad for n in x.shape[1:])
-    xp, yp, zp = grid
-    if pad == 0 and k == 1:
-        return np.ascontiguousarray(x).reshape(c, -1), grid
-    flat = np.zeros((c, xp * yp * zp + (k - 1) * (zp + 1)), dtype=np.float32)
-    lo = max(pad, 0)
-    vol = flat[:, : xp * yp * zp].reshape(c, xp, yp, zp)
-    vol[:, lo : xp - lo, lo : yp - lo, lo : zp - lo] = _pad3(x, min(pad, 0))
-    return flat, grid
+    if lo == 0 and s == 1 and k == 1 and cells == x.shape[1:]:
+        return np.ascontiguousarray(x).reshape(c, -1), cells
+    n = math.prod(cells)
+    flat = np.zeros((c * s**3, n + (k - 1) * (cells[2] + 1)), dtype=np.float32)
+    vol = flat[:, :n].reshape(c, s, s, s, *cells)
+    for r in _offsets(s):
+        dst, src = zip(*(_span(lo, s, *a) for a in zip(r, x.shape[1:], cells)))
+        vol[(slice(None), *r, *dst)] = x[(slice(None), *src)]
+    return flat, cells
+
+
+def _depth_to_space(a, s, off, shape):
+    """(C*s**3, *cells) -> (C, *shape): the inverse of the space-to-depth
+    layout, cropped to the voxels from ``off`` on."""
+    c, (cx, cy, cz) = a.shape[0] // s**3, a.shape[1:]
+    a = a.reshape(c, s, s, s, cx, cy, cz).transpose(0, 4, 1, 5, 2, 6, 3)
+    a = a.reshape(c, cx * s, cy * s, cz * s)
+    x, y, z = shape
+    return np.ascontiguousarray(a[:, off : off + x, off : off + y, off : off + z])
+
+
+# -- stride 1: shifted GEMMs over the flat padded volume -------------------
 
 
 def _shifts(grid, k):
@@ -150,13 +206,13 @@ def _shifts(grid, k):
 def _column_blocks(flat, shifts, n):
     """Yield (q0, block) with block[(i, c), j] = flat[c, q0 + j + shifts[i]]
     for the columns q0 <= q0 + j < n, at most _BLOCK_COLS columns and
-    _BLOCK_BYTES per block. With a single shift the block is a view."""
+    _BLOCK_BYTES per block. A single shift yields one view of all n
+    columns: nothing is copied, so there is nothing to keep in cache."""
+    if len(shifts) == 1:
+        yield 0, flat[:, :n]
+        return
     rows = len(shifts) * flat.shape[0]
     step = max(1, min(n, _BLOCK_COLS, _BLOCK_BYTES // (4 * rows)))
-    if len(shifts) == 1:
-        for q0 in range(0, n, step):
-            yield q0, flat[:, q0 + shifts[0] : q0 + shifts[0] + min(step, n - q0)]
-        return
     buf = np.empty(rows * step, dtype=np.float32)
     for q0 in range(0, n, step):
         m = min(step, n - q0)
@@ -189,142 +245,98 @@ def _corr1(flat, grid, w):
             for i, d in enumerate(shifts[1:], 1):
                 yb += p[i, :, d : d + m]
     else:
-        wm = np.ascontiguousarray(w.transpose(0, 2, 3, 4, 1)).reshape(cout, -1)
+        wm = w.transpose(0, 2, 3, 4, 1).reshape(cout, -1)
         for q0, block in _column_blocks(flat, shifts, n):
             np.matmul(wm, block, out=y[:, q0 : q0 + block.shape[1]])
     return np.ascontiguousarray(y.reshape(cout, ox, yp, zp)[:, :, :oy, :oz])
 
 
-def _on_grid(g, gflat, ggrid, grid, k):
-    """``g`` (Co, ox, oy, oz) in the layout of the outputs on the padded
-    ``grid``: (Co, ox*Yp*Zp), zero at the wrap-around columns.
-
-    ``gflat, ggrid`` is ``_flat_padded(g, k-1-pad, k)``. For a same-size
-    conv (2*pad == k-1) ``ggrid`` is ``grid`` itself, and the layout is a
-    view of ``gflat``, shifted by the offset of the pad."""
+def _on_grid(g, grid, k):
+    """``g`` (Co, ox, oy, oz), the outputs of a valid k-kernel correlation
+    on ``grid``, in their layout on the padded grid: (Co, ox*Yp*Zp), zero
+    at the wrap-around columns. For k = 1 there are none."""
     co = g.shape[0]
+    if k == 1:
+        return g.reshape(co, -1)
     xp, yp, zp = grid
-    n = (xp - k + 1) * yp * zp
-    if ggrid == grid:
-        q = (k - 1) // 2
-        s = (q * yp + q) * zp + q
-        return gflat[:, s : s + n]
     g_full = np.zeros((co, xp - k + 1, yp, zp), dtype=np.float32)
     g_full[:, :, : g.shape[2], : g.shape[3]] = g
-    return g_full.reshape(co, n)
+    return g_full.reshape(co, -1)
 
 
 def _weight_grad1(g_full, flat, grid, k):
     """gw[o, c, off] = sum_q g_full[o, q] * flat[c, q + shift(off)], the
-    weight gradient of the valid stride-1 correlation; ``g_full`` comes
-    from :func:`_on_grid`."""
+    weight gradient of the valid stride-1 correlation, as a
+    (Co, C, k, k, k) view; ``g_full`` comes from :func:`_on_grid`."""
     co, n = g_full.shape
     c = flat.shape[0]
-    gw = np.zeros((k**3 * c, co), dtype=np.float32)
-    for q0, block in _column_blocks(flat, _shifts(grid, k), n):
-        gw += block @ g_full[:, q0 : q0 + block.shape[1]].T
-    return gw.reshape(k, k, k, c, co).transpose(4, 3, 0, 1, 2).copy()
+    if k == 1:  # one GEMM, straight into the (Co, C) layout of the result
+        return (g_full @ flat[:, :n].T).reshape(co, c, 1, 1, 1)
+    parts = (block @ g_full[:, q0 : q0 + block.shape[1]].T
+             for q0, block in _column_blocks(flat, _shifts(grid, k), n))
+    gw = next(parts)
+    for p in parts:
+        gw += p
+    return gw.reshape(k, k, k, c, co).transpose(4, 3, 0, 1, 2)
 
 
-# -- other strides: per-offset strided gathers and slice-adds --------------
-
-
-def _window(a, off, stride, shape):
-    """View of ``a`` seen by kernel offset ``off`` at every output voxel."""
-    return a[(slice(None),) + tuple(
-        slice(o, o + (m - 1) * stride + 1, stride) for o, m in zip(off, shape)
-    )]
-
-
-def _strided_corr(ap, wo, k, stride, shape):
-    """sum over offsets of wo[i] @ window_i(ap): (A, prod(shape))."""
-    y = None
-    for i, off in enumerate(_offsets(k)):
-        part = wo[i] @ _window(ap, off, stride, shape).reshape(ap.shape[0], -1)
-        if y is None:
-            y = part
-        else:
-            y += part
-    return y
-
-
-def _strided_weight_grad(b, ap, k, stride, shape):
-    """gw[:, :, off] = b @ window_off(ap).T; ``b`` is (B, prod(shape))."""
-    gw = np.empty((k**3, b.shape[0], ap.shape[0]), dtype=np.float32)
-    for i, off in enumerate(_offsets(k)):
-        np.matmul(b, _window(ap, off, stride, shape).reshape(ap.shape[0], -1).T, out=gw[i])
-    return gw.reshape(k, k, k, *gw.shape[1:]).transpose(3, 4, 0, 1, 2).copy()
-
-
-def _strided_scatter(a, wo, k, stride, shape, grid):
-    """Zero (B, *grid) volume with wo[i].T @ a added at every offset's window."""
-    out = np.zeros((wo.shape[2], *grid), dtype=np.float32)
-    for i, off in enumerate(_offsets(k)):
-        _window(out, off, stride, shape)[...] += (wo[i].T @ a).reshape(-1, *shape)
-    return out
+def _input_grad(g, ws, stride, pad, shape):
+    """Input gradient (C, *shape) of the stride-``stride`` conv whose
+    :func:`_s2d_weight` is ``ws``, given ``g``; also returns the flat
+    padded ``g`` it was computed on and the offset of ``g`` in it."""
+    kk = ws.shape[2]
+    lo = kk - 1 - pad // stride
+    cells = tuple(-(-(pad % stride + n) // stride) + kk - 1 for n in shape)
+    gflat, ggrid = _flat_padded(g, lo, cells, kk)
+    gx = _depth_to_space(_corr1(gflat, ggrid, _flip(ws)), stride, pad % stride, shape)
+    return gx, gflat, ggrid, lo
 
 
 # -- public kernels ---------------------------------------------------------
 
 
 def conv3d_forward(x, w, stride, pad):
-    cout, cin, k = w.shape[0], w.shape[1], w.shape[2]
+    cin, k = w.shape[1], w.shape[2]
     if x.shape[0] != cin:
         raise ValueError(f"conv3d expects {cin} input channels, got {x.shape[0]}")
     _check_conv_args(x.shape[1:], k, stride, pad)
-    if stride == 1:
-        return _corr1(*_flat_padded(x, pad, k), w)
-    out = tuple(_out_dim(n, k, stride, pad) for n in x.shape[1:])
-    y = _strided_corr(_pad3(x, pad), _per_offset(w), k, stride, out)
-    return y.reshape(cout, *out)
+    ws = _s2d_weight(w, stride)
+    kk = ws.shape[2]
+    cells = tuple(_out_dim(n, k, stride, pad) + kk - 1 for n in x.shape[1:])
+    return _corr1(*_flat_padded(x, pad, cells, kk, stride), ws)
 
 
 def conv3d_backward(x, w, g, stride, pad):
     """Gradients (gx, gw) of conv3d given upstream gradient ``g``."""
-    cout, k = w.shape[0], w.shape[2]
-    if stride == 1:
-        gflat, ggrid = _flat_padded(g, k - 1 - pad, k)
-        flat, grid = _flat_padded(x, pad, k)
-        gx = _corr1(gflat, ggrid, _flip(w))
-        gw = _weight_grad1(_on_grid(g, gflat, ggrid, grid, k), flat, grid, k)
-        return gx, gw
-    xp = _pad3(x, pad)
-    gm = g.reshape(cout, -1)
-    gw = _strided_weight_grad(gm, xp, k, stride, g.shape[1:])
-    gxp = _strided_scatter(gm, _per_offset(w), k, stride, g.shape[1:], xp.shape[1:])
-    return np.ascontiguousarray(_pad3(gxp, -pad)), gw
+    ws = _s2d_weight(w, stride)
+    kk = ws.shape[2]
+    gx, gflat, ggrid, lo = _input_grad(g, ws, stride, pad, x.shape[1:])
+    flat, grid = _flat_padded(x, pad, tuple(n + kk - 1 for n in g.shape[1:]), kk, stride)
+    if ggrid == grid:  # the padded g lies on the grid of x (a same-size conv)
+        _, yp, zp = grid
+        q = (lo * yp + lo) * zp + lo
+        g_full = gflat[:, q : q + g.shape[1] * yp * zp]
+    else:
+        g_full = _on_grid(g, grid, kk)
+    return gx, _s2d_weight_grad(_weight_grad1(g_full, flat, grid, kk), stride, w.shape[2])
 
 
 def convt3d_forward(x, w, stride, pad):
-    cin, cout, k = w.shape[0], w.shape[1], w.shape[2]
+    cin, k = w.shape[0], w.shape[2]
     if x.shape[0] != cin:
         raise ValueError(f"conv_transpose3d expects {cin} input channels, got {x.shape[0]}")
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    ox, oy, oz = ((n - 1) * stride + k - 2 * pad for n in x.shape[1:])
-    if min(ox, oy, oz) < 1:
+    shape = tuple((n - 1) * stride + k - 2 * pad for n in x.shape[1:])
+    if min(shape) < 1:
         raise ValueError("transposed conv output would be empty; padding too large")
-    ix, iy, iz = x.shape[1:]
-    if k == stride and pad == 0:
-        y = w.reshape(cin, -1).T @ x.reshape(cin, -1)
-        y = y.reshape(cout, k, k, k, ix, iy, iz).transpose(0, 4, 1, 5, 2, 6, 3)
-        return np.ascontiguousarray(y).reshape(cout, ox, oy, oz)
-    grid = tuple(n + 2 * pad for n in (ox, oy, oz))
-    yp = _strided_scatter(x.reshape(cin, -1), _per_offset(w), k, stride, x.shape[1:], grid)
-    return np.ascontiguousarray(_pad3(yp, -pad))
+    return _input_grad(x, _s2d_weight(w, stride), stride, pad, shape)[0]
 
 
 def convt3d_backward(x, w, g, stride, pad):
     """Gradients (gx, gw) of conv_transpose3d given upstream gradient ``g``."""
-    cin, cout, k = w.shape[0], w.shape[1], w.shape[2]
-    xm = x.reshape(cin, -1)
-    if k == stride and pad == 0:
-        ix, iy, iz = x.shape[1:]
-        gs = g.reshape(cout, ix, k, iy, k, iz, k).transpose(0, 2, 4, 6, 1, 3, 5)
-        gs = np.ascontiguousarray(gs).reshape(cout * k**3, -1)
-        wm = w.reshape(cin, -1)
-        return (wm @ gs).reshape(x.shape), (xm @ gs.T).reshape(w.shape)
-    gp = _pad3(g, pad)
-    gx = _strided_corr(gp, _per_offset(w), k, stride, x.shape[1:])
-    gw = _strided_weight_grad(xm, gp, k, stride, x.shape[1:])
-    return gx.reshape(x.shape), gw
+    ws = _s2d_weight(w, stride)
+    kk = ws.shape[2]
+    flat, grid = _flat_padded(g, pad, tuple(n + kk - 1 for n in x.shape[1:]), kk, stride)
+    gw = _weight_grad1(_on_grid(x, grid, kk), flat, grid, kk)
+    return _corr1(flat, grid, ws), _s2d_weight_grad(gw, stride, w.shape[2])

@@ -34,11 +34,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_f32(data):
-    arr = np.asarray(data, dtype=np.float32)
-    return arr
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -58,7 +53,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autograd import Tensor, concat
+from .autograd import Tensor, _wrap, concat
 
 DICE_EPS = 1e-5
 
@@ -31,10 +31,6 @@ class LossConfig:
         if self.dice_eps <= 0:
             raise ValueError("dice_eps must be positive")
         return self
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def dice_loss(target, fg_prob, eps=DICE_EPS):

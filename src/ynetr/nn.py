@@ -2,7 +2,7 @@
 
 A :class:`Module` registers child modules and parameters through plain
 attribute assignment and can enumerate its parameters with hierarchical
-names, which is what checkpointing and the branch-zeroing helpers key on.
+names, which is what checkpointing keys on.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class TumorInfo:
 
 @dataclass
 class PhantomSpec:
-    shape: tuple[int, int, int] = (64, 64, 64)
+    shape: tuple[int, int, int] = (128, 128, 128)
     spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
     liver_center: tuple[float, float, float] | None = None
     liver_semi_axes: tuple[float, float, float] | None = None

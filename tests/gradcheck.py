@@ -125,6 +125,11 @@ def primitive_cases(rng):
             lambda x, w: conv3d(x, w, stride=1, padding=0),
             [r(2, 5, 4, 3), r(3, 2, 3, 3, 3)],
         ),
+        (
+            "conv3d_strided_pad",
+            lambda x, w: conv3d(x, w, stride=2, padding=1),
+            [r(2, 5, 4, 3), r(2, 2, 3, 3, 3)],
+        ),
     ]
     return cases
 

@@ -99,6 +99,14 @@ def convt3d_grad_oracle(x, w, g, stride, pad):
     return gx, gw
 
 
+# (k, stride, pad) of transposed convs: k == stride, k > stride and
+# k < stride, with and without padding
+CONVT_CASES = [
+    (2, 2, 0), (3, 3, 0), (2, 1, 0), (3, 1, 1), (3, 1, 2), (2, 2, 1), (3, 2, 0), (3, 2, 1),
+    (2, 3, 0), (4, 2, 1), (1, 2, 0),
+]
+
+
 def tape_grads(op, x, w, g, stride, pad):
     """(gx, gw) of <op(x, w), g> through the tape."""
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
@@ -172,9 +180,9 @@ class TestConvBackwardOracles:
 
     # channel pairs that reach every accumulation order of the kernels
     @pytest.mark.parametrize("cin, cout", [(2, 3), (2, 1), (1, 8)])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_conv_grads_match_loop_oracle(self, k, pad, stride, cin, cout):
         rng = np.random.default_rng(100 + 9 * k + 3 * pad + stride + cout)
         x = rng.standard_normal((cin, 5, 4, 6)).astype(np.float32)
@@ -205,10 +213,7 @@ class TestConvBackwardOracles:
         np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-3)
 
     @pytest.mark.parametrize("cout", [3, 1])
-    @pytest.mark.parametrize(
-        "k, stride, pad",
-        [(2, 2, 0), (3, 3, 0), (2, 1, 0), (3, 1, 1), (3, 1, 2), (2, 2, 1), (3, 2, 0), (3, 2, 1)],
-    )
+    @pytest.mark.parametrize("k, stride, pad", CONVT_CASES)
     def test_conv_transpose_grads_match_loop_oracle(self, k, stride, pad, cout):
         rng = np.random.default_rng(200 + 9 * k + 3 * pad + stride + cout)
         x = rng.standard_normal((2, 5, 4, 6)).astype(np.float32)
@@ -292,12 +297,13 @@ class TestOperatorProperties:
 
     def test_conv_adjoint_identity(self):
         rng = np.random.default_rng(10)
-        for _ in range(5):
-            x = rng.standard_normal((2, 4, 6, 4)).astype(np.float32)
-            w = rng.standard_normal((3, 2, 2, 2, 2)).astype(np.float32)
-            y = rng.standard_normal((3, 2, 3, 2)).astype(np.float32)
-            cx = conv3d(Tensor(x), Tensor(w), stride=2, padding=0).data
-            cty = conv_transpose3d(Tensor(y), Tensor(w), stride=2, padding=0).data
+        for k, stride, pad in CONVT_CASES:
+            y = rng.standard_normal((3, 3, 4, 5)).astype(np.float32)
+            w = rng.standard_normal((3, 2, k, k, k)).astype(np.float32)
+            shape = [(n - 1) * stride + k - 2 * pad for n in y.shape[1:]]
+            x = rng.standard_normal((2, *shape)).astype(np.float32)
+            cx = conv3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+            cty = conv_transpose3d(Tensor(y), Tensor(w), stride=stride, padding=pad).data
             lhs = float((cx * y).sum(dtype=np.float64))
             rhs = float((x * cty).sum(dtype=np.float64))
             assert abs(lhs - rhs) <= 1e-4 * max(abs(lhs), abs(rhs), 1e-6)

@@ -132,6 +132,27 @@ def test_full_pipeline_and_summary(tmp_path, runner):
     assert len(lines) == 2
 
 
+def test_empty_config_runs(tmp_path, runner):
+    data, run = tmp_path / "data", tmp_path / "run"
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    res = runner.invoke(cli, ["phantom", "--config", str(empty), "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    tiny = {
+        "model": {"input_dims": [32, 32, 32], "embed_dim": 32, "num_heads": 4,
+                  "decoder_channels": [16, 16, 8, 8, 4]},
+        "sampler": {"window": [32, 32, 32]},
+        "train": {"epochs": 1, "steps_per_epoch": 2},
+        "inference": {"overlap": 0},
+    }
+    res = runner.invoke(cli, ["train", "--config", str(_write_config(tmp_path, tiny)),
+                              "--data", str(data), "--out", str(run)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(cli, ["infer", "--checkpoint", str(run / "checkpoint.ynck"),
+                              "--out", str(tmp_path / "pred"), str(data / "case_000.vvol")])
+    assert res.exit_code == 0, res.output
+
+
 def test_eval_perfect_prediction(tmp_path, runner):
     gt_dir = tmp_path / "gt"
     pred_dir = tmp_path / "pred"

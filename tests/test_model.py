@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,34 @@ class TestForward:
             if p.grad is None or not np.abs(p.grad).max() > 0
         ]
         assert silent == [], f"parameters with zero gradient: {silent[:10]}"
+
+    def test_one_kernel_call_per_conv_pass(self, monkeypatch):
+        # the benchmark attributes each public kernel call to the module that
+        # owns ``w``; a kernel calling another public kernel would count twice
+        import ynetr._convkernels as ck
+
+        calls = Counter()
+
+        def counted(fn, direction):
+            def call(x, w, *rest):
+                calls[id(w), direction] += 1
+                return fn(x, w, *rest)
+
+            return call
+
+        for name in ("conv3d_forward", "convt3d_forward", "conv3d_backward", "convt3d_backward"):
+            monkeypatch.setattr(ck, name, counted(getattr(ck, name), name.rsplit("_", 1)[1]))
+        model = YNetr(tiny_config(lf_branch="cnn", zero_init_head=False, embed_dim=32,
+                                  decoder_channels=(16, 16, 8, 8, 4)))
+        rng = np.random.default_rng(13)
+        lf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
+        hf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
+        labels = (rng.random((32, 32, 32)) < 0.2).astype(np.float32)
+        dice_ce_loss(labels, model(lf, hf), alpha=0.5)[0].backward()
+        weights = [p.data for p in model.parameters() if p.data.ndim == 5]
+        assert len(weights) > 0
+        want = {(id(w), d): 1 for w in weights for d in ("forward", "backward")}
+        assert dict(calls) == want
 
 
 class TestParameterCount:
