@@ -2,9 +2,9 @@
 
 The pipeline: split a CT volume into low/high-frequency images with a
 single-level Haar transform, encode each image with its own transformer
-(or CNN) branch, fuse the per-scale features by addition, decode to
-voxel logits, train with a blended Dice + cross-entropy loss, and
-predict whole volumes with overlapping sliding windows.
+branch, fuse the per-scale features by addition, decode to voxel logits,
+train with a blended Dice + cross-entropy loss, and predict whole volumes
+with overlapping sliding windows.
 """
 
 from .autograd import Tensor, concat, conv3d, conv_transpose3d, layer_norm, no_grad
@@ -21,7 +21,6 @@ from .metrics import ConfusionCounts, confusion, dice_coefficient, evaluate
 from .model import (
     ModelConfig,
     PatchSequence,
-    SkipPyramid,
     YNetr,
     fuse_add,
     patchify,

@@ -73,8 +73,6 @@ class RunConfig:
                 f"sampler window {self.sampler.window} must equal model input dims "
                 f"{self.model.input_dims}"
             )
-        if self.model.num_classes != 2:
-            raise ConfigError("the segmentation pipeline is binary: num_classes must be 2")
         return self
 
 
@@ -98,10 +96,9 @@ def _check(tp, value, key):
                 pass
     elif origin is tuple:
         if isinstance(value, (list, tuple)):
-            items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
-            if len(items) == len(value):
+            if len(args) == len(value):
                 return tuple(
-                    _check(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(items, value))
+                    _check(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(args, value))
                 )
             got = f"{len(value)} items"
     elif isinstance(value, bool):

@@ -2,9 +2,8 @@
 
 Windows are placed at stride window*(1-overlap) per axis with the final
 start clamped so coverage is complete; per-window softmax probabilities
-are blended into a running average (uniform weights by default, an
-optional center-weighted Gaussian behind a flag) and thresholded at 0.5
-with ties to background.
+are blended into a running uniform average and thresholded at 0.5 with
+ties to background.
 """
 
 from __future__ import annotations
@@ -14,23 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import pad_to_window
-from .volume import LabelVolume, Volume3D
+from .volume import LabelVolume, Volume3D, check_finite
 from .wavelet import split_frequency
-
-BLEND_MODES = ("uniform", "gaussian")
 
 
 @dataclass
 class InferenceConfig:
     overlap: float = 0.5
     threshold: float = 0.5
-    blend: str = "uniform"
 
     def validate(self):
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
-        if self.blend not in BLEND_MODES:
-            raise ValueError(f"unknown blend mode {self.blend!r}")
         return self
 
 
@@ -59,17 +53,6 @@ def build_tiling_plan(dims, window, overlap) -> TilingPlan:
     return TilingPlan(window=tuple(window), starts=starts, overlap=overlap)
 
 
-def _gaussian_weight(window):
-    """Separable center-weighted map, sigma = window/8 per axis."""
-    axes = []
-    for w in window:
-        x = np.arange(w, dtype=np.float32) - (w - 1) / 2.0
-        sigma = max(w / 8.0, 1.0)
-        axes.append(np.exp(-0.5 * (x / sigma) ** 2).astype(np.float32))
-    wmap = axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
-    return wmap / wmap.max()
-
-
 def _softmax_fg(logits):
     shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
@@ -80,11 +63,13 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     """Predict a whole (normalized) volume with sliding windows.
 
     ``predict_fn(lf_crop, hf_crop) -> logits`` takes (X, Y, Z) crops and
-    returns (num_classes, X, Y, Z) logits; any callable with that
-    contract works, which keeps the blending logic testable with stubs.
-    Returns (probability Volume3D, mask LabelVolume) at the input shape.
+    returns (2, X, Y, Z) logits; any callable with that contract works,
+    which keeps the blending logic testable with stubs. Returns
+    (probability Volume3D, mask LabelVolume) at the input shape; a
+    volume with NaN or inf voxels raises ValueError.
     """
     cfg = (cfg or InferenceConfig()).validate()
+    check_finite(volume.voxels, "inference volume")
     orig = volume.voxels.shape
     padded = pad_to_window(volume.voxels, window)
     pair = split_frequency(Volume3D(padded, volume.spacing_mm))
@@ -94,14 +79,13 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     wx, wy, wz = plan.window
     acc = np.zeros(padded.shape, dtype=np.float64)
     weight = np.zeros(padded.shape, dtype=np.float64)
-    wmap = _gaussian_weight(plan.window) if cfg.blend == "gaussian" else np.float32(1.0)
     for ox in plan.starts[0]:
         for oy in plan.starts[1]:
             for oz in plan.starts[2]:
                 sl = (slice(ox, ox + wx), slice(oy, oy + wy), slice(oz, oz + wz))
                 logits = predict_fn(lf[sl], hf[sl])
-                acc[sl] += _softmax_fg(logits) * wmap
-                weight[sl] += wmap
+                acc[sl] += _softmax_fg(logits)
+                weight[sl] += 1.0
     prob = (acc / weight).astype(np.float32)[: orig[0], : orig[1], : orig[2]]
     mask = (prob > cfg.threshold).astype(np.uint8)
     return (

@@ -14,18 +14,15 @@ from .autograd import Tensor, _wrap, concat
 
 DICE_EPS = 1e-5
 
-LOSS_KINDS = ("dice", "ce", "dice_ce")
-
 
 @dataclass
 class LossConfig:
-    kind: str = "dice_ce"
+    """``alpha`` 1.0 trains on Dice alone, 0.0 on cross entropy alone."""
+
     alpha: float = 0.5
     dice_eps: float = DICE_EPS
 
     def validate(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.dice_eps <= 0:
@@ -87,10 +84,5 @@ def dice_ce_loss(labels, logits, alpha=0.5, eps=DICE_EPS):
 
 
 def segmentation_loss(cfg: LossConfig, labels, logits):
-    """Loss selected by config; always reports both components."""
-    total, d, c = dice_ce_loss(labels, logits, alpha=cfg.alpha, eps=cfg.dice_eps)
-    if cfg.kind == "dice":
-        return d, d, c
-    if cfg.kind == "ce":
-        return c, d, c
-    return total, d, c
+    """The configured Dice-CE blend as (total, dice_term, ce_term)."""
+    return dice_ce_loss(labels, logits, alpha=cfg.alpha, eps=cfg.dice_eps)

@@ -4,14 +4,12 @@ Two independent encoder branches (one per frequency image) each produce
 a five-level feature pyramid; the pyramids are merged by elementwise
 addition and a single convolutional decoder restores full resolution.
 
-A transformer branch flattens non-overlapping P^3 patches into a token
-sequence, runs a 12-layer pre-norm encoder, taps the running sequence at
-depth L/4, L/2, 3L/4 and L, and projects each tap to its pyramid scale
-with transposed-conv upsampling stacks. A CNN branch (ablation variant)
-builds the same pyramid with strided convolutions. Either way the
+Each branch flattens non-overlapping P^3 patches into a token sequence,
+runs an L-layer pre-norm transformer encoder (L = 12 by default), taps
+the running sequence at depth L/4, L/2, 3L/4 and L, and projects each
+tap to its pyramid scale with transposed-conv upsampling stacks. The
 pyramid carries scales 1/P, 2/P, 4/P, 8/P of the input plus a
-full-resolution stem, so fusion and decoding never care which branch
-kind produced it.
+full-resolution stem.
 """
 
 from __future__ import annotations
@@ -23,33 +21,22 @@ import numpy as np
 from . import nn
 from .autograd import Tensor, no_grad
 
-BRANCH_KINDS = ("transformer", "cnn")
-
 
 @dataclass
 class ModelConfig:
     input_dims: tuple[int, int, int] = (128, 128, 128)
-    in_channels: int = 1
-    num_classes: int = 2
     patch: int = 16
     embed_dim: int = 768
     depth: int = 12
     num_heads: int = 12
     mlp_ratio: int = 4
-    tap_layers: tuple[int, ...] = ()
     decoder_channels: tuple[int, int, int, int, int] = (512, 512, 256, 128, 64)
-    lf_branch: str = "transformer"
-    hf_branch: str = "transformer"
     zero_init_head: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
-        self.tap_layers = tuple(int(t) for t in self.tap_layers)
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
-        if not self.tap_layers:
-            q = self.depth // 4
-            self.tap_layers = (q, 2 * q, 3 * q, self.depth)
 
     def validate(self):
         p = self.patch
@@ -58,8 +45,8 @@ class ModelConfig:
         for d in self.input_dims:
             if d % p != 0:
                 raise ValueError(f"input dims {self.input_dims} must be divisible by patch {p}")
-        sizes = (*self.input_dims, self.in_channels, self.embed_dim, self.num_heads,
-                 self.mlp_ratio, *self.decoder_channels)
+        sizes = (*self.input_dims, self.embed_dim, self.num_heads, self.mlp_ratio,
+                 *self.decoder_channels)
         if min(sizes) < 1:
             raise ValueError("dims, channels, embed dim, heads and mlp ratio must be >= 1")
         if self.depth % 4 != 0:
@@ -68,17 +55,8 @@ class ModelConfig:
             raise ValueError(
                 f"embed dim {self.embed_dim} not divisible by {self.num_heads} heads"
             )
-        if len(self.tap_layers) != 4 or list(self.tap_layers) != sorted(set(self.tap_layers)):
-            raise ValueError(f"tap layers must be 4 strictly increasing values, got {self.tap_layers}")
-        if self.tap_layers[-1] != self.depth:
-            raise ValueError("last tap must be the final encoder layer")
         if len(self.decoder_channels) != 5:
             raise ValueError("decoder_channels must list 4 pyramid scales plus the stem")
-        for kind in (self.lf_branch, self.hf_branch):
-            if kind not in BRANCH_KINDS:
-                raise ValueError(f"unknown branch kind {kind!r}")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
         return self
 
     @property
@@ -90,14 +68,6 @@ class ModelConfig:
         gx, gy, gz = self.grid
         return gx * gy * gz
 
-    @property
-    def token_dim(self):
-        return self.patch**3 * self.in_channels
-
-    @property
-    def pyramid_scales(self):
-        return (self.patch, self.patch // 2, self.patch // 4, self.patch // 8, 1)
-
 
 @dataclass
 class PatchSequence:
@@ -107,14 +77,6 @@ class PatchSequence:
     grid: tuple[int, int, int]
     patch: int
     channels: int
-
-
-@dataclass
-class SkipPyramid:
-    """Per-scale features, deepest first, full-resolution stem last."""
-
-    levels: list
-    scales: tuple[int, ...]
 
 
 def patchify(x: Tensor, patch: int) -> PatchSequence:
@@ -174,11 +136,11 @@ class TransformerBlock(nn.Module):
 
 
 class TransformerEncoder(nn.Module):
-    """Patch embedding plus ``depth`` blocks, tapped at four layers."""
+    """Patch embedding plus ``depth`` blocks, tapped every ``depth // 4`` layers."""
 
     def __init__(self, rng, cfg: ModelConfig):
         self.cfg = cfg
-        self.embed = nn.Linear(rng, cfg.token_dim, cfg.embed_dim)
+        self.embed = nn.Linear(rng, cfg.patch**3, cfg.embed_dim)
         self.pos = Tensor.param(nn.trunc_normal(rng, (cfg.num_tokens, cfg.embed_dim)))
         self.blocks = nn.ModuleList(
             TransformerBlock(rng, cfg.embed_dim, cfg.num_heads, cfg.mlp_ratio)
@@ -188,10 +150,11 @@ class TransformerEncoder(nn.Module):
     def forward(self, x):
         seq = patchify(x, self.cfg.patch)
         h = self.embed(seq.tokens) + self.pos
+        every = self.cfg.depth // 4
         taps = []
         for layer, block in enumerate(self.blocks, start=1):
             h = block(h)
-            if layer in self.cfg.tap_layers:
+            if layer % every == 0:
                 taps.append(h)
         return taps
 
@@ -211,10 +174,10 @@ class UpProjection(nn.Module):
 
 
 class Stem(nn.Module):
-    """Two full-resolution convs on the raw branch input."""
+    """Two full-resolution convs on the one-channel branch input."""
 
-    def __init__(self, rng, cin, cout):
-        self.conv1 = nn.Conv3d(rng, cin, cout, 3, padding=1)
+    def __init__(self, rng, cout):
+        self.conv1 = nn.Conv3d(rng, 1, cout, 3, padding=1)
         self.conv2 = nn.Conv3d(rng, cout, cout, 3, padding=1)
 
     def forward(self, x):
@@ -231,9 +194,10 @@ class TransformerBranch(nn.Module):
         self.proj_mid = UpProjection(rng, e, ch[1], 1)
         self.proj_shallow = UpProjection(rng, e, ch[2], 2)
         self.proj_top = UpProjection(rng, e, ch[3], 3)
-        self.stem = Stem(rng, cfg.in_channels, ch[4])
+        self.stem = Stem(rng, ch[4])
 
-    def forward(self, x) -> SkipPyramid:
+    def forward(self, x):
+        """The pyramid levels, deepest first, full-resolution stem last."""
         z_q, z_half, z_3q, z_full = self.encoder(x)
         grid = self.cfg.grid
         levels = [
@@ -243,51 +207,17 @@ class TransformerBranch(nn.Module):
             self.proj_top(tokens_to_grid(z_q, grid)),
             self.stem(x),
         ]
-        return SkipPyramid(levels, self.cfg.pyramid_scales)
+        return levels
 
 
-class DownBlock(nn.Module):
-    def __init__(self, rng, cin, cout):
-        self.down = nn.Conv3d(rng, cin, cout, 3, stride=2, padding=1)
-        self.conv = nn.Conv3d(rng, cout, cout, 3, padding=1)
-
-    def forward(self, x):
-        return self.conv(self.down(x).relu()).relu()
-
-
-class CnnBranch(nn.Module):
-    """Strided-conv encoder producing the same pyramid shapes."""
-
-    def __init__(self, rng, cfg: ModelConfig):
-        self.cfg = cfg
-        ch = cfg.decoder_channels
-        n_stages = int(np.log2(cfg.patch))
-        outs = [ch[3]] * (n_stages - 4) + [ch[3], ch[2], ch[1], ch[0]]
-        ins = [ch[4]] + outs[:-1]
-        self.stem = Stem(rng, cfg.in_channels, ch[4])
-        self.stages = nn.ModuleList(
-            DownBlock(rng, ci, co) for ci, co in zip(ins, outs)
-        )
-
-    def forward(self, x) -> SkipPyramid:
-        f = self.stem(x)
-        feats = []
-        h = f
-        for stage in self.stages:
-            h = stage(h)
-            feats.append(h)
-        levels = [feats[-1], feats[-2], feats[-3], feats[-4], f]
-        return SkipPyramid(levels, self.cfg.pyramid_scales)
-
-
-def fuse_add(a: SkipPyramid, b: SkipPyramid) -> SkipPyramid:
-    """Merge two pyramids by elementwise addition, scale by scale."""
-    if len(a.levels) != len(b.levels):
+def fuse_add(a: list, b: list) -> list:
+    """Merge two pyramids (lists of levels) by elementwise addition, scale by scale."""
+    if len(a) != len(b):
         raise ValueError("pyramids have different level counts")
-    for la, lb in zip(a.levels, b.levels):
+    for la, lb in zip(a, b):
         if la.shape != lb.shape:
             raise ValueError(f"pyramid level shapes differ: {la.shape} vs {lb.shape}")
-    return SkipPyramid([la + lb for la, lb in zip(a.levels, b.levels)], a.scales)
+    return [la + lb for la, lb in zip(a, b)]
 
 
 class Decoder(nn.Module):
@@ -315,7 +245,8 @@ class Decoder(nn.Module):
         self.bridge_convs = nn.ModuleList(b[1] for b in bridges)
         self.final_up = nn.ConvTranspose3d(rng, prev, ch[4], 2, stride=2)
         self.final_conv = nn.Conv3d(rng, ch[4], ch[4], 3, padding=1)
-        self.head = nn.Conv3d(rng, ch[4], cfg.num_classes, 1, zero_init=cfg.zero_init_head)
+        # background and tumour logits
+        self.head = nn.Conv3d(rng, ch[4], 2, 1, zero_init=cfg.zero_init_head)
 
     def forward(self, levels):
         d = levels[0]
@@ -329,12 +260,6 @@ class Decoder(nn.Module):
         return self.head(d)
 
 
-def _make_branch(rng, cfg, kind):
-    if kind == "transformer":
-        return TransformerBranch(rng, cfg)
-    return CnnBranch(rng, cfg)
-
-
 class YNetr(nn.Module):
     """The full dual-encoder network."""
 
@@ -342,15 +267,14 @@ class YNetr(nn.Module):
         cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.init_seed)
-        self.lf_branch = _make_branch(rng, cfg, cfg.lf_branch)
-        self.hf_branch = _make_branch(rng, cfg, cfg.hf_branch)
+        self.lf_branch = TransformerBranch(rng, cfg)
+        self.hf_branch = TransformerBranch(rng, cfg)
         self.decoder = Decoder(rng, cfg)
 
     def forward(self, lf: Tensor, hf: Tensor) -> Tensor:
         if lf.shape != hf.shape:
             raise ValueError(f"branch inputs differ in shape: {lf.shape} vs {hf.shape}")
-        fused = fuse_add(self.lf_branch(lf), self.hf_branch(hf))
-        return self.decoder(fused.levels)
+        return self.decoder(fuse_add(self.lf_branch(lf), self.hf_branch(hf)))
 
     def predict(self, lf: np.ndarray, hf: np.ndarray) -> np.ndarray:
         """Forward pass without tape recording; numpy in, numpy logits out.

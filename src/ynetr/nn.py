@@ -96,7 +96,7 @@ class LayerNorm(Module):
 
 
 class Conv3d(Module):
-    def __init__(self, rng, cin, cout, kernel, stride=1, padding=0, zero_init=False):
+    def __init__(self, rng, cin, cout, kernel, padding=0, zero_init=False):
         shape = (cout, cin, kernel, kernel, kernel)
         if zero_init:
             w = np.zeros(shape, dtype=np.float32)
@@ -104,25 +104,23 @@ class Conv3d(Module):
             w = fanin_uniform(rng, shape, cin * kernel**3)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
-        self.stride = stride
         self.padding = padding
         self.cout = cout
 
     def forward(self, x):
-        out = conv3d(x, self.weight, stride=self.stride, padding=self.padding)
+        out = conv3d(x, self.weight, padding=self.padding)
         return out + self.bias.reshape(self.cout, 1, 1, 1)
 
 
 class ConvTranspose3d(Module):
-    def __init__(self, rng, cin, cout, kernel, stride=1, padding=0):
+    def __init__(self, rng, cin, cout, kernel, stride=1):
         shape = (cin, cout, kernel, kernel, kernel)
         w = fanin_uniform(rng, shape, cin * kernel**3)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
         self.stride = stride
-        self.padding = padding
         self.cout = cout
 
     def forward(self, x):
-        out = conv_transpose3d(x, self.weight, stride=self.stride, padding=self.padding)
+        out = conv_transpose3d(x, self.weight, stride=self.stride)
         return out + self.bias.reshape(self.cout, 1, 1, 1)

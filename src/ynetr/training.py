@@ -24,7 +24,7 @@ from .sampling import (
     sample_any_window,
     sample_window,
 )
-from .volume import LabelVolume, Volume3D, normalize_intensity
+from .volume import LabelVolume, Volume3D, check_finite, normalize_intensity
 from .wavelet import split_frequency
 
 log = logging.getLogger(__name__)
@@ -81,7 +81,11 @@ class StepRecord:
 
 def prepare_case(name, volume: Volume3D, label: LabelVolume, window,
                  hu_window=(-175.0, 250.0)) -> TrainingCase:
-    """Normalize, pad to the sampling window, and split frequencies once."""
+    """Normalize, pad to the sampling window, and split frequencies once.
+
+    A volume with NaN or inf voxels raises ValueError.
+    """
+    check_finite(volume.voxels, f"case {name}")
     norm = normalize_intensity(volume, *hu_window)
     vox = pad_to_window(norm.voxels, window)
     lab = pad_to_window(label.labels, window)
@@ -95,19 +99,24 @@ def prepare_case(name, volume: Volume3D, label: LabelVolume, window,
     )
 
 
-def _draw(case, want_positive, rng, sampler_cfg):
+def _draw(case, want_positive, rng, sampler_cfg, warned):
+    """One window of the wanted polarity, or a fallback when the case has
+    none; each (case, fallback) pair is logged once per ``warned`` set."""
     try:
         return sample_window(
             case.lf, case.hf, case.label, want_positive, rng, sampler_cfg,
             fg_coords=case.fg_coords,
         )
     except NoForegroundError:
-        log.warning("case %s has no tumor voxels; substituting a negative window", case.name)
-        return sample_window(case.lf, case.hf, case.label, False, rng, sampler_cfg)
+        reason = "has no tumor voxels; substituting a negative window"
+        sample = sample_window(case.lf, case.hf, case.label, False, rng, sampler_cfg)
     except NoBackgroundError:
-        log.warning("case %s has no tumor-free window; substituting an unconstrained window",
-                    case.name)
-        return sample_any_window(case.lf, case.hf, case.label, rng, sampler_cfg)
+        reason = "has no tumor-free window; substituting an unconstrained window"
+        sample = sample_any_window(case.lf, case.hf, case.label, rng, sampler_cfg)
+    if (case.name, reason) not in warned:
+        warned.add((case.name, reason))
+        log.warning("case %s %s", case.name, reason)
+    return sample
 
 
 def grad_norm(params):
@@ -142,6 +151,7 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay
         )
     history = []
+    warned = set()
     inv_batch = 1.0 / cfg.batch_size
     for step in range(start_step + 1, cfg.total_steps + 1):
         rng = step_rng(cfg.seed, step)
@@ -151,7 +161,7 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             draw_index = (step - 1) * cfg.batch_size + b
             want_positive = draw_index % 2 == 0
             case = cases[int(rng.integers(len(cases)))]
-            sample = _draw(case, want_positive, rng, sampler_cfg)
+            sample = _draw(case, want_positive, rng, sampler_cfg, warned)
             logits = model(Tensor(sample.lf[None]), Tensor(sample.hf[None]))
             total, d, c = segmentation_loss(cfg.loss, sample.label.astype(np.float32), logits)
             loss_val = total.item()

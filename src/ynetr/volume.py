@@ -163,6 +163,13 @@ def read_vvol(path):
         raise VvolError(f"{path}: {exc}") from exc
 
 
+def check_finite(voxels: np.ndarray, where: str):
+    """Raise ValueError naming how many voxels are NaN or inf."""
+    bad = voxels.size - int(np.isfinite(voxels).sum())
+    if bad:
+        raise ValueError(f"{where}: {bad} non-finite voxels (NaN or inf)")
+
+
 def normalize_intensity(v: Volume3D, lo: float = -175.0, hi: float = 250.0) -> Volume3D:
     """Clip voxel values to [lo, hi] and map them affinely onto [0, 1].
 

@@ -260,6 +260,30 @@ class TestExitCodes:
         assert res.output.splitlines() == ["config-error: train.epochs: expected int, got str"]
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "lf_branch", "transformer"),
+            ("model", "hf_branch", "transformer"),
+            ("model", "tap_layers", [3, 6, 9, 12]),
+            ("model", "in_channels", 1),
+            ("model", "num_classes", 2),
+            ("train.loss", "kind", "dice_ce"),
+            ("inference", "blend", "uniform"),
+        ],
+    )
+    def test_removed_config_key_is_2(self, tmp_path, runner, section, key, value):
+        # echoes written before these keys were removed carry them with these values
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        target = doc
+        for part in section.split("."):
+            target = target.setdefault(part, {})
+        target[key] = value
+        cfg = _write_config(tmp_path, doc)
+        res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config-error: {section}: unknown keys ['{key}']"]
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             ({"inference": {"overlap": 0.5, "mystery": 1}},
@@ -291,6 +315,7 @@ class TestExitCodes:
             (b"tensor param:", b"tensor \xc3\xa9:"),  # non-ASCII manifest
             (b" 16384\n", b"\n"),  # short tensor line
             (b" 16384\n", b" 16380\n"),  # shape does not match the byte count
+            (b'"model_config": {', b'"model_config": {"lf_branch": "transformer", '),  # removed key
         ],
     )
     def test_infer_malformed_checkpoint_is_3(self, tmp_path, runner, old, new):

@@ -34,7 +34,6 @@ def test_defaults_are_filled():
     assert cfg.intensity.lo == -175.0
     assert cfg.inference.overlap == 0.5
     assert cfg.train.loss.alpha == 0.5
-    assert cfg.model.tap_layers == (3, 6, 9, 12)
 
 
 def test_unknown_top_level_key():
@@ -51,7 +50,7 @@ def test_unknown_nested_key():
 
 def test_unknown_loss_key():
     bad = minimal_dict()
-    bad["train"]["loss"] = {"kind": "dice_ce", "gamma": 2.0}
+    bad["train"]["loss"] = {"alpha": 0.5, "gamma": 2.0}
     with pytest.raises(ConfigError, match="train.loss"):
         run_config_from_dict(bad)
 
@@ -73,7 +72,7 @@ def test_canonical_form_is_fixed_point():
     assert set(doc) == {
         "name", "intensity", "model", "sampler", "train", "inference", "phantom",
     }
-    assert doc["train"]["loss"]["kind"] == "dice_ce"
+    assert doc["train"]["loss"]["alpha"] == 0.5
 
 
 def test_load_from_file(tmp_path):
@@ -124,9 +123,10 @@ def test_removed_keys_are_unknown():
         ("model", "input_dims", [32, 32],
          r"model.input_dims: expected tuple\[int, int, int\], got 2 items"),
         ("model", "input_dims", [32, "32", 32], r"model.input_dims\[1\]: expected int, got str"),
-        ("model", "tap_layers", [3, 6, 9.5, 12], r"model.tap_layers\[2\]: expected int, got float"),
+        ("model", "decoder_channels", [64, 64, 32, 16, True],
+         r"model.decoder_channels\[4\]: expected int, got bool"),
         ("model", "zero_init_head", 1, "model.zero_init_head: expected bool, got int"),
-        ("model", "lf_branch", ["cnn"], "model.lf_branch: expected str, got list"),
+        (None, "name", ["toy"], "name: expected str, got list"),
         ("model", "num_heads", 0, "must be >= 1"),
         ("sampler", "window", {"x": 32},
          r"sampler.window: expected tuple\[int, int, int\], got dict"),
@@ -136,7 +136,8 @@ def test_removed_keys_are_unknown():
 )
 def test_wrong_typed_values(section, key, value, message):
     bad = minimal_dict()
-    bad.setdefault(section, {})[key] = value
+    target = bad if section is None else bad.setdefault(section, {})
+    target[key] = value
     with pytest.raises(ConfigError, match=message):
         run_config_from_dict(bad)
 
@@ -158,10 +159,8 @@ def test_nested_and_optional_values_are_checked():
 def test_well_typed_values_accepted():
     doc = minimal_dict()
     doc["intensity"] = {"lo": -100, "hi": 200.5}  # ints are accepted for floats
-    doc["model"]["tap_layers"] = [2, 4, 8, 12]  # variadic tuple
     doc["phantom"]["spec"]["liver_center"] = None
     cfg = run_config_from_dict(doc)
     assert cfg.intensity.lo == -100.0 and isinstance(cfg.intensity.lo, float)
-    assert cfg.model.tap_layers == (2, 4, 8, 12)
     doc["phantom"]["spec"]["liver_center"] = [10, 11.5, 12]
     assert run_config_from_dict(doc).phantom.spec.liver_center == (10.0, 11.5, 12.0)

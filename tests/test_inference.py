@@ -136,16 +136,13 @@ class TestInferVolume:
         b, _ = infer_volume(value_dependent_stub, vol, (16, 16, 16))
         assert a.voxels.tobytes() == b.voxels.tobytes()
 
-    def test_gaussian_blend_runs(self):
-        vol = self._volume((24, 24, 24), seed=6)
-        prob, _ = infer_volume(
-            value_dependent_stub, vol, (16, 16, 16),
-            InferenceConfig(overlap=0.5, blend="gaussian"),
-        )
-        assert prob.voxels.min() >= 0.0 and prob.voxels.max() <= 1.0
+    def test_rejects_nonfinite_volume(self):
+        vol = self._volume((16, 16, 16), seed=7)
+        vol.voxels[1, 2, 3] = np.nan
+        vol.voxels[4, 5, 6] = -np.inf
+        with pytest.raises(ValueError, match="2 non-finite voxels"):
+            infer_volume(value_dependent_stub, vol, (16, 16, 16))
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
             InferenceConfig(overlap=1.5).validate()
-        with pytest.raises(ValueError):
-            InferenceConfig(blend="nearest").validate()

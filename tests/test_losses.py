@@ -10,7 +10,6 @@ from ynetr.losses import (
     dice_ce_loss,
     dice_loss,
     label_onehot,
-    segmentation_loss,
 )
 
 EPS = 1e-5
@@ -136,20 +135,7 @@ class TestBlend:
 
 
 class TestLossConfig:
-    def test_kind_selection(self):
-        rng = np.random.default_rng(4)
-        labels = (rng.random((2, 2, 2)) < 0.5).astype(np.float32)
-        logits = rng.standard_normal((2, 2, 2, 2)).astype(np.float32)
-        total_d, d, _ = segmentation_loss(LossConfig(kind="dice"), labels, logits)
-        assert total_d.item() == d.item()
-        total_c, _, c = segmentation_loss(LossConfig(kind="ce"), labels, logits)
-        assert total_c.item() == c.item()
-        total_b, d2, c2 = segmentation_loss(LossConfig(kind="dice_ce", alpha=0.5), labels, logits)
-        np.testing.assert_allclose(total_b.item(), 0.5 * (d2.item() + c2.item()), atol=1e-7)
-
     def test_validate(self):
-        with pytest.raises(ValueError):
-            LossConfig(kind="boundary").validate()
         with pytest.raises(ValueError):
             LossConfig(alpha=-0.1).validate()
 

@@ -93,7 +93,6 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         cfg = ModelConfig(input_dims=(128, 128, 128))
         cfg.validate()
-        assert cfg.tap_layers == (3, 6, 9, 12)
         assert cfg.num_tokens == 512
 
     def test_rejects_indivisible(self):
@@ -108,27 +107,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(embed_dim=64, num_heads=5).validate()
 
-    def test_rejects_bad_taps(self):
-        with pytest.raises(ValueError):
-            tiny_config(tap_layers=(3, 6, 9, 11)).validate()
-        with pytest.raises(ValueError):
-            tiny_config(tap_layers=(6, 3, 9, 12)).validate()
-
-    def test_rejects_unknown_branch(self):
-        with pytest.raises(ValueError):
-            tiny_config(lf_branch="rnn").validate()
-
 
 class TestEncoder:
     def test_tap_layers_and_grid(self):
         model = YNetr(tiny_config())
         enc = model.lf_branch.encoder
-        assert model.cfg.tap_layers == (3, 6, 9, 12)
         x = Tensor(np.random.default_rng(2).standard_normal((1, 32, 32, 32)).astype(np.float32))
         taps = enc(x)
+        h = enc.embed(patchify(x, 16).tokens) + enc.pos
+        want = []
+        for layer, block in enumerate(enc.blocks, start=1):
+            h = block(h)
+            if layer in (3, 6, 9, 12):
+                want.append(h.data)
         assert len(taps) == 4
-        for t in taps:
+        for t, w in zip(taps, want):
             assert t.shape == (8, 64)
+            assert t.data.tobytes() == w.tobytes()
         grid = tokens_to_grid(taps[0], model.cfg.grid)
         assert grid.shape == (64, 2, 2, 2)
 
@@ -152,7 +147,7 @@ class TestPyramid:
         model = YNetr(cfg)
         x = Tensor(np.random.default_rng(3).standard_normal((1, 64, 64, 64)).astype(np.float32))
         pyr = model.lf_branch(x)
-        dims = [lvl.shape for lvl in pyr.levels]
+        dims = [lvl.shape for lvl in pyr]
         assert dims == [
             (64, 4, 4, 4),
             (64, 8, 8, 8),
@@ -160,23 +155,14 @@ class TestPyramid:
             (16, 32, 32, 32),
             (8, 64, 64, 64),
         ]
-        assert tuple(l.shape[0] for l in pyr.levels) == cfg.decoder_channels
-
-    def test_cnn_branch_matches_transformer_shapes(self):
-        cfg = tiny_config(lf_branch="cnn")
-        model = YNetr(cfg)
-        x = Tensor(np.random.default_rng(4).standard_normal((1, 32, 32, 32)).astype(np.float32))
-        cnn_pyr = model.lf_branch(x)
-        tr_pyr = model.hf_branch(x)
-        for a, b in zip(cnn_pyr.levels, tr_pyr.levels):
-            assert a.shape == b.shape
+        assert tuple(l.shape[0] for l in pyr) == cfg.decoder_channels
 
     def test_zeroed_projections_give_zero_pyramid(self):
         model = YNetr(tiny_config())
         zero_branch_projections(model, "hf")
         x = Tensor(np.random.default_rng(5).standard_normal((1, 32, 32, 32)).astype(np.float32))
         pyr = model.hf_branch(x)
-        for lvl in pyr.levels:
+        for lvl in pyr:
             np.testing.assert_array_equal(lvl.data, 0.0)
 
 
@@ -190,23 +176,23 @@ class TestFuseAdd:
 
     def test_zero_is_identity(self):
         a, b = self._pyramids()
-        for lvl in b.levels:
+        for lvl in b:
             lvl.data[...] = 0.0
         fused = fuse_add(a, b)
-        for fa, la in zip(fused.levels, a.levels):
+        for fa, la in zip(fused, a):
             np.testing.assert_array_equal(fa.data, la.data)
 
     def test_commutative(self):
         a, b = self._pyramids()
         ab = fuse_add(a, b)
         ba = fuse_add(b, a)
-        for x, y in zip(ab.levels, ba.levels):
+        for x, y in zip(ab, ba):
             np.testing.assert_array_equal(x.data, y.data)
 
     def test_self_doubles(self):
         a, _ = self._pyramids()
         out = fuse_add(a, a)
-        for x, y in zip(out.levels, a.levels):
+        for x, y in zip(out, a):
             np.testing.assert_allclose(x.data, 2 * y.data, rtol=1e-6)
 
 
@@ -241,19 +227,9 @@ class TestForward:
         ]
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
-    def test_mixed_branch_kinds_run(self):
-        for lf_kind, hf_kind in [("cnn", "cnn"), ("cnn", "transformer"), ("transformer", "cnn")]:
-            model = YNetr(tiny_config(lf_branch=lf_kind, hf_branch=hf_kind, embed_dim=32,
-                                      decoder_channels=(16, 16, 8, 8, 4)))
-            rng = np.random.default_rng(10)
-            lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
-            hf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
-            assert model.predict(lf, hf).shape == (2, 32, 32, 32)
-
     def test_patch32_variant(self):
         cfg = tiny_config(patch=32, embed_dim=32, decoder_channels=(16, 16, 8, 8, 4))
         model = YNetr(cfg)
-        assert cfg.tap_layers == (3, 6, 9, 12)
         rng = np.random.default_rng(11)
         lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
         hf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
@@ -300,7 +276,7 @@ class TestForward:
 
         for name in ("conv3d_forward", "convt3d_forward", "conv3d_backward", "convt3d_backward"):
             monkeypatch.setattr(ck, name, counted(getattr(ck, name), name.rsplit("_", 1)[1]))
-        model = YNetr(tiny_config(lf_branch="cnn", zero_init_head=False, embed_dim=32,
+        model = YNetr(tiny_config(zero_init_head=False, embed_dim=32,
                                   decoder_channels=(16, 16, 8, 8, 4)))
         rng = np.random.default_rng(13)
         lf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
@@ -317,7 +293,7 @@ class TestParameterCount:
     def test_closed_form(self):
         cfg = tiny_config()
         model = YNetr(cfg)
-        e, p, c = cfg.embed_dim, cfg.patch, cfg.in_channels
+        e, p, c = cfg.embed_dim, cfg.patch, 1  # one-channel branch inputs
         n, r, depth = cfg.num_tokens, cfg.mlp_ratio, cfg.depth
         ch = cfg.decoder_channels
         k3, k1, up = 27, 1, 8  # conv kernel volumes: 3^3, 1^3, 2^3
@@ -346,6 +322,6 @@ class TestParameterCount:
             conv(ch[i - 1], ch[i], up) + conv(ch[i], ch[i], k3) for i in range(1, 4)
         )
         decoder += conv(ch[3], ch[4], up) + conv(ch[4], ch[4], k3)
-        decoder += conv(ch[4], cfg.num_classes, k1)
+        decoder += conv(ch[4], 2, k1)  # background and tumour logits
         expected = 2 * branch + decoder
         assert model.num_parameters() == expected

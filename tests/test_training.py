@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from ynetr.training import (
     train,
     write_history_csv,
 )
+from ynetr.volume import LabelVolume
 
 WINDOW = (16, 16, 16)
 
@@ -73,7 +76,7 @@ def train_cfg(**overrides):
         epochs=1,
         steps_per_epoch=4,
         weight_decay=0.0,
-        loss=LossConfig(kind="dice_ce", alpha=0.5),
+        loss=LossConfig(alpha=0.5),
         seed=7,
     )
     base.update(overrides)
@@ -98,6 +101,14 @@ class TestPrepareCase:
         recon = case.lf + case.hf
         assert recon.shape == WINDOW
         assert np.isfinite(recon).all()
+
+    def test_rejects_nonfinite_volume(self):
+        vol, lbl = generate_phantom(PhantomSpec(shape=WINDOW, tumor_count=(1, 1),
+                                                tumor_volume_cm3=(0.15, 0.3), seed=100))
+        vol.voxels[1, 2, 3] = np.nan
+        vol.voxels[4, 5, 6] = np.inf
+        with pytest.raises(ValueError, match="case c: 2 non-finite voxels"):
+            prepare_case("c", vol, lbl, WINDOW)
 
 
 class TestTrainLoop:
@@ -140,15 +151,31 @@ class TestTrainLoop:
                   SamplerConfig(window=WINDOW, jitter_max=4))
         assert err.value.step == 1
 
-    def test_loss_kind_variants_run(self):
-        for kind in ("dice", "ce", "dice_ce"):
-            model = tiny_model()
-            history, _ = train(
-                model, tiny_cases(),
-                train_cfg(loss=LossConfig(kind=kind), steps_per_epoch=2),
-                SamplerConfig(window=WINDOW, jitter_max=4),
-            )
-            assert np.isfinite(history[-1].loss)
+    def test_loss_falls(self):
+        # step 1's loss is closed-form under the zero-init head; a model that
+        # learns roughly halves it within 80 steps on four tiny phantoms
+        history, _ = train(tiny_model(), tiny_cases(4), train_cfg(steps_per_epoch=80),
+                           SamplerConfig(window=WINDOW, jitter_max=4))
+        late = np.mean([r.loss for r in history[60:80]])
+        assert late < 0.5 * history[0].loss, (history[0].loss, late)
+
+    def test_fallback_warned_once_per_case_and_reason(self, caplog):
+        # a 16^3 window on a 16^3 phantom has no tumor-free crop, and an
+        # all-background label has no positive one: every other draw falls back
+        vol, lbl = generate_phantom(PhantomSpec(shape=WINDOW, tumor_count=(1, 1),
+                                                tumor_volume_cm3=(0.15, 0.3), seed=100))
+        empty = LabelVolume(np.zeros_like(lbl.labels), lbl.spacing_mm)
+        cases = [prepare_case("tumor", vol, lbl, WINDOW), prepare_case("empty", vol, empty, WINDOW)]
+        want = [
+            "case empty has no tumor voxels; substituting a negative window",
+            "case tumor has no tumor-free window; substituting an unconstrained window",
+        ]
+        sampler = SamplerConfig(window=WINDOW, jitter_max=4)
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="ynetr.training"):
+                train(tiny_model(), cases, train_cfg(steps_per_epoch=12), sampler)
+            assert sorted(r.getMessage() for r in caplog.records) == want
 
     def test_history_csv_roundtrip(self, tmp_path):
         model = tiny_model()
@@ -194,6 +221,16 @@ class TestCheckpoint:
         )
         with pytest.raises(ConfigMismatchError):
             load_into(other, load_checkpoint(path))
+
+    def test_removed_model_key_rejected(self, tmp_path):
+        # checkpoints written while the CNN ablation branch existed carry lf_branch
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, tiny_model())
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"model_config": {',
+                                     b'"model_config": {"lf_branch": "transformer", ', 1))
+        with pytest.raises(CheckpointError, match=r"unknown keys \['lf_branch'\]"):
+            load_checkpoint(path)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         sampler = SamplerConfig(window=WINDOW, jitter_max=4)
