@@ -177,7 +177,16 @@ def _flat_padded(x, lo, cells, k, s=1):
     if lo == 0 and s == 1 and k == 1 and cells == x.shape[1:]:
         return np.ascontiguousarray(x).reshape(c, -1), cells
     n = math.prod(cells)
-    flat = np.zeros((c * s**3, n + (k - 1) * (cells[2] + 1)), dtype=np.float32)
+    shape = (c * s**3, n + (k - 1) * (cells[2] + 1))
+    if lo == 0 and x.shape[1:] == tuple(m * s for m in cells):  # x fills every cell
+        flat = np.empty(shape, dtype=np.float32)
+        flat[:, n:] = 0
+        cx, cy, cz = cells
+        flat[:, :n].reshape(c, s, s, s, *cells)[...] = (
+            x.reshape(c, cx, s, cy, s, cz, s).transpose(0, 2, 4, 6, 1, 3, 5)
+        )
+        return flat, cells
+    flat = np.zeros(shape, dtype=np.float32)
     vol = flat[:, :n].reshape(c, s, s, s, *cells)
     for r in _offsets(s):
         dst, src = zip(*(_span(lo, s, *a) for a in zip(r, x.shape[1:], cells)))

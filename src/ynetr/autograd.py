@@ -1,9 +1,35 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-Every operation that touches a gradient-requiring tensor records itself
-on an implicit tape: the output keeps references to its parents and a
-closure that pushes gradients backward. ``Tensor.backward()`` replays
-the tape once in reverse topological order.
+The graph is kept apart from the values. Every operation whose inputs
+need a gradient gives its output a small graph node holding the sinks of
+those inputs, a closure that maps the node's gradient to theirs, and the
+node's gradient. A sink is where a gradient accumulates: the node of an
+op output, or, for a leaf (a parameter or an input that needs a
+gradient), the tensor itself. No node or closure holds a tensor, so a
+value lives only as long as its tensor or a closure that reads it. The
+closures save:
+
+* add, sub, neg, reshape, permute, indexing, sum, mean and concat:
+  shapes or indices only;
+* mul, div and matmul: the operand that the other side's gradient reads,
+  and only when that side needs a gradient;
+* pow and log their input; exp, sqrt, softmax and log_softmax their
+  output; relu its mask; gelu its input and Phi(x);
+* conv3d and conv_transpose3d the input and the weight.
+
+So a value that no closure reads, such as a conv output before its bias
+is added, is freed as soon as the caller drops its tensor.
+
+``Tensor.backward()`` sorts the nodes reachable from the loss once and
+runs their closures in reverse topological order, adding each returned
+gradient into its parent sink. The first gradient a sink receives is
+adopted when the op allocates its gradients fresh, and copied for add,
+sub, reshape, permute and concat, which pass on views of their own
+gradient. Once a node's closure has run, the node's
+gradient, closure and parent links are released, so the saved values
+and every intermediate gradient are freed during the pass, and a second
+``backward()`` through the same graph raises ``ValueError``. The loss
+and the leaves keep their gradients.
 
 All math is numpy under the hood; values stay float32 throughout so
 test tolerances are meaningful for the precision actually used.
@@ -24,7 +50,7 @@ _GRAD_ENABLED = True
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference, init, updates)."""
+    """Disable graph recording inside the block (inference, init, updates)."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -47,17 +73,31 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+class _Node:
+    """Graph node of one op output: the sinks of its inputs (None for an
+    input that needs no gradient), the closure mapping this node's
+    gradient to one gradient per input, and this node's gradient.
+    ``owned`` says the closure allocates each gradient it returns fresh."""
+
+    __slots__ = ("parents", "backward", "grad", "owned")
+
+    def __init__(self, parents, backward, owned):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.owned = owned
+
+
 class Tensor:
     """n-dimensional float32 value, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     # -- construction helpers -------------------------------------------
 
@@ -83,84 +123,80 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- tape ------------------------------------------------------------
+    # -- graph -----------------------------------------------------------
 
-    def _record(self, parents, backward):
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            self.requires_grad = True
-            self._parents = tuple(parents)
-            self._backward = backward
+    def _record(self, inputs, backward, owned=True):
+        """Give this op output a graph node when an input needs a gradient.
+        ``backward(g)`` returns one gradient per input, None for an input
+        that needs none."""
+        if _GRAD_ENABLED:
+            parents = tuple(_sink(t) for t in inputs)
+            if any(p is not None for p in parents):
+                self.requires_grad = True
+                self._node = _Node(parents, backward, owned)
         return self
 
     def backward(self):
-        """Reverse-mode pass from a scalar; accumulates into ``.grad``."""
+        """Reverse-mode pass from a scalar; accumulates into the leaves'
+        ``.grad`` and releases the graph as it goes."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
-            raise ValueError("backward() on a tensor detached from the tape")
-        tape = _build_tape(self)
-        self.grad = np.ones_like(self.data)
+            raise ValueError("backward() on a tensor detached from the graph")
+        root = _sink(self)
+        tape = _build_tape(root)
+        self.grad = root.grad = np.ones_like(self.data)
         for node in reversed(tape):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    def _accum(self, g, owned=False):
-        """Add ``g`` into ``.grad``. ``owned`` says the caller just
-        allocated ``g`` as float32 and keeps no other reference to it, so
-        the first accumulation may adopt it instead of copying."""
-        if self.grad is None:
-            self.grad = g if owned else g.astype(np.float32, copy=True)
-        else:
-            self.grad += g
+            if isinstance(node, _Node):
+                for parent, g in zip(node.parents, node.backward(node.grad)):
+                    if parent is not None:
+                        _accum(parent, g, node.owned)
+                _release(node)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other)
         out = Tensor(self.data + other.data)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        need_a, need_b = self.requires_grad, other.requires_grad
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
+            return (_unbroadcast(g, a_shape) if need_a else None,
+                    _unbroadcast(g, b_shape) if need_b else None)
 
-        return out._record((self, other), bw)
+        return out._record((self, other), bw, owned=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _wrap(other)
         out = Tensor(self.data - other.data)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        need_a, need_b = self.requires_grad, other.requires_grad
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g, other.data.shape))
+            return (_unbroadcast(g, a_shape) if need_a else None,
+                    _unbroadcast(-g, b_shape) if need_b else None)
 
-        return out._record((self, other), bw)
+        return out._record((self, other), bw, owned=False)
 
     def __rsub__(self, other):
         return _wrap(other) - self
 
     def __neg__(self):
-        out = Tensor(-self.data)
-
-        def bw(g):
-            self._accum(-g, owned=True)
-
-        return out._record((self,), bw)
+        return Tensor(-self.data)._record((self,), lambda g: (-g,))
 
     def __mul__(self, other):
         other = _wrap(other)
         out = Tensor(self.data * other.data)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape), owned=True)
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape), owned=True)
+            return (None if b is None else _unbroadcast(g * b, a_shape),
+                    None if a is None else _unbroadcast(g * a, b_shape))
 
         return out._record((self, other), bw)
 
@@ -169,15 +205,14 @@ class Tensor:
     def __truediv__(self, other):
         other = _wrap(other)
         out = Tensor(self.data / other.data)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        need_a = self.requires_grad
+        a = self.data if other.requires_grad else None
+        b = other.data  # read by both sides' gradients
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape), owned=True)
-            if other.requires_grad:
-                other._accum(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
-                    owned=True,
-                )
+            return (_unbroadcast(g / b, a_shape) if need_a else None,
+                    None if a is None else _unbroadcast(-g * a / (b * b), b_shape))
 
         return out._record((self, other), bw)
 
@@ -186,26 +221,22 @@ class Tensor:
 
     def __pow__(self, exponent):
         e = float(exponent)
-        out = Tensor(self.data**np.float32(e))
-
-        def bw(g):
-            self._accum(g * np.float32(e) * self.data ** np.float32(e - 1.0), owned=True)
-
-        return out._record((self,), bw)
+        x = self.data
+        out = Tensor(x**np.float32(e))
+        return out._record((self,), lambda g: (g * np.float32(e) * x ** np.float32(e - 1.0),))
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
         out = Tensor(self.data @ other.data)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def bw(g):
-            if self.requires_grad:
-                ga = g @ other.data.swapaxes(-1, -2)
-                self._accum(_unbroadcast(ga, self.data.shape), owned=True)
-            if other.requires_grad:
-                gb = self.data.swapaxes(-1, -2) @ g
-                other._accum(_unbroadcast(gb, other.data.shape), owned=True)
+            return (None if b is None else _unbroadcast(g @ b.swapaxes(-1, -2), a_shape),
+                    None if a is None else _unbroadcast(a.swapaxes(-1, -2) @ g, b_shape))
 
         return out._record((self, other), bw)
 
@@ -216,22 +247,14 @@ class Tensor:
             shape = tuple(shape[0])
         src = self.data.shape
         out = Tensor(self.data.reshape(shape))
-
-        def bw(g):
-            self._accum(g.reshape(src))
-
-        return out._record((self,), bw)
+        return out._record((self,), lambda g: (g.reshape(src),), owned=False)
 
     def permute(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
         out = Tensor(self.data.transpose(axes))
-
-        def bw(g):
-            self._accum(g.transpose(inv))
-
-        return out._record((self,), bw)
+        return out._record((self,), lambda g: (g.transpose(inv),), owned=False)
 
     def __getitem__(self, idx):
         out = Tensor(self.data[idx])
@@ -240,7 +263,7 @@ class Tensor:
         def bw(g):
             full = np.zeros(src_shape, dtype=np.float32)
             full[idx] = g
-            self._accum(full, owned=True)
+            return (full,)
 
         return out._record((self,), bw)
 
@@ -249,58 +272,34 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32))
         src_shape = self.data.shape
-
-        def bw(g):
-            self._accum(_spread(g, src_shape, axis, keepdims), owned=True)
-
-        return out._record((self,), bw)
+        return out._record((self,), lambda g: (_spread(g, src_shape, axis, keepdims),))
 
     def mean(self, axis=None, keepdims=False):
         out = Tensor(self.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32))
         src_shape = self.data.shape
         n = self.data.size if axis is None else _axis_count(src_shape, axis)
-
-        def bw(g):
-            self._accum(_spread(g, src_shape, axis, keepdims) / np.float32(n), owned=True)
-
-        return out._record((self,), bw)
+        return out._record(
+            (self,), lambda g: (_spread(g, src_shape, axis, keepdims) / np.float32(n),)
+        )
 
     # -- elementwise nonlinearities -------------------------------------------
 
     def exp(self):
         val = np.exp(self.data)
-        out = Tensor(val)
-
-        def bw(g):
-            self._accum(g * val, owned=True)
-
-        return out._record((self,), bw)
+        return Tensor(val)._record((self,), lambda g: (g * val,))
 
     def log(self):
-        out = Tensor(np.log(self.data))
-
-        def bw(g):
-            self._accum(g / self.data, owned=True)
-
-        return out._record((self,), bw)
+        x = self.data
+        return Tensor(np.log(x))._record((self,), lambda g: (g / x,))
 
     def sqrt(self):
         val = np.sqrt(self.data)
-        out = Tensor(val)
-
-        def bw(g):
-            self._accum(g * np.float32(0.5) / val, owned=True)
-
-        return out._record((self,), bw)
+        return Tensor(val)._record((self,), lambda g: (g * np.float32(0.5) / val,))
 
     def relu(self):
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, np.float32(0.0)))
-
-        def bw(g):
-            self._accum(g * mask, owned=True)
-
-        return out._record((self,), bw)
+        return out._record((self,), lambda g: (g * mask,))
 
     def gelu(self):
         """Exact Gaussian-error-linear unit: x * Phi(x)."""
@@ -310,7 +309,7 @@ class Tensor:
 
         def bw(g):
             pdf = np.exp(np.float32(-0.5) * x * x) * np.float32(1.0 / math.sqrt(2.0 * math.pi))
-            self._accum(g * (cdf + x * pdf), owned=True)
+            return (g * (cdf + x * pdf),)
 
         return out._record((self,), bw)
 
@@ -318,30 +317,53 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         val = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor(val)
 
         def bw(g):
             dot = (g * val).sum(axis=axis, keepdims=True)
-            self._accum(val * (g - dot), owned=True)
+            return (val * (g - dot),)
 
-        return out._record((self,), bw)
+        return Tensor(val)._record((self,), bw)
 
     def log_softmax(self, axis=-1):
         m = self.data.max(axis=axis, keepdims=True)
         shifted = self.data - m
         lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         val = shifted - lse
-        out = Tensor(val)
 
         def bw(g):
             soft = np.exp(val)
-            self._accum(g - soft * g.sum(axis=axis, keepdims=True), owned=True)
+            return (g - soft * g.sum(axis=axis, keepdims=True),)
 
-        return out._record((self,), bw)
+        return Tensor(val)._record((self,), bw)
 
 
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _sink(t):
+    """Where the gradient of ``t`` accumulates: its graph node, the tensor
+    itself for a leaf that needs a gradient, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _accum(sink, g, owned):
+    """Add ``g`` into ``sink.grad``. ``owned`` says the op just allocated
+    ``g`` as float32 and keeps no other reference to it, so the first
+    accumulation may adopt it instead of copying."""
+    if sink.grad is None:
+        sink.grad = g if owned else g.astype(np.float32, copy=True)
+    else:
+        sink.grad += g
+
+
+def _release(node):
+    """Drop what a node holds once its closure has run: its gradient, the
+    values its closure saved, and its links to its parents."""
+    node.grad = node.backward = None
+    node.parents = ()
 
 
 def _axis_count(shape, axis):
@@ -362,7 +384,7 @@ def _spread(g, shape, axis, keepdims):
 
 
 def _build_tape(root):
-    """Topologically ordered list of tape nodes reachable from ``root``."""
+    """Topologically ordered list of the sinks reachable from ``root``."""
     order, visited = [], set()
     stack = [(root, False)]
     while stack:
@@ -374,9 +396,15 @@ def _build_tape(root):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            if node.backward is None:
+                raise ValueError(
+                    "backward() through a graph that an earlier backward() already "
+                    "ran and released; build the graph again with a new forward pass"
+                )
+            for p in node.parents:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
     return order
 
 
@@ -386,21 +414,14 @@ def _build_tape(root):
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
-
-    return out._record(tuple(tensors), bw)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return out._record(tensors, lambda g: np.split(g, splits, axis=axis), owned=False)
 
 
 def layer_norm(x, weight, bias, axis=-1, eps=1e-5):
     """Normalize ``x`` along ``axis`` to zero mean / unit variance, then
     apply the learned affine map. Built from primitives so the gradient
-    comes from the tape."""
+    comes from the graph."""
     mu = x.mean(axis=axis, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
@@ -411,16 +432,9 @@ def layer_norm(x, weight, bias, axis=-1, eps=1e-5):
 def conv3d(x, w, stride=1, padding=0):
     """3-D convolution; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k)."""
     x, w = _wrap(x), _wrap(w)
-    out = Tensor(_ck.conv3d_forward(x.data, w.data, stride, padding))
-
-    def bw(g):
-        gx, gw = _ck.conv3d_backward(x.data, w.data, g, stride, padding)
-        if x.requires_grad:
-            x._accum(gx, owned=True)
-        if w.requires_grad:
-            w._accum(gw, owned=True)
-
-    return out._record((x, w), bw)
+    xd, wd = x.data, w.data
+    out = Tensor(_ck.conv3d_forward(xd, wd, stride, padding))
+    return out._record((x, w), lambda g: _ck.conv3d_backward(xd, wd, g, stride, padding))
 
 
 def conv_transpose3d(x, w, stride=1, padding=0):
@@ -430,13 +444,6 @@ def conv_transpose3d(x, w, stride=1, padding=0):
     adjoint: <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>.
     """
     x, w = _wrap(x), _wrap(w)
-    out = Tensor(_ck.convt3d_forward(x.data, w.data, stride, padding))
-
-    def bw(g):
-        gx, gw = _ck.convt3d_backward(x.data, w.data, g, stride, padding)
-        if x.requires_grad:
-            x._accum(gx, owned=True)
-        if w.requires_grad:
-            w._accum(gw, owned=True)
-
-    return out._record((x, w), bw)
+    xd, wd = x.data, w.data
+    out = Tensor(_ck.convt3d_forward(xd, wd, stride, padding))
+    return out._record((x, w), lambda g: _ck.convt3d_backward(xd, wd, g, stride, padding))

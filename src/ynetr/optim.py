@@ -18,15 +18,17 @@ streams of a chunk stay in one core's L2 cache. Every operation is one
 exactly rounded IEEE float32 operation on the same operands as in the
 per-tensor formula, so the chunking changes no bit.
 
-The chunks are dealt round-robin to one worker thread per usable core.
-numpy releases the GIL inside its elementwise loops, so the workers run
-in parallel; chunks are disjoint and no element depends on another, so
-the result does not depend on how the threads are scheduled.
+One worker thread per usable core takes chunks from a shared queue, so a
+worker that another process slows down takes fewer of them. numpy
+releases the GIL inside its elementwise loops, so the workers run in
+parallel; chunks are disjoint and no element depends on another, so the
+result does not depend on how the threads are scheduled.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -134,7 +136,11 @@ class AdamW:
         if executor is None:
             _update(chunks, *consts)
         else:
-            shares = [executor.submit(_update, chunks[w::n], *consts) for w in range(n)]
+            # one end marker per worker; each worker stops at the first it takes
+            todo = queue.SimpleQueue()
+            for chunk in chunks + [None] * n:
+                todo.put(chunk)
+            shares = [executor.submit(_update, iter(todo.get, None), *consts) for _ in range(n)]
             for share in shares:
                 share.result()
 

@@ -1,6 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import ynetr._convkernels as ck
+import ynetr.autograd as autograd
 from gradcheck import FD_RTOL, run_battery
 from ynetr.autograd import (
     Tensor,
@@ -338,6 +342,24 @@ class TestOperatorProperties:
         np.testing.assert_array_equal(b.grad, np.zeros((2, 2), dtype=np.float32))
 
 
+def tiny_model_step():
+    """One Dice-CE forward of a tiny model on seeded inputs; returns
+    (loss, logits, parameters) with the graph not yet run backward."""
+    from ynetr.losses import LossConfig, segmentation_loss
+    from ynetr.model import ModelConfig, YNetr
+
+    model = YNetr(ModelConfig(input_dims=(16, 16, 16), embed_dim=32, num_heads=4,
+                              decoder_channels=(16, 16, 8, 8, 4), init_seed=2,
+                              zero_init_head=False))
+    rng = np.random.default_rng(0)
+    lf, hf = (Tensor(rng.standard_normal((1, 16, 16, 16)).astype(np.float32))
+              for _ in range(2))
+    labels = (rng.random((16, 16, 16)) < 0.2).astype(np.float32)
+    logits = model(lf, hf)
+    total, _, _ = segmentation_loss(LossConfig(), labels, logits)
+    return total, logits, model.parameters()
+
+
 class TestOwnedGradients:
     """Adopting freshly allocated gradients instead of copying them on the
     first accumulation must not change any gradient bit."""
@@ -345,8 +367,8 @@ class TestOwnedGradients:
     @staticmethod
     def _grads(monkeypatch, always_copy, run):
         if always_copy:
-            original = Tensor._accum
-            monkeypatch.setattr(Tensor, "_accum", lambda self, g, owned=False: original(self, g))
+            original = autograd._accum
+            monkeypatch.setattr(autograd, "_accum", lambda sink, g, owned: original(sink, g, False))
         params = run()
         monkeypatch.undo()
         return [p.grad.tobytes() for p in params]
@@ -355,20 +377,10 @@ class TestOwnedGradients:
         assert self._grads(monkeypatch, False, run) == self._grads(monkeypatch, True, run)
 
     def test_tiny_model_backward(self, monkeypatch):
-        from ynetr.losses import LossConfig, segmentation_loss
-        from ynetr.model import ModelConfig, YNetr
-
         def run():
-            model = YNetr(ModelConfig(input_dims=(16, 16, 16), embed_dim=32, num_heads=4,
-                                      decoder_channels=(16, 16, 8, 8, 4), init_seed=2,
-                                      zero_init_head=False))
-            rng = np.random.default_rng(0)
-            lf, hf = (Tensor(rng.standard_normal((1, 16, 16, 16)).astype(np.float32))
-                      for _ in range(2))
-            labels = (rng.random((16, 16, 16)) < 0.2).astype(np.float32)
-            total, _, _ = segmentation_loss(LossConfig(), labels, model(lf, hf))
+            total, _, params = tiny_model_step()
             total.backward()
-            return model.parameters()
+            return params
 
         self._check(monkeypatch, run)
 
@@ -384,3 +396,69 @@ class TestOwnedGradients:
             return [x, w]
 
         self._check(monkeypatch, run)
+
+
+class TestGraphRelease:
+    """The graph holds no values: a value lives while its tensor or a
+    closure that reads it does, and backward() frees each intermediate
+    gradient and saved value once the node's closure has run."""
+
+    def test_pre_bias_conv_outputs_die_with_the_layer(self, monkeypatch):
+        outputs = []
+
+        def recorded(fn):
+            def call(*args):
+                out = fn(*args)
+                outputs.append(weakref.ref(out))
+                return out
+
+            return call
+
+        for name in ("conv3d_forward", "convt3d_forward"):
+            monkeypatch.setattr(ck, name, recorded(getattr(ck, name)))
+        total, logits, _ = tiny_model_step()  # both stay alive to the end
+        assert len(outputs) > 0
+        assert [r for r in outputs if r() is not None] == []
+
+    def test_intermediate_gradients_die_in_backward(self, monkeypatch):
+        grads = []
+        original = autograd._accum
+
+        def recorded(sink, g, owned):
+            original(sink, g, owned)
+            if not isinstance(sink, Tensor) and isinstance(sink.grad, np.ndarray):
+                grads.append(weakref.ref(sink.grad))  # numpy scalars take no weakref
+
+        monkeypatch.setattr(autograd, "_accum", recorded)
+        total, logits, params = tiny_model_step()
+        total.backward()
+        assert len(grads) > 0
+        assert [r for r in grads if r() is not None] == []
+        assert all(p.grad is not None for p in params)
+        assert total.grad.tobytes() == np.ones((), dtype=np.float32).tobytes()
+
+    def test_release_changes_no_bit(self, monkeypatch):
+        def run():
+            total, logits, params = tiny_model_step()
+            total.backward()
+            return [total.data.tobytes(), logits.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+        kept = run()
+        monkeypatch.setattr(autograd, "_release", lambda node: None)
+        assert run() == kept
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(ValueError, match="released"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_backward_through_a_released_subgraph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        with pytest.raises(ValueError, match="released"):
+            (y * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])

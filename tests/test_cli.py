@@ -238,8 +238,9 @@ class TestExitCodes:
         backward = Tensor.backward
 
         def poisoned(self):
+            # the graph is released by backward(), so find a leaf before it runs
+            leaf = next(n for n in _build_tape(self._node) if isinstance(n, Tensor))
             backward(self)
-            leaf = next(n for n in _build_tape(self) if n.requires_grad and not n._parents)
             leaf.grad.reshape(-1)[0] = np.nan
 
         monkeypatch.setattr(Tensor, "backward", poisoned)
