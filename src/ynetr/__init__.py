@@ -7,7 +7,7 @@ train with a blended Dice + cross-entropy loss, and predict whole volumes
 with overlapping sliding windows.
 """
 
-from .autograd import Tensor, concat, conv3d, conv_transpose3d, layer_norm, no_grad
+from .autograd import Tensor, conv3d, conv_transpose3d, layer_norm, no_grad
 from .inference import InferenceConfig, TilingPlan, build_tiling_plan, infer_volume, tile_positions
 from .losses import (
     LossConfig,

@@ -9,12 +9,12 @@ gradient), the tensor itself. No node or closure holds a tensor, so a
 value lives only as long as its tensor or a closure that reads it. The
 closures save:
 
-* add, sub, neg, reshape, permute, indexing, sum, mean and concat:
-  shapes or indices only;
+* add, sub, neg, reshape, permute, indexing, sum and mean: shapes or
+  indices only;
 * mul, div and matmul: the operand that the other side's gradient reads,
   and only when that side needs a gradient;
-* pow and log their input; exp, sqrt, softmax and log_softmax their
-  output; relu its mask; gelu its input and Phi(x);
+* sqrt, softmax and log_softmax their output; relu its mask; gelu its
+  input and Phi(x);
 * conv3d and conv_transpose3d the input and the weight.
 
 So a value that no closure reads, such as a conv output before its bias
@@ -22,14 +22,16 @@ is added, is freed as soon as the caller drops its tensor.
 
 ``Tensor.backward()`` sorts the nodes reachable from the loss once and
 runs their closures in reverse topological order, adding each returned
-gradient into its parent sink. The first gradient a sink receives is
-adopted when the op allocates its gradients fresh, and copied for add,
-sub, reshape, permute and concat, which pass on views of their own
-gradient. Once a node's closure has run, the node's
-gradient, closure and parent links are released, so the saved values
-and every intermediate gradient are freed during the pass, and a second
-``backward()`` through the same graph raises ``ValueError``. The loss
-and the leaves keep their gradients.
+gradient into its parent sink. No gradient array is ever written in
+place, so a sink adopts the first gradient it receives as it comes, even
+a view of another sink's gradient (add, sub, reshape and permute pass on
+views of their own), and adds each later one into a new array laid out
+like the old one (see ``_accum``). Once a node's closure has run, the
+node's gradient, closure and parent links are released, so the saved
+values and every intermediate gradient are freed during the pass, and a
+second ``backward()`` through the same graph raises ``ValueError``. The
+loss and the leaves keep their gradients, which may be views of one
+another or of a released node's gradient.
 
 All math is numpy under the hood; values stay float32 throughout so
 test tolerances are meaningful for the precision actually used.
@@ -76,16 +78,14 @@ def _unbroadcast(grad, shape):
 class _Node:
     """Graph node of one op output: the sinks of its inputs (None for an
     input that needs no gradient), the closure mapping this node's
-    gradient to one gradient per input, and this node's gradient.
-    ``owned`` says the closure allocates each gradient it returns fresh."""
+    gradient to one gradient per input, and this node's gradient."""
 
-    __slots__ = ("parents", "backward", "grad", "owned")
+    __slots__ = ("parents", "backward", "grad")
 
-    def __init__(self, parents, backward, owned):
+    def __init__(self, parents, backward):
         self.parents = parents
         self.backward = backward
         self.grad = None
-        self.owned = owned
 
 
 class Tensor:
@@ -125,7 +125,7 @@ class Tensor:
 
     # -- graph -----------------------------------------------------------
 
-    def _record(self, inputs, backward, owned=True):
+    def _record(self, inputs, backward):
         """Give this op output a graph node when an input needs a gradient.
         ``backward(g)`` returns one gradient per input, None for an input
         that needs none."""
@@ -133,7 +133,7 @@ class Tensor:
             parents = tuple(_sink(t) for t in inputs)
             if any(p is not None for p in parents):
                 self.requires_grad = True
-                self._node = _Node(parents, backward, owned)
+                self._node = _Node(parents, backward)
         return self
 
     def backward(self):
@@ -150,7 +150,7 @@ class Tensor:
             if isinstance(node, _Node):
                 for parent, g in zip(node.parents, node.backward(node.grad)):
                     if parent is not None:
-                        _accum(parent, g, node.owned)
+                        _accum(parent, g)
                 _release(node)
 
     # -- arithmetic -------------------------------------------------------
@@ -165,9 +165,7 @@ class Tensor:
             return (_unbroadcast(g, a_shape) if need_a else None,
                     _unbroadcast(g, b_shape) if need_b else None)
 
-        return out._record((self, other), bw, owned=False)
-
-    __radd__ = __add__
+        return out._record((self, other), bw)
 
     def __sub__(self, other):
         other = _wrap(other)
@@ -179,7 +177,7 @@ class Tensor:
             return (_unbroadcast(g, a_shape) if need_a else None,
                     _unbroadcast(-g, b_shape) if need_b else None)
 
-        return out._record((self, other), bw, owned=False)
+        return out._record((self, other), bw)
 
     def __rsub__(self, other):
         return _wrap(other) - self
@@ -216,15 +214,6 @@ class Tensor:
 
         return out._record((self, other), bw)
 
-    def __rtruediv__(self, other):
-        return _wrap(other) / self
-
-    def __pow__(self, exponent):
-        e = float(exponent)
-        x = self.data
-        out = Tensor(x**np.float32(e))
-        return out._record((self,), lambda g: (g * np.float32(e) * x ** np.float32(e - 1.0),))
-
     def __matmul__(self, other):
         other = _wrap(other)
         if self.ndim < 2 or other.ndim < 2:
@@ -247,14 +236,14 @@ class Tensor:
             shape = tuple(shape[0])
         src = self.data.shape
         out = Tensor(self.data.reshape(shape))
-        return out._record((self,), lambda g: (g.reshape(src),), owned=False)
+        return out._record((self,), lambda g: (g.reshape(src),))
 
     def permute(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
         out = Tensor(self.data.transpose(axes))
-        return out._record((self,), lambda g: (g.transpose(inv),), owned=False)
+        return out._record((self,), lambda g: (g.transpose(inv),))
 
     def __getitem__(self, idx):
         out = Tensor(self.data[idx])
@@ -283,14 +272,6 @@ class Tensor:
         )
 
     # -- elementwise nonlinearities -------------------------------------------
-
-    def exp(self):
-        val = np.exp(self.data)
-        return Tensor(val)._record((self,), lambda g: (g * val,))
-
-    def log(self):
-        x = self.data
-        return Tensor(np.log(x))._record((self,), lambda g: (g / x,))
 
     def sqrt(self):
         val = np.sqrt(self.data)
@@ -349,14 +330,20 @@ def _sink(t):
     return t if t.requires_grad else None
 
 
-def _accum(sink, g, owned):
-    """Add ``g`` into ``sink.grad``. ``owned`` says the op just allocated
-    ``g`` as float32 and keeps no other reference to it, so the first
-    accumulation may adopt it instead of copying."""
+def _accum(sink, g):
+    """Add ``g`` into ``sink.grad`` without writing into either array.
+
+    The first gradient is adopted as it comes, views included. A later one
+    is added into a new array laid out like the old one. Plain ``old + g``
+    is not enough: it may lay the sum out differently from ``old`` (a
+    transposed ``old`` plus a C-ordered ``g`` comes out C-ordered), and
+    numpy reductions further down, such as the bias sums of
+    ``_unbroadcast``, add in an order that follows the layout, so the last
+    bits of those gradients would change."""
     if sink.grad is None:
-        sink.grad = g if owned else g.astype(np.float32, copy=True)
+        sink.grad = g
     else:
-        sink.grad += g
+        sink.grad = np.add(sink.grad, g, out=np.empty_like(sink.grad))
 
 
 def _release(node):
@@ -409,13 +396,6 @@ def _build_tape(root):
 
 
 # -- multi-tensor and structured ops -------------------------------------
-
-
-def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    return out._record(tensors, lambda g: np.split(g, splits, axis=axis), owned=False)
 
 
 def layer_norm(x, weight, bias, axis=-1, eps=1e-5):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autograd import Tensor, _wrap, concat
+import numpy as np
+
+from .autograd import Tensor, _wrap
 
 DICE_EPS = 1e-5
 
@@ -20,13 +22,10 @@ class LossConfig:
     """``alpha`` 1.0 trains on Dice alone, 0.0 on cross entropy alone."""
 
     alpha: float = 0.5
-    dice_eps: float = DICE_EPS
 
     def validate(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.dice_eps <= 0:
-            raise ValueError("dice_eps must be positive")
         return self
 
 
@@ -57,9 +56,8 @@ def cross_entropy_loss(onehot, logits):
 
 def label_onehot(labels) -> Tensor:
     """Binary (X, Y, Z) labels -> (2, X, Y, Z) one-hot float tensor."""
-    fg = _wrap(labels)
-    bg = 1.0 - fg
-    return concat([bg.reshape((1,) + fg.shape), fg.reshape((1,) + fg.shape)], axis=0)
+    fg = _wrap(labels).data
+    return Tensor(np.stack([1.0 - fg, fg]))
 
 
 def dice_ce_loss(labels, logits, alpha=0.5, eps=DICE_EPS):
@@ -85,4 +83,4 @@ def dice_ce_loss(labels, logits, alpha=0.5, eps=DICE_EPS):
 
 def segmentation_loss(cfg: LossConfig, labels, logits):
     """The configured Dice-CE blend as (total, dice_term, ce_term)."""
-    return dice_ce_loss(labels, logits, alpha=cfg.alpha, eps=cfg.dice_eps)
+    return dice_ce_loss(labels, logits, alpha=cfg.alpha)

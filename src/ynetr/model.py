@@ -4,11 +4,11 @@ Two independent encoder branches (one per frequency image) each produce
 a five-level feature pyramid; the pyramids are merged by elementwise
 addition and a single convolutional decoder restores full resolution.
 
-Each branch flattens non-overlapping P^3 patches into a token sequence,
+Each branch flattens non-overlapping 16^3 patches into a token sequence,
 runs an L-layer pre-norm transformer encoder (L = 12 by default), taps
 the running sequence at depth L/4, L/2, 3L/4 and L, and projects each
 tap to its pyramid scale with transposed-conv upsampling stacks. The
-pyramid carries scales 1/P, 2/P, 4/P, 8/P of the input plus a
+pyramid carries scales 1/16, 1/8, 1/4 and 1/2 of the input plus a
 full-resolution stem.
 """
 
@@ -21,11 +21,12 @@ import numpy as np
 from . import nn
 from .autograd import Tensor, no_grad
 
+PATCH = 16  # patch edge in voxels; the decoder's four 2x up-steps return to full size
+
 
 @dataclass
 class ModelConfig:
     input_dims: tuple[int, int, int] = (128, 128, 128)
-    patch: int = 16
     embed_dim: int = 768
     depth: int = 12
     num_heads: int = 12
@@ -39,12 +40,8 @@ class ModelConfig:
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
 
     def validate(self):
-        p = self.patch
-        if p < 16 or (p & (p - 1)) != 0:
-            raise ValueError(f"patch size must be a power of two >= 16, got {p}")
-        for d in self.input_dims:
-            if d % p != 0:
-                raise ValueError(f"input dims {self.input_dims} must be divisible by patch {p}")
+        if any(d % PATCH for d in self.input_dims):
+            raise ValueError(f"input dims {self.input_dims} must be divisible by {PATCH}")
         sizes = (*self.input_dims, self.embed_dim, self.num_heads, self.mlp_ratio,
                  *self.decoder_channels)
         if min(sizes) < 1:
@@ -61,7 +58,7 @@ class ModelConfig:
 
     @property
     def grid(self):
-        return tuple(d // self.patch for d in self.input_dims)
+        return tuple(d // PATCH for d in self.input_dims)
 
     @property
     def num_tokens(self):
@@ -140,7 +137,7 @@ class TransformerEncoder(nn.Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         self.cfg = cfg
-        self.embed = nn.Linear(rng, cfg.patch**3, cfg.embed_dim)
+        self.embed = nn.Linear(rng, PATCH**3, cfg.embed_dim)
         self.pos = Tensor.param(nn.trunc_normal(rng, (cfg.num_tokens, cfg.embed_dim)))
         self.blocks = nn.ModuleList(
             TransformerBlock(rng, cfg.embed_dim, cfg.num_heads, cfg.mlp_ratio)
@@ -148,7 +145,7 @@ class TransformerEncoder(nn.Module):
         )
 
     def forward(self, x):
-        seq = patchify(x, self.cfg.patch)
+        seq = patchify(x, PATCH)
         h = self.embed(seq.tokens) + self.pos
         every = self.cfg.depth // 4
         taps = []
@@ -232,18 +229,7 @@ class Decoder(nn.Module):
         self.convs = nn.ModuleList(
             nn.Conv3d(rng, ch[i], ch[i], 3, padding=1) for i in range(1, 4)
         )
-        # from scale P/8 down to full resolution; only the last hop has a skip
-        n_hops = int(np.log2(cfg.patch // 8))
-        prev = ch[3]
-        bridges = []
-        for _ in range(n_hops - 1):
-            bridges.append(
-                (nn.ConvTranspose3d(rng, prev, ch[4], 2, stride=2), nn.Conv3d(rng, ch[4], ch[4], 3, padding=1))
-            )
-            prev = ch[4]
-        self.bridge_ups = nn.ModuleList(b[0] for b in bridges)
-        self.bridge_convs = nn.ModuleList(b[1] for b in bridges)
-        self.final_up = nn.ConvTranspose3d(rng, prev, ch[4], 2, stride=2)
+        self.final_up = nn.ConvTranspose3d(rng, ch[3], ch[4], 2, stride=2)
         self.final_conv = nn.Conv3d(rng, ch[4], ch[4], 3, padding=1)
         # background and tumour logits
         self.head = nn.Conv3d(rng, ch[4], 2, 1, zero_init=cfg.zero_init_head)
@@ -253,8 +239,6 @@ class Decoder(nn.Module):
         for up, conv, skip in zip(self.ups, self.convs, levels[1:4]):
             d = up(d) + skip
             d = conv(d).relu()
-        for up, conv in zip(self.bridge_ups, self.bridge_convs):
-            d = conv(up(d)).relu()
         d = self.final_up(d) + levels[4]
         d = self.final_conv(d).relu()
         return self.head(d)

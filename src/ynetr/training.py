@@ -11,6 +11,7 @@ import ctypes
 import logging
 import math
 import platform
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 300
     steps_per_epoch: int = 100
-    batch_size: int = 1
     weight_decay: float = 0.01
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
@@ -52,8 +52,8 @@ class TrainConfig:
     def validate(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 1 or self.steps_per_epoch < 1 or self.batch_size < 1:
-            raise ValueError("epochs, steps_per_epoch and batch_size must be >= 1")
+        if self.epochs < 1 or self.steps_per_epoch < 1:
+            raise ValueError("epochs and steps_per_epoch must be >= 1")
         self.loss.validate()
         return self
 
@@ -101,24 +101,21 @@ def prepare_case(name, volume: Volume3D, label: LabelVolume, window,
     )
 
 
-def _draw(case, want_positive, rng, sampler_cfg, warned):
-    """One window of the wanted polarity, or a fallback when the case has
-    none; each (case, fallback) pair is logged once per ``warned`` set."""
+def _draw(case, want_positive, rng, sampler_cfg):
+    """(window, fallback): a window of the wanted polarity and None, or,
+    when the case has none, a stand-in window and why it was drawn."""
     try:
-        return sample_window(
+        sample = sample_window(
             case.lf, case.hf, case.label, want_positive, rng, sampler_cfg,
             fg_coords=case.fg_coords,
         )
+        return sample, None
     except NoForegroundError:
-        reason = "has no tumor voxels; substituting a negative window"
         sample = sample_window(case.lf, case.hf, case.label, False, rng, sampler_cfg)
+        return sample, "no tumor voxels (negative windows drawn)"
     except NoBackgroundError:
-        reason = "has no tumor-free window; substituting an unconstrained window"
         sample = sample_any_window(case.lf, case.hf, case.label, rng, sampler_cfg)
-    if (case.name, reason) not in warned:
-        warned.add((case.name, reason))
-        log.warning("case %s %s", case.name, reason)
-    return sample
+        return sample, "no tumor-free window (unconstrained windows drawn)"
 
 
 def grad_norm(params):
@@ -175,7 +172,9 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
     """Run (or resume) the optimization; returns (history, optimizer).
 
     ``start_step`` is the number of steps already taken; the loop runs
-    until ``cfg.total_steps``.
+    until ``cfg.total_steps``, one window per step, positive on odd steps.
+    Windows drawn in place of one the case cannot supply are counted per
+    case and reason and summed up in one warning when ``train`` returns.
     """
     cfg.validate()
     sampler_cfg.validate()
@@ -187,37 +186,34 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay
         )
     history = []
-    warned = set()
-    inv_batch = 1.0 / cfg.batch_size
+    fallbacks = Counter()
     for step in range(start_step + 1, cfg.total_steps + 1):
         rng = step_rng(cfg.seed, step)
         optimizer.zero_grad()
-        loss_sum = dice_sum = ce_sum = 0.0
-        for b in range(cfg.batch_size):
-            draw_index = (step - 1) * cfg.batch_size + b
-            want_positive = draw_index % 2 == 0
-            case = cases[int(rng.integers(len(cases)))]
-            sample = _draw(case, want_positive, rng, sampler_cfg, warned)
-            logits = model(Tensor(sample.lf[None]), Tensor(sample.hf[None]))
-            total, d, c = segmentation_loss(cfg.loss, sample.label.astype(np.float32), logits)
-            loss_val = total.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(step, loss_val)
-            loss_sum += loss_val
-            dice_sum += d.item()
-            ce_sum += c.item()
-            scaled = total * inv_batch if cfg.batch_size > 1 else total
-            scaled.backward()
-            # free this draw's logits before the next forward; backward() freed the graph
-            del logits, total, d, c, scaled
+        case = cases[int(rng.integers(len(cases)))]
+        sample, fallback = _draw(case, step % 2 == 1, rng, sampler_cfg)
+        if fallback is not None:
+            fallbacks[case.name, fallback] += 1
+        logits = model(Tensor(sample.lf[None]), Tensor(sample.hf[None]))
+        total, d, c = segmentation_loss(cfg.loss, sample.label.astype(np.float32), logits)
+        rec = StepRecord(step, total.item(), d.item(), c.item())
+        if not math.isfinite(rec.loss):
+            raise TrainingDiverged(step, rec.loss)
+        total.backward()
+        # free the logits before the next forward; backward() freed the graph
+        del logits, total, d, c
         norm = grad_norm(optimizer.params)
         if not math.isfinite(norm):
             raise TrainingDiverged(step, norm, "gradient norm")
         optimizer.step()
-        rec = StepRecord(step, loss_sum * inv_batch, dice_sum * inv_batch, ce_sum * inv_batch)
         history.append(rec)
         if progress is not None:
             progress(rec)
+    if fallbacks:
+        counts = sorted(fallbacks.items())
+        log.warning("sampler fell back in %d of %d draws: %s", fallbacks.total(),
+                    cfg.total_steps - start_step,
+                    "; ".join(f"case {name} x{n}, {why}" for (name, why), n in counts))
     return history, optimizer
 
 

@@ -7,7 +7,7 @@ central differences taken through the same float32 forward path.
 
 import numpy as np
 
-from ynetr.autograd import Tensor, concat, conv3d, conv_transpose3d, layer_norm
+from ynetr.autograd import Tensor, conv3d, conv_transpose3d, layer_norm
 
 FD_H = 1e-3
 FD_RTOL = 1e-2
@@ -75,20 +75,16 @@ def primitive_cases(rng):
         ("mul_scalar", lambda a: a * 2.5, [r(3, 3)]),
         ("div", lambda a, b: a / b, [r(3, 4), rp(3, 4)]),
         ("neg", lambda a: -a, [r(6,)]),
-        ("pow2", lambda a: a**2, [r(3, 4)]),
         ("matmul", lambda a, b: a @ b, [r(5, 7), r(7, 3)]),
         ("matmul_batched", lambda a, b: a @ b, [r(2, 3, 4), r(2, 4, 3)]),
         ("reshape", lambda a: a.reshape(6, 2), [r(3, 4)]),
         ("permute", lambda a: a.permute(2, 0, 1), [r(2, 3, 4)]),
         ("slice", lambda a: a[1:3, ::2], [r(4, 6)]),
-        ("concat", lambda a, b: concat([a, b], axis=1), [r(2, 3), r(2, 4)]),
         ("sum_all", lambda a: a.sum(), [r(3, 4)]),
         ("sum_axis", lambda a: a.sum(axis=1), [r(3, 4)]),
         ("sum_keepdims", lambda a: a.sum(axis=0, keepdims=True), [r(3, 4)]),
         ("mean_all", lambda a: a.mean(), [r(3, 4)]),
         ("mean_axis", lambda a: a.mean(axis=-1), [r(2, 3, 4)]),
-        ("exp", lambda a: a.exp(), [r(3, 4)]),
-        ("log", lambda a: a.log(), [rp(3, 4)]),
         ("sqrt", lambda a: a.sqrt(), [rp(3, 4)]),
         ("relu", lambda a: a.relu(), [_away_from_kinks(r(4, 4))]),
         ("gelu", lambda a: a.gelu(), [r(4, 4)]),

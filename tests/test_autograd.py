@@ -8,7 +8,6 @@ import ynetr.autograd as autograd
 from gradcheck import FD_RTOL, run_battery
 from ynetr.autograd import (
     Tensor,
-    concat,
     conv3d,
     conv_transpose3d,
     layer_norm,
@@ -332,15 +331,6 @@ class TestOperatorProperties:
         assert gx1.tobytes() == gx2.tobytes()
         assert gw1.tobytes() == gw2.tobytes()
 
-    def test_concat_roundtrip(self):
-        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        b = Tensor(np.full((2, 2), 2.0, dtype=np.float32), requires_grad=True)
-        out = concat([a, b], axis=1)
-        assert out.shape == (2, 5)
-        (out[:, :3]).sum().backward()
-        np.testing.assert_array_equal(a.grad, np.ones((2, 3), dtype=np.float32))
-        np.testing.assert_array_equal(b.grad, np.zeros((2, 2), dtype=np.float32))
-
 
 def tiny_model_step():
     """One Dice-CE forward of a tiny model on seeded inputs; returns
@@ -361,14 +351,19 @@ def tiny_model_step():
 
 
 class TestOwnedGradients:
-    """Adopting freshly allocated gradients instead of copying them on the
-    first accumulation must not change any gradient bit."""
+    """A sink owns the first gradient it receives as it comes, views of
+    other gradients included; copying it first, in its own memory order,
+    must not change any gradient bit."""
 
     @staticmethod
     def _grads(monkeypatch, always_copy, run):
         if always_copy:
             original = autograd._accum
-            monkeypatch.setattr(autograd, "_accum", lambda sink, g, owned: original(sink, g, False))
+
+            def copying(sink, g):
+                original(sink, np.copy(g, order="K") if sink.grad is None else g)
+
+            monkeypatch.setattr(autograd, "_accum", copying)
         params = run()
         monkeypatch.undo()
         return [p.grad.tobytes() for p in params]
@@ -397,6 +392,25 @@ class TestOwnedGradients:
 
         self._check(monkeypatch, run)
 
+    def test_shared_gradient_is_never_written_through(self):
+        # a and b adopt the same array from the add; a's second gradient must
+        # not be added into it
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        s = a + b
+        (s.sum() + (a * 3.0).sum()).backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_sum_keeps_the_first_gradients_layout(self):
+        x = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+        first = np.arange(12, dtype=np.float32).reshape(4, 3).T  # transposed, F-ordered
+        autograd._accum(x, first)  # a leaf is its own sink
+        autograd._accum(x, np.ones((3, 4), dtype=np.float32))
+        assert x.grad.strides == first.strides
+        np.testing.assert_array_equal(x.grad, first + 1.0)
+        np.testing.assert_array_equal(first, np.arange(12).reshape(4, 3).T)
+
 
 class TestGraphRelease:
     """The graph holds no values: a value lives while its tensor or a
@@ -424,8 +438,8 @@ class TestGraphRelease:
         grads = []
         original = autograd._accum
 
-        def recorded(sink, g, owned):
-            original(sink, g, owned)
+        def recorded(sink, g):
+            original(sink, g)
             if not isinstance(sink, Tensor) and isinstance(sink.grad, np.ndarray):
                 grads.append(weakref.ref(sink.grad))  # numpy scalars take no weakref
 
@@ -433,9 +447,14 @@ class TestGraphRelease:
         total, logits, params = tiny_model_step()
         total.backward()
         assert len(grads) > 0
-        assert [r for r in grads if r() is not None] == []
         assert all(p.grad is not None for p in params)
         assert total.grad.tobytes() == np.ones((), dtype=np.float32).tobytes()
+        # adopted views keep alive only the gradients of the leaves and the
+        # loss, and the memory under them
+        kept = {id(a) for a in [total.grad] + [p.grad for p in params]}
+        kept |= {id(a.base) for a in [total.grad] + [p.grad for p in params]}
+        alive = [r() for r in grads if r() is not None]
+        assert [a.shape for a in alive if id(a) not in kept] == []
 
     def test_release_changes_no_bit(self, monkeypatch):
         def run():

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ynetr
 from ynetr.autograd import Tensor, _build_tape
 from ynetr.checkpoint import save_checkpoint
 from ynetr.cli import cli
@@ -130,6 +135,27 @@ def test_full_pipeline_and_summary(tmp_path, runner):
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert lines[0] == "variant,dice"
     assert len(lines) == 2
+
+
+def test_sampler_fallbacks_take_one_stderr_line(tmp_path, runner):
+    # a 16^3 window on 16^3 phantoms has no tumor-free crop, so every negative
+    # draw falls back; run in a subprocess, where warnings reach stderr
+    doc = json.loads(json.dumps(TOY_CONFIG))
+    doc["phantom"]["count"] = 4
+    doc["train"]["steps_per_epoch"] = 20
+    cfg = _write_config(tmp_path, doc)
+    data = tmp_path / "data"
+    assert runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(data)]).exit_code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(ynetr.__file__).parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-m", "ynetr.cli", "train", "--config", str(cfg), "--data", str(data),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and "no tumor-free window" in lines[0], lines
 
 
 def test_empty_config_runs(tmp_path, runner):
@@ -268,7 +294,10 @@ class TestExitCodes:
             ("model", "tap_layers", [3, 6, 9, 12]),
             ("model", "in_channels", 1),
             ("model", "num_classes", 2),
+            ("model", "patch", 16),
+            ("train", "batch_size", 1),
             ("train.loss", "kind", "dice_ce"),
+            ("train.loss", "dice_eps", 1e-5),
             ("inference", "blend", "uniform"),
         ],
     )
@@ -317,6 +346,7 @@ class TestExitCodes:
             (b" 16384\n", b"\n"),  # short tensor line
             (b" 16384\n", b" 16380\n"),  # shape does not match the byte count
             (b'"model_config": {', b'"model_config": {"lf_branch": "transformer", '),  # removed key
+            (b'"model_config": {', b'"model_config": {"patch": 16, '),  # removed key
         ],
     )
     def test_infer_malformed_checkpoint_is_3(self, tmp_path, runner, old, new):

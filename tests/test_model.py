@@ -6,6 +6,7 @@ import pytest
 from ynetr.autograd import Tensor
 from ynetr.losses import dice_ce_loss
 from ynetr.model import (
+    PATCH,
     ModelConfig,
     YNetr,
     fuse_add,
@@ -227,15 +228,6 @@ class TestForward:
         ]
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
-    def test_patch32_variant(self):
-        cfg = tiny_config(patch=32, embed_dim=32, decoder_channels=(16, 16, 8, 8, 4))
-        model = YNetr(cfg)
-        rng = np.random.default_rng(11)
-        lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
-        hf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
-        out = model.predict(lf, hf)
-        assert out.shape == (2, 32, 32, 32)
-
     def test_shape_mismatch_between_branches(self):
         model = YNetr(tiny_config())
         with pytest.raises(ValueError):
@@ -293,7 +285,7 @@ class TestParameterCount:
     def test_closed_form(self):
         cfg = tiny_config()
         model = YNetr(cfg)
-        e, p, c = cfg.embed_dim, cfg.patch, 1  # one-channel branch inputs
+        e, p, c = cfg.embed_dim, PATCH, 1  # one-channel branch inputs
         n, r, depth = cfg.num_tokens, cfg.mlp_ratio, cfg.depth
         ch = cfg.decoder_channels
         k3, k1, up = 27, 1, 8  # conv kernel volumes: 3^3, 1^3, 2^3

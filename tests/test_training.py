@@ -166,16 +166,18 @@ class TestTrainLoop:
                                                 tumor_volume_cm3=(0.15, 0.3), seed=100))
         empty = LabelVolume(np.zeros_like(lbl.labels), lbl.spacing_mm)
         cases = [prepare_case("tumor", vol, lbl, WINDOW), prepare_case("empty", vol, empty, WINDOW)]
+        # seed 7 draws "empty" on steps 1, 3, 5, 9 and 11 (positive) and "tumor" on step 2
         want = [
-            "case empty has no tumor voxels; substituting a negative window",
-            "case tumor has no tumor-free window; substituting an unconstrained window",
+            "sampler fell back in 6 of 12 draws: "
+            "case empty x5, no tumor voxels (negative windows drawn); "
+            "case tumor x1, no tumor-free window (unconstrained windows drawn)"
         ]
         sampler = SamplerConfig(window=WINDOW, jitter_max=4)
         for _ in range(2):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="ynetr.training"):
                 train(tiny_model(), cases, train_cfg(steps_per_epoch=12), sampler)
-            assert sorted(r.getMessage() for r in caplog.records) == want
+            assert [r.getMessage() for r in caplog.records] == want
 
     def test_history_csv_roundtrip(self, tmp_path):
         model = tiny_model()
