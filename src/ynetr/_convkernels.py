@@ -72,18 +72,33 @@ both on one space-to-depth copy of ``g``. At k == stride and pad 0
 of ``x`` and a depth-to-space reshape, the backward one space-to-depth
 copy and two GEMMs.
 
-Accumulation order follows from the shapes. The k**3 shifted slices of
-a block of m output columns are copied into a block of columns
-(k**3*cin, m), bounded so that the copy and the GEMM that reads it stay
-in cache, and each block is one GEMM with K = k**3*cin (forward and
-input gradient) or with N = k**3*cin (weight gradient). A GEMM per
-offset instead, with K = cin, would stream a full-size output through
-memory 27 times. With a single offset (k = 1) the block is a view of
-all n columns and nothing is copied. When k**3*cout <= 4*cin (the
-16 -> 1 input gradient of the one-channel stem conv) the block of
-columns would be 27 times the input for a handful of output rows, so
-instead one GEMM per block gives the products of every offset at once,
-and they are added into the output at their shifts.
+Accumulation order follows from the shapes. The k**3 kernel offsets
+are split between the copied block and the GEMM output. Split a sends
+the offsets of the trailing a kernel axes (dz; dy and dz; all three) to
+the output side. For a block of m output columns the block of columns
+holds the k**(3-a) shifted slices of the other offsets, each m + halo
+columns wide, where the halo is the largest output-side shift: a block
+(k**(3-a)*cin, m + halo), bounded so that the copy and the GEMM that
+reads it stay in cache, and at least 8*halo columns wide so that the
+halo adds at most 1/8. With the weight laid out as
+(k**a*cout, k**(3-a)*cin), one GEMM per block gives k**a partial
+outputs, one per output-side shift, and they are added into the output
+at their shifts (kn2row, Vasudevan et al., arXiv 1704.04428). The
+weight gradient runs one GEMM per output-side shift d,
+``block[:, d:d + m] @ g[:, q0:q0 + m].T``, into the part of ``gw`` of
+that shift. The split is the largest a with
+k**a*cout <= 4*k**(3-a)*cin. At k = 3 the 1 -> 16 stem conv keeps
+a = 0 (one GEMM per block, K = 27), the 16 -> 16 and 32 -> 32 convs
+take a = 2 (M = 144, K = 48), and the 16 -> 1 input gradient of the
+stem takes a = 3, whose block is a view of the input: nothing is copied.
+The reason is measured. On a 2-core Xeon with OpenBLAS 0.3.31, a
+(16, 432) @ (432, 8192) GEMM, the 16 -> 16 conv at a = 0, runs at
+115-125 GFLOP/s with 2 threads (65-70 with one), a (144, 48) or
+(48, 144) times 8326 columns at 230-270 (125-130), and the copy falls
+from 27 times the input to 9 times (a = 1) or 3 times (a = 2). A GEMM
+per offset instead, with K = cin, would stream a full-size output
+through memory 27 times. With a single offset (k = 1) the block is a
+view of all n columns and nothing is copied.
 
 Every loop runs in a fixed order, so results are bitwise deterministic.
 """
@@ -119,12 +134,6 @@ def _check_conv_args(shape, k, stride, pad):
 
 def _offsets(k):
     return list(itertools.product(range(k), repeat=3))
-
-
-def _per_offset(w):
-    """(A, B, k, k, k) -> contiguous (k**3, A, B): one matrix per offset."""
-    a, b, k = w.shape[:3]
-    return np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1)).reshape(k**3, a, b)
 
 
 def _flip(w):
@@ -207,28 +216,43 @@ def _depth_to_space(a, s, off, shape):
 # -- stride 1: shifted GEMMs over the flat padded volume -------------------
 
 
-def _shifts(grid, k):
+def _split(k, cout, cin):
+    """Kernel axes whose offsets go to the GEMM output: the largest a with
+    k**a*cout <= 4*k**(3-a)*cin (see the module docstring)."""
+    return next((a for a in (3, 2, 1) if k**a * cout <= 4 * k ** (3 - a) * cin), 0)
+
+
+def _shifts(grid, k, a):
+    """(copied, output-side) shifts of split ``a``: the offsets of the
+    leading 3-a and of the trailing a kernel axes, in the order of
+    ``_offsets``, whose sums are the shifts of every offset."""
     _, yp, zp = grid
-    return [(dx * yp + dy) * zp + dz for dx, dy, dz in _offsets(k)]
+    d = [(dx * yp + dy) * zp + dz for dx, dy, dz in _offsets(k)]
+    return d[:: k**a], d[: k**a]
 
 
-def _column_blocks(flat, shifts, n):
-    """Yield (q0, block) with block[(i, c), j] = flat[c, q0 + j + shifts[i]]
-    for the columns q0 <= q0 + j < n, at most _BLOCK_COLS columns and
-    _BLOCK_BYTES per block. A single shift yields one view of all n
-    columns: nothing is copied, so there is nothing to keep in cache."""
-    if len(shifts) == 1:
-        yield 0, flat[:, :n]
-        return
+def _column_blocks(flat, shifts, halo, n):
+    """Yield (q0, m, block) with block[(i, c), j] = flat[c, q0 + j + shifts[i]]
+    for the m output columns q0 <= q0 + j < n plus ``halo`` more, at most
+    _BLOCK_COLS columns and _BLOCK_BYTES per block but at least 8*halo
+    columns, so that the halo adds at most 1/8. A single shift yields views
+    of ``flat``: nothing is copied, and without a halo (k = 1) all n columns
+    are one block."""
     rows = len(shifts) * flat.shape[0]
-    step = max(1, min(n, _BLOCK_COLS, _BLOCK_BYTES // (4 * rows)))
-    buf = np.empty(rows * step, dtype=np.float32)
+    step = max(8 * halo, min(_BLOCK_COLS, _BLOCK_BYTES // (4 * rows)))
+    if len(shifts) == 1:
+        step = step if halo else n
+        for q0 in range(0, n, step):
+            m = min(step, n - q0)
+            yield q0, m, flat[:, q0 : q0 + m + halo]
+        return
+    buf = np.empty(rows * (min(step, n) + halo), dtype=np.float32)
     for q0 in range(0, n, step):
         m = min(step, n - q0)
-        block = buf[: rows * m].reshape(len(shifts), -1, m)
+        block = buf[: rows * (m + halo)].reshape(len(shifts), -1, m + halo)
         for i, d in enumerate(shifts):
-            block[i] = flat[:, q0 + d : q0 + d + m]
-        yield q0, block.reshape(rows, m)
+            block[i] = flat[:, q0 + d : q0 + d + m + halo]
+        yield q0, m, block.reshape(rows, -1)
 
 
 def _corr1(flat, grid, w):
@@ -238,25 +262,24 @@ def _corr1(flat, grid, w):
     xp, yp, zp = grid
     ox, oy, oz = xp - k + 1, yp - k + 1, zp - k + 1
     n = ox * yp * zp
-    shifts = _shifts(grid, k)
+    a = _split(k, cout, cin)
+    shifts, outs = _shifts(grid, k, a)
+    halo = outs[-1]
+    # rows (output-side offset, o), columns (copied offset, c)
+    wm = w.reshape(cout, cin, -1, k**a).transpose(3, 0, 2, 1).reshape(k**a * cout, -1)
     y = np.empty((cout, n), dtype=np.float32)
-    if k > 1 and k**3 * cout <= 4 * cin:
-        ws = _per_offset(w).reshape(-1, cin)
-        halo = shifts[-1]
-        step = 8 * halo  # the halo columns, computed twice, stay under 1/8
-        buf = np.empty((len(ws), min(step, n) + halo), dtype=np.float32)
-        for q0 in range(0, n, step):
-            m = min(step, n - q0)
-            p = np.matmul(ws, flat[:, q0 : q0 + m + halo], out=buf[:, : m + halo])
-            p = p.reshape(len(shifts), cout, -1)
-            yb = y[:, q0 : q0 + m]
-            yb[...] = p[0, :, :m]
-            for i, d in enumerate(shifts[1:], 1):
-                yb += p[i, :, d : d + m]
-    else:
-        wm = w.transpose(0, 2, 3, 4, 1).reshape(cout, -1)
-        for q0, block in _column_blocks(flat, shifts, n):
-            np.matmul(wm, block, out=y[:, q0 : q0 + block.shape[1]])
+    buf = None
+    for q0, m, block in _column_blocks(flat, shifts, halo, n):
+        yb = y[:, q0 : q0 + m]
+        if not halo:  # the GEMM gives the output block itself
+            np.matmul(wm, block, out=yb)
+            continue
+        if buf is None:  # sized by the first block, the widest
+            buf = np.empty((len(wm), m + halo), dtype=np.float32)
+        p = np.matmul(wm, block, out=buf[:, : m + halo]).reshape(len(outs), cout, -1)
+        yb[...] = p[0, :, :m]
+        for i, d in enumerate(outs[1:], 1):
+            yb += p[i, :, d : d + m]
     return np.ascontiguousarray(y.reshape(cout, ox, yp, zp)[:, :, :oy, :oz])
 
 
@@ -281,12 +304,15 @@ def _weight_grad1(g_full, flat, grid, k):
     c = flat.shape[0]
     if k == 1:  # one GEMM, straight into the (Co, C) layout of the result
         return (g_full @ flat[:, :n].T).reshape(co, c, 1, 1, 1)
-    parts = (block @ g_full[:, q0 : q0 + block.shape[1]].T
-             for q0, block in _column_blocks(flat, _shifts(grid, k), n))
-    gw = next(parts)
-    for p in parts:
-        gw += p
-    return gw.reshape(k, k, k, c, co).transpose(4, 3, 0, 1, 2)
+    a = _split(k, co, c)
+    shifts, outs = _shifts(grid, k, a)
+    gw = np.zeros((len(outs), len(shifts) * c, co), dtype=np.float32)
+    for q0, m, block in _column_blocks(flat, shifts, outs[-1], n):
+        gb = g_full[:, q0 : q0 + m].T
+        for i, d in enumerate(outs):
+            gw[i] += block[:, d : d + m] @ gb
+    # (output-side offset, copied offset, c, o) -> (o, c, k, k, k)
+    return gw.reshape(k**a, -1, c, co).transpose(3, 2, 1, 0).reshape(co, c, k, k, k)
 
 
 def _input_grad(g, ws, stride, pad, shape):

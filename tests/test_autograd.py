@@ -181,8 +181,22 @@ class TestConvBackwardOracles:
     """Kernel gradients against loop oracles on non-cubic volumes, where a
     shift or wrap-around slip in the flat padded layout would show."""
 
-    # channel pairs that reach every accumulation order of the kernels
-    @pytest.mark.parametrize("cin, cout", [(2, 3), (2, 1), (1, 8)])
+    # channel pairs whose forward picks every split a of the kernels at k = 3
+    SPLITS = {(1, 16): 0, (2, 3): 1, (1, 8): 1, (2, 1): 2, (8, 1): 3}
+
+    def test_channel_pairs_reach_every_split(self):
+        picks = {(cin, cout): ck._split(3, cout, cin) for cin, cout in self.SPLITS}
+        assert picks == self.SPLITS
+        assert set(picks.values()) == {0, 1, 2, 3}
+
+    def test_mid_model_convs_pick_their_split(self):
+        # stem.conv2 and decoder.final_conv (16 -> 16), stem.conv1 (1 -> 16)
+        # and the input gradient of stem.conv1 (16 -> 1); _split takes cout first
+        assert ck._split(3, 16, 16) == 2
+        assert ck._split(3, 16, 1) == 0
+        assert ck._split(3, 1, 16) == 3
+
+    @pytest.mark.parametrize("cin, cout", list(SPLITS))
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -198,7 +212,7 @@ class TestConvBackwardOracles:
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
 
-    @pytest.mark.parametrize("cin, cout", [(1, 8), (8, 8)])
+    @pytest.mark.parametrize("cin, cout", [(1, 8), (8, 8), (8, 1), (1, 16)])
     def test_conv_grads_match_loop_oracle_over_many_blocks(self, cin, cout):
         # large enough that the kernels split every pass into several blocks
         rng = np.random.default_rng(300 + cin)
@@ -319,7 +333,8 @@ class TestOperatorProperties:
         b = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("cin, cout, stride", [(2, 6, 1), (6, 2, 1), (3, 4, 2)])
+    @pytest.mark.parametrize("cin, cout, stride",
+                             [(2, 6, 1), (6, 2, 1), (3, 4, 2), (2, 1, 1), (8, 1, 1), (1, 16, 1)])
     def test_deterministic_backward(self, cin, cout, stride):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((cin, 12, 10, 14)).astype(np.float32)
