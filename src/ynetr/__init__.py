@@ -20,7 +20,6 @@ from .losses import (
 from .metrics import ConfusionCounts, confusion, dice_coefficient, evaluate
 from .model import (
     ModelConfig,
-    PatchSequence,
     YNetr,
     fuse_add,
     patchify,

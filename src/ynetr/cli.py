@@ -134,7 +134,6 @@ def train_cmd(config_path, data_dir, out_dir):
         model = YNetr(cfg.model)
         ckpt_path = out / "checkpoint.ynck"
         extra = {
-            "name": cfg.name,
             "intensity": dataclasses.asdict(cfg.intensity),
             "inference": dataclasses.asdict(cfg.inference),
         }
@@ -179,8 +178,7 @@ def infer(ckpt_path, out_dir, inputs):
 @click.option("--pred", "pred_dir", required=True, type=click.Path())
 @click.option("--gt", "gt_dir", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--name", "run_name", default=None)
-def eval_cmd(pred_dir, gt_dir, out_dir, run_name):
+def eval_cmd(pred_dir, gt_dir, out_dir):
     """Score predicted masks against ground-truth labels."""
     with _reporting():
         pred = Path(pred_dir)
@@ -198,7 +196,6 @@ def eval_cmd(pred_dir, gt_dir, out_dir, run_name):
                 raise VvolError(f"missing ground truth {gt_path}")
             gts.append(read_vvol(gt_path))
         dices, mean, totals = evaluate(preds, gts)
-        name = run_name or _run_name_near(pred) or pred.name
         with open(out / "report.csv", "w") as fh:
             fh.write("volume,dice,tp,fp,fn,tn\n")
             for stem, d, p, g in zip(stems, dices, preds, gts):
@@ -208,7 +205,6 @@ def eval_cmd(pred_dir, gt_dir, out_dir, run_name):
         with open(out / "metrics.json", "w") as fh:
             json.dump(
                 {
-                    "name": name,
                     "mean_dice": mean,
                     "per_volume": dict(zip(stems, dices)),
                     "confusion": {
@@ -220,41 +216,6 @@ def eval_cmd(pred_dir, gt_dir, out_dir, run_name):
                 sort_keys=True,
             )
         click.echo(f"mean dice {mean:.4f} over {len(stems)} volumes")
-
-
-def _run_name_near(directory: Path):
-    echo = directory / "config.echo.json"
-    if echo.exists():
-        try:
-            return json.loads(echo.read_text()).get("name")
-        except json.JSONDecodeError:
-            return None
-    return None
-
-
-@cli.command()
-@click.argument("run_dirs", nargs=-1, required=True, type=click.Path())
-@click.option("--out", "out_path", default=None, type=click.Path())
-def summary(run_dirs, out_path):
-    """Tabulate (variant, Dice) rows across runs, best first."""
-    with _reporting():
-        rows = []
-        for d in run_dirs:
-            metrics = Path(d) / "metrics.json"
-            if not metrics.exists():
-                raise VvolError(f"{d} has no metrics.json (run `eval` first)")
-            data = json.loads(metrics.read_text())
-            rows.append((data.get("name", Path(d).name), float(data["mean_dice"])))
-        rows.sort(key=lambda r: r[1], reverse=True)
-        width = max(len(r[0]) for r in rows)
-        click.echo(f"{'variant'.ljust(width)}  dice")
-        for name, dice in rows:
-            click.echo(f"{name.ljust(width)}  {dice:.4f}")
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write("variant,dice\n")
-                for name, dice in rows:
-                    fh.write(f"{name},{dice!r}\n")
 
 
 def main():

@@ -50,7 +50,6 @@ class PhantomRunConfig:
 
 @dataclass
 class RunConfig:
-    name: str = "run"
     intensity: IntensityConfig = field(default_factory=IntensityConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)

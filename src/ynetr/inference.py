@@ -32,7 +32,6 @@ class InferenceConfig:
 class TilingPlan:
     window: tuple[int, int, int]
     starts: tuple[list, list, list]
-    overlap: float
 
 
 def tile_positions(dim: int, window: int, overlap: float):
@@ -50,7 +49,7 @@ def tile_positions(dim: int, window: int, overlap: float):
 
 def build_tiling_plan(dims, window, overlap) -> TilingPlan:
     starts = tuple(tile_positions(d, w, overlap) for d, w in zip(dims, window))
-    return TilingPlan(window=tuple(window), starts=starts, overlap=overlap)
+    return TilingPlan(window=tuple(window), starts=starts)
 
 
 def _softmax_fg(logits):

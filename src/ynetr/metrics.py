@@ -16,10 +16,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
     def __add__(self, other):
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn

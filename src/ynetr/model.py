@@ -66,29 +66,18 @@ class ModelConfig:
         return gx * gy * gz
 
 
-@dataclass
-class PatchSequence:
-    """Flattened non-overlapping patches: one token per P^3 block."""
-
-    tokens: Tensor
-    grid: tuple[int, int, int]
-    patch: int
-    channels: int
-
-
-def patchify(x: Tensor, patch: int) -> PatchSequence:
+def patchify(x: Tensor, patch: int) -> Tensor:
     """(C, X, Y, Z) -> (N, P^3*C) tokens, one per P^3 block in (gx, gy, gz) order."""
     c, X, Y, Z = x.shape
     p = patch
     if X % p or Y % p or Z % p:
         raise ValueError(f"dims {(X, Y, Z)} not divisible by patch {p}")
     gx, gy, gz = X // p, Y // p, Z // p
-    tok = (
+    return (
         x.reshape(c, gx, p, gy, p, gz, p)
         .permute(1, 3, 5, 2, 4, 6, 0)
         .reshape(gx * gy * gz, p**3 * c)
     )
-    return PatchSequence(tok, (gx, gy, gz), p, c)
 
 
 def tokens_to_grid(tokens: Tensor, grid) -> Tensor:
@@ -145,8 +134,7 @@ class TransformerEncoder(nn.Module):
         )
 
     def forward(self, x):
-        seq = patchify(x, PATCH)
-        h = self.embed(seq.tokens) + self.pos
+        h = self.embed(patchify(x, PATCH)) + self.pos
         every = self.cfg.depth // 4
         taps = []
         for layer, block in enumerate(self.blocks, start=1):

@@ -56,14 +56,8 @@ class ModuleList(Module):
     def __init__(self, modules=()):
         self.items = list(modules)
 
-    def append(self, module):
-        self.items.append(module)
-
     def __iter__(self):
         return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
 
     def __getitem__(self, i):
         return self.items[i]

@@ -18,15 +18,25 @@ streams of a chunk stay in one core's L2 cache. Every operation is one
 exactly rounded IEEE float32 operation on the same operands as in the
 per-tensor formula, so the chunking changes no bit.
 
+Every gradient is checked before anything is written: a gradient whose
+shape differs from its parameter's raises ValueError, and a non-finite
+global gradient norm raises FloatingPointError, both with every
+parameter, moment and the step count unchanged. The norm is the square
+root of a fixed-order sum: each chunk's float32 self-dot, added as a
+Python float in chunk order.
+
 One worker thread per usable core takes chunks from a shared queue, so a
 worker that another process slows down takes fewer of them. numpy
 releases the GIL inside its elementwise loops, so the workers run in
 parallel; chunks are disjoint and no element depends on another, so the
-result does not depend on how the threads are scheduled.
+result does not depend on how the threads are scheduled. The check phase
+runs on the same workers, which each store a chunk's self-dot in that
+chunk's slot of a list.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +71,27 @@ def _flat_data(p):
             f"with shape {p.data.shape}"
         )
     return p.data.reshape(-1)
+
+
+def _run(work, items, *args):
+    """``work(items, *args)``, with ``items`` shared out among the workers."""
+    n, executor = _executor()
+    if executor is None:
+        work(items, *args)
+        return
+    # one end marker per worker; each worker stops at the first it takes
+    todo = queue.SimpleQueue()
+    for item in items + [None] * n:
+        todo.put(item)
+    shares = [executor.submit(work, iter(todo.get, None), *args) for _ in range(n)]
+    for share in shares:
+        share.result()
+
+
+def _self_dots(items, dots):
+    """``dots[i] = g . g`` in float32 for each ``(i, g)`` of ``items``."""
+    for i, g in items:
+        dots[i] = float(np.dot(g, g))
 
 
 def _update(chunks, b1, b2, c1, c2, lr, eps, lr_wd):
@@ -125,6 +156,13 @@ class AdamW:
             for i in range(0, p.size, _CHUNK):
                 j = min(i + _CHUNK, p.size)
                 chunks.append((p[i:j], _ZEROS[: j - i] if g is None else g[i:j], m[i:j], v[i:j]))
+        dots = [0.0] * len(chunks)
+        _run(_self_dots, [(i, chunk[1]) for i, chunk in enumerate(chunks)], dots)
+        norm = math.sqrt(sum(dots))
+        if not math.isfinite(norm):
+            err = FloatingPointError(f"non-finite gradient norm {norm!r}")
+            err.norm = norm
+            raise err
         self.t += 1
         b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
         c1 = np.float32(1.0 - self.beta1**self.t)
@@ -132,17 +170,7 @@ class AdamW:
         lr = np.float32(self.lr)
         wd = np.float32(self.weight_decay)
         consts = (b1, b2, c1, c2, lr, np.float32(self.eps), lr * wd if wd != 0.0 else None)
-        n, executor = _executor()
-        if executor is None:
-            _update(chunks, *consts)
-        else:
-            # one end marker per worker; each worker stops at the first it takes
-            todo = queue.SimpleQueue()
-            for chunk in chunks + [None] * n:
-                todo.put(chunk)
-            shares = [executor.submit(_update, iter(todo.get, None), *consts) for _ in range(n)]
-            for share in shares:
-                share.result()
+        _run(_update, chunks, *consts)
 
     def state_arrays(self):
         """Moment buffers and step count, for checkpointing."""

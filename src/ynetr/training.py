@@ -118,17 +118,6 @@ def _draw(case, want_positive, rng, sampler_cfg):
         return sample, "no tumor-free window (unconstrained windows drawn)"
 
 
-def grad_norm(params):
-    """Global L2 norm of the parameter gradients (``None`` counts as zero):
-    one float32 dot product per gradient, summed as Python floats."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            flat = p.grad.reshape(-1)
-            total += float(np.dot(flat, flat))
-    return math.sqrt(total)
-
-
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -202,10 +191,10 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
         total.backward()
         # free the logits before the next forward; backward() freed the graph
         del logits, total, d, c
-        norm = grad_norm(optimizer.params)
-        if not math.isfinite(norm):
-            raise TrainingDiverged(step, norm, "gradient norm")
-        optimizer.step()
+        try:
+            optimizer.step()
+        except FloatingPointError as exc:
+            raise TrainingDiverged(step, exc.norm, "gradient norm") from exc
         history.append(rec)
         if progress is not None:
             progress(rec)

@@ -149,25 +149,26 @@ def read_vvol(path):
     if kind == "volume":
         if elem != "f32":
             raise VvolError(f"{path}: volume payload must be f32, got {elem}")
-        bad = arr.size - int(np.isfinite(arr).sum())
-        if bad:
-            raise VvolError(f"{path}: {bad} non-finite voxels (NaN or inf)")
         cls = Volume3D
     elif kind == "label":
         cls = LabelVolume
     else:
         raise VvolError(f"{path}: unknown kind {kind!r}")
     try:
+        if cls is Volume3D:
+            check_finite(arr)
         return cls(arr, spacing)
-    except ValueError as exc:  # bad spacing or label values
+    except ValueError as exc:  # non-finite voxels, bad spacing or label values
         raise VvolError(f"{path}: {exc}") from exc
 
 
-def check_finite(voxels: np.ndarray, where: str):
-    """Raise ValueError naming how many voxels are NaN or inf."""
+def check_finite(voxels: np.ndarray, where: str | None = None):
+    """Raise ValueError naming how many voxels are NaN or inf, after
+    ``where`` if given."""
     bad = voxels.size - int(np.isfinite(voxels).sum())
     if bad:
-        raise ValueError(f"{where}: {bad} non-finite voxels (NaN or inf)")
+        msg = f"{bad} non-finite voxels (NaN or inf)"
+        raise ValueError(f"{where}: {msg}" if where else msg)
 
 
 def normalize_intensity(v: Volume3D, lo: float = -175.0, hi: float = 250.0) -> Volume3D:

@@ -16,7 +16,6 @@ from ynetr.model import ModelConfig, YNetr
 from ynetr.volume import LabelVolume, Volume3D, read_vvol, write_vvol
 
 TOY_CONFIG = {
-    "name": "toy-run",
     "model": {
         "input_dims": [16, 16, 16],
         "embed_dim": 32,
@@ -96,7 +95,7 @@ def test_wavelet_outputs(tmp_path, runner):
     assert np.abs(lf.voxels + hf.voxels - src.voxels).max() <= 1e-3
 
 
-def test_full_pipeline_and_summary(tmp_path, runner):
+def test_full_pipeline(tmp_path, runner):
     cfg = _write_config(tmp_path)
     data = tmp_path / "data"
     run = tmp_path / "run"
@@ -127,14 +126,9 @@ def test_full_pipeline_and_summary(tmp_path, runner):
     )
     assert res.exit_code == 0, res.output
     metrics = json.loads((rep / "metrics.json").read_text())
+    assert set(metrics) == {"mean_dice", "per_volume", "confusion"}
     assert 0.0 <= metrics["mean_dice"] <= 1.0
     assert (rep / "report.csv").read_text().startswith("volume,dice,tp,fp,fn,tn")
-
-    res = runner.invoke(cli, ["summary", str(rep), "--out", str(tmp_path / "summary.csv")])
-    assert res.exit_code == 0, res.output
-    lines = (tmp_path / "summary.csv").read_text().splitlines()
-    assert lines[0] == "variant,dice"
-    assert len(lines) == 2
 
 
 def test_sampler_fallbacks_take_one_stderr_line(tmp_path, runner):
@@ -194,21 +188,6 @@ def test_eval_perfect_prediction(tmp_path, runner):
     assert res.exit_code == 0, res.output
     metrics = json.loads((tmp_path / "r" / "metrics.json").read_text())
     assert metrics["mean_dice"] == 1.0
-
-
-def test_summary_sorted_descending(tmp_path, runner):
-    dirs = []
-    for i, dice in enumerate([0.4, 0.9, 0.7]):
-        d = tmp_path / f"run{i}"
-        d.mkdir()
-        (d / "metrics.json").write_text(json.dumps({"name": f"variant-{i}", "mean_dice": dice}))
-        dirs.append(str(d))
-    res = runner.invoke(cli, ["summary", *dirs, "--out", str(tmp_path / "s.csv")])
-    assert res.exit_code == 0, res.output
-    rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[0] for r in rows] == ["variant-1", "variant-2", "variant-0"]
-    dices = [float(r.split(",")[1]) for r in rows]
-    assert dices == sorted(dices, reverse=True)
 
 
 class TestExitCodes:
@@ -299,19 +278,21 @@ class TestExitCodes:
             ("train.loss", "kind", "dice_ce"),
             ("train.loss", "dice_eps", 1e-5),
             ("inference", "blend", "uniform"),
+            ("", "name", "run"),
         ],
     )
     def test_removed_config_key_is_2(self, tmp_path, runner, section, key, value):
         # echoes written before these keys were removed carry them with these values
         doc = json.loads(json.dumps(TOY_CONFIG))
         target = doc
-        for part in section.split("."):
+        for part in filter(None, section.split(".")):
             target = target.setdefault(part, {})
         target[key] = value
         cfg = _write_config(tmp_path, doc)
         res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
-        assert res.output.splitlines() == [f"config-error: {section}: unknown keys ['{key}']"]
+        where = f"{section}: unknown keys" if section else "unknown top-level keys"
+        assert res.output.splitlines() == [f"config-error: {where} ['{key}']"]
 
     @pytest.mark.parametrize(
         "extra, message",

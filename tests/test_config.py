@@ -14,7 +14,6 @@ from ynetr.config import (
 
 def minimal_dict(**overrides):
     data = {
-        "name": "toy",
         "model": {
             "input_dims": [32, 32, 32],
             "embed_dim": 64,
@@ -70,7 +69,7 @@ def test_canonical_form_is_fixed_point():
     # canonical form spells out every default
     doc = json.loads(text)
     assert set(doc) == {
-        "name", "intensity", "model", "sampler", "train", "inference", "phantom",
+        "intensity", "model", "sampler", "train", "inference", "phantom",
     }
     assert doc["train"]["loss"]["alpha"] == 0.5
 
@@ -79,7 +78,7 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal_dict()))
     cfg = load_run_config(path)
-    assert cfg.name == "toy"
+    assert cfg.model.embed_dim == 64
     assert run_config_to_dict(cfg)["train"]["steps_per_epoch"] == 2
 
 
@@ -126,7 +125,7 @@ def test_removed_keys_are_unknown():
         ("model", "decoder_channels", [64, 64, 32, 16, True],
          r"model.decoder_channels\[4\]: expected int, got bool"),
         ("model", "zero_init_head", 1, "model.zero_init_head: expected bool, got int"),
-        (None, "name", ["toy"], "name: expected str, got list"),
+        (None, "intensity", [-175.0, 250.0], "intensity: expected an object, got list"),
         ("model", "num_heads", 0, "must be >= 1"),
         ("sampler", "window", {"x": 32},
          r"sampler.window: expected tuple\[int, int, int\], got dict"),
@@ -152,8 +151,6 @@ def test_nested_and_optional_values_are_checked():
     want = r"phantom.spec.liver_center: expected tuple\[float, float, float\] \| None, got list"
     with pytest.raises(ConfigError, match=want):
         run_config_from_dict(bad)
-    with pytest.raises(ConfigError, match="name: expected str, got int"):
-        run_config_from_dict(minimal_dict(name=3))
 
 
 def test_well_typed_values_accepted():

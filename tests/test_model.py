@@ -15,12 +15,13 @@ from ynetr.model import (
 )
 
 
-def unpatchify(seq):
-    """Inverse of :func:`patchify`: tokens back to a (C, X, Y, Z) tensor."""
-    gx, gy, gz = seq.grid
-    p, c = seq.patch, seq.channels
+def unpatchify(tokens, dims, p):
+    """Inverse of :func:`patchify`: (N, P^3*C) tokens back to a (C, X, Y, Z)
+    tensor of spatial ``dims``."""
+    gx, gy, gz = (d // p for d in dims)
+    c = tokens.shape[1] // p**3
     return (
-        seq.tokens.reshape(gx, gy, gz, p, p, p, c)
+        tokens.reshape(gx, gy, gz, p, p, p, c)
         .permute(6, 0, 3, 1, 4, 2, 5)
         .reshape(c, gx * p, gy * p, gz * p)
     )
@@ -61,17 +62,16 @@ def tiny_config(**overrides):
 class TestPatchify:
     def test_token_count_32(self):
         x = Tensor(np.zeros((1, 32, 32, 32), dtype=np.float32))
-        seq = patchify(x, 16)
-        assert seq.tokens.shape == (8, 4096)
+        assert patchify(x, 16).shape == (8, 4096)
 
     def test_token_count_16(self):
         x = Tensor(np.zeros((1, 16, 16, 16), dtype=np.float32))
-        assert patchify(x, 16).tokens.shape == (1, 4096)
+        assert patchify(x, 16).shape == (1, 4096)
 
     def test_roundtrip_bitwise(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 32, 32, 32)).astype(np.float32)
-        back = unpatchify(patchify(Tensor(x), 16))
+        back = unpatchify(patchify(Tensor(x), 16), x.shape[1:], 16)
         assert back.data.tobytes() == x.tobytes()
 
     def test_indivisible_dims(self):
@@ -85,9 +85,8 @@ class TestPatchify:
             dims = tuple(int(rng.integers(1, 4)) * p for _ in range(3))
             c = int(rng.integers(1, 3))
             x = Tensor(np.zeros((c, *dims), dtype=np.float32))
-            seq = patchify(x, p)
             n = (dims[0] * dims[1] * dims[2]) // p**3
-            assert seq.tokens.shape == (n, p**3 * c)
+            assert patchify(x, p).shape == (n, p**3 * c)
 
 
 class TestConfigValidation:
@@ -115,7 +114,7 @@ class TestEncoder:
         enc = model.lf_branch.encoder
         x = Tensor(np.random.default_rng(2).standard_normal((1, 32, 32, 32)).astype(np.float32))
         taps = enc(x)
-        h = enc.embed(patchify(x, 16).tokens) + enc.pos
+        h = enc.embed(patchify(x, 16)) + enc.pos
         want = []
         for layer, block in enumerate(enc.blocks, start=1):
             h = block(h)
@@ -135,8 +134,7 @@ class TestEncoder:
         enc.embed.bias.data[...] = 0.0
         enc.pos.data[...] = 0.0
         x = Tensor(np.zeros((1, 32, 32, 32), dtype=np.float32))
-        seq = patchify(x, 16)
-        h = enc.embed(seq.tokens) + enc.pos
+        h = enc.embed(patchify(x, 16)) + enc.pos
         block = enc.blocks[0]
         weights = attention_weights(block.attn, block.ln1(h))
         np.testing.assert_allclose(weights, 1.0 / 8.0, atol=1e-6)

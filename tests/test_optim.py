@@ -157,6 +157,28 @@ def test_shape_mismatch_leaves_every_parameter_untouched():
     assert opt.t == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_leaves_every_parameter_untouched(monkeypatch, workers, bad):
+    params, _ = _twin_params(9)
+    rng = np.random.default_rng(10)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(optim, "_pool", (os.getpid(), workers, pool if workers > 1 else None))
+        opt = AdamW(params, lr=1e-3)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()  # nonzero moments, so that any update would show
+        for p in params:
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        params[4].grad[-1] = bad  # in the last chunk of a three-chunk parameter
+        before = _state_bytes(params, opt)
+        with pytest.raises(FloatingPointError, match=f"non-finite gradient norm {bad!r}") as err:
+            opt.step()
+    assert repr(err.value.norm) == repr(bad)
+    assert _state_bytes(params, opt) == before
+    assert opt.t == 1
+
+
 def test_load_state_rejects_mismatched_second_moment():
     opt = AdamW([_param([1.0, 2.0])], lr=1e-3)
     with pytest.raises(ValueError, match="'v' shape"):

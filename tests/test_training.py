@@ -22,7 +22,6 @@ from ynetr.training import (
     StepRecord,
     TrainConfig,
     TrainingDiverged,
-    grad_norm,
     prepare_case,
     train,
     write_history_csv,
@@ -277,16 +276,6 @@ class TestNonFiniteGradient:
         assert param_bytes(model) == before
         assert opt.t == 0
         assert not any(m.any() for m in opt.m + opt.v)
-
-    def test_grad_norm(self):
-        a = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
-        b = Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
-        c = Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)
-        a.grad = np.array([3.0], dtype=np.float32)
-        b.grad = np.array([[0.0, 4.0], [0.0, 0.0]], dtype=np.float32)
-        assert grad_norm([a, b, c]) == 5.0
-        b.grad[1, 1] = np.inf
-        assert grad_norm([a, b, c]) == np.inf
 
 
 class TestRestoreOptimizerValidation:
