@@ -29,14 +29,10 @@ class ConfigMismatchError(CheckpointError):
     """Checkpoint was produced by a differently configured model."""
 
 
-def model_config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
 def model_config_from_dict(d) -> ModelConfig:
     try:
-        return build_config(ModelConfig, d, "model_config").validate()
-    except (ConfigError, ValueError) as exc:
+        return build_config(ModelConfig, d, "model_config")
+    except ConfigError as exc:
         raise CheckpointError(f"invalid model config: {exc}") from exc
 
 
@@ -64,7 +60,7 @@ def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, step: in
         }
     meta = {
         "step": int(step),
-        "model_config": model_config_to_dict(model.cfg),
+        "model_config": asdict(model.cfg),
         "optimizer": opt_meta,
         "extra": extra or {},
     }
@@ -152,9 +148,7 @@ def restore_model(ckpt: Checkpoint) -> YNetr:
 
 
 def load_into(model: YNetr, ckpt: Checkpoint):
-    stored = ckpt.meta["model_config"]
-    current = model_config_to_dict(model.cfg)
-    if _normalize(stored) != _normalize(current):
+    if model_config_from_dict(ckpt.meta["model_config"]) != model.cfg:
         raise ConfigMismatchError(
             "checkpoint model config does not match the target model"
         )
@@ -205,7 +199,3 @@ def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
         raise CheckpointError(str(exc)) from exc
     for key in ("lr", "beta1", "beta2", "eps", "weight_decay"):
         setattr(optimizer, key, float(meta[key]))
-
-
-def _normalize(d):
-    return json.loads(json.dumps(d, sort_keys=True))

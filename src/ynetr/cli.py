@@ -31,7 +31,7 @@ from .config import (
     write_config_echo,
 )
 from .inference import InferenceConfig, infer_volume
-from .metrics import confusion, evaluate
+from .metrics import evaluate
 from .model import YNetr
 from .phantom import PhantomError, generate_phantom
 from .training import TrainingDiverged, prepare_case, train, write_history_csv
@@ -158,8 +158,6 @@ def infer(ckpt_path, out_dir, inputs):
         extra = ckpt.meta.get("extra", {})
         hu = build_config(IntensityConfig, extra.get("intensity", {}), "extra.intensity")
         inf = build_config(InferenceConfig, extra.get("inference", {}), "extra.inference")
-        hu.validate()
-        inf.validate()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         window = model.cfg.input_dims
@@ -195,11 +193,10 @@ def eval_cmd(pred_dir, gt_dir, out_dir):
             if not gt_path.exists():
                 raise VvolError(f"missing ground truth {gt_path}")
             gts.append(read_vvol(gt_path))
-        dices, mean, totals = evaluate(preds, gts)
+        dices, mean, totals, counts = evaluate(preds, gts)
         with open(out / "report.csv", "w") as fh:
             fh.write("volume,dice,tp,fp,fn,tn\n")
-            for stem, d, p, g in zip(stems, dices, preds, gts):
-                c = confusion(p, g)
+            for stem, d, c in zip(stems, dices, counts):
                 fh.write(f"{stem},{d!r},{c.tp},{c.fp},{c.fn},{c.tn}\n")
             fh.write(f"mean,{mean!r},{totals.tp},{totals.fp},{totals.fn},{totals.tn}\n")
         with open(out / "metrics.json", "w") as fh:

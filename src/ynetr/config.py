@@ -1,7 +1,10 @@
 """Run configuration: one JSON document wiring every pipeline stage.
 
-Loading is strict: unknown keys, and values that do not fit a field's
-type annotation, are rejected at every level. The canonical
+Loading is strict: unknown keys, values that do not fit a field's type
+annotation, and non-finite floats are rejected at every level. Every
+config object checks its own values when it is built, so a constructed
+config is a valid one; a loading error names the section it comes from
+(``model: encoder depth must be divisible by 4, got 5``). The canonical
 re-serialization spells out every default, so a config echo fully
 determines a run.
 """
@@ -9,6 +12,7 @@ determines a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -30,10 +34,9 @@ class IntensityConfig:
     lo: float = -175.0
     hi: float = 250.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.lo >= self.hi:
-            raise ConfigError(f"intensity window needs lo < hi, got [{self.lo}, {self.hi}]")
-        return self
+            raise ValueError(f"intensity window needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass
@@ -41,11 +44,9 @@ class PhantomRunConfig:
     count: int = 4
     spec: PhantomSpec = field(default_factory=PhantomSpec)
 
-    def validate(self):
+    def __post_init__(self):
         if self.count < 0:
-            raise ConfigError("phantom count must be nonnegative")
-        self.spec.validate()
-        return self
+            raise ValueError("phantom count must be nonnegative")
 
 
 @dataclass
@@ -57,22 +58,12 @@ class RunConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     phantom: PhantomRunConfig = field(default_factory=PhantomRunConfig)
 
-    def validate(self):
-        try:
-            self.intensity.validate()
-            self.model.validate()
-            self.sampler.validate()
-            self.train.validate()
-            self.inference.validate()
-            self.phantom.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if tuple(self.sampler.window) != tuple(self.model.input_dims):
+    def __post_init__(self):
+        if self.sampler.window != self.model.input_dims:
             raise ConfigError(
                 f"sampler window {self.sampler.window} must equal model input dims "
                 f"{self.model.input_dims}"
             )
-        return self
 
 
 def _type_name(tp):
@@ -103,11 +94,15 @@ def _check(tp, value, key):
     elif isinstance(value, bool):
         if tp is bool:
             return value
-    elif tp is float and isinstance(value, int):
+    elif tp is float and isinstance(value, (int, float)):
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             got = "int out of float range"
+        else:
+            if math.isfinite(value):
+                return value
+            raise ConfigError(f"{key}: expected a finite float, got {value!r}")
     elif isinstance(value, tp):
         return value
     raise ConfigError(f"{key}: expected {_type_name(tp)}, got {got}")
@@ -135,7 +130,7 @@ def build_config(cls, data, path):
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    return build_config(RunConfig, data, "").validate()
+    return build_config(RunConfig, data, "")
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:

@@ -22,10 +22,11 @@ class InferenceConfig:
     overlap: float = 0.5
     threshold: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
-        return self
+        if not 0.0 <= self.threshold < 1.0:
+            raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
 
 
 @dataclass
@@ -67,7 +68,7 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     (probability Volume3D, mask LabelVolume) at the input shape; a
     volume with NaN or inf voxels raises ValueError.
     """
-    cfg = (cfg or InferenceConfig()).validate()
+    cfg = cfg or InferenceConfig()
     check_finite(volume.voxels, "inference volume")
     orig = volume.voxels.shape
     padded = pad_to_window(volume.voxels, window)

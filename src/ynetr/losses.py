@@ -23,10 +23,9 @@ class LossConfig:
 
     alpha: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        return self
 
 
 def dice_loss(target, fg_prob, eps=DICE_EPS):

@@ -49,13 +49,12 @@ def dice_coefficient(c: ConfusionCounts) -> float:
 
 
 def evaluate(preds, gts):
-    """Per-volume Dice scores, their mean, and pooled confusion totals."""
+    """Per-volume Dice scores, their mean, pooled confusion totals, and the
+    per-volume confusion counts."""
     if len(preds) != len(gts):
         raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
-    dices, totals = [], ConfusionCounts(0, 0, 0, 0)
-    for p, g in zip(preds, gts):
-        c = confusion(p, g)
-        dices.append(dice_coefficient(c))
-        totals = totals + c
+    counts = [confusion(p, g) for p, g in zip(preds, gts)]
+    dices = [dice_coefficient(c) for c in counts]
+    totals = sum(counts, ConfusionCounts(0, 0, 0, 0))
     mean = float(np.mean(dices)) if dices else 0.0
-    return dices, mean, totals
+    return dices, mean, totals, counts

@@ -38,8 +38,6 @@ class ModelConfig:
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
-
-    def validate(self):
         if any(d % PATCH for d in self.input_dims):
             raise ValueError(f"input dims {self.input_dims} must be divisible by {PATCH}")
         sizes = (*self.input_dims, self.embed_dim, self.num_heads, self.mlp_ratio,
@@ -54,7 +52,6 @@ class ModelConfig:
             )
         if len(self.decoder_channels) != 5:
             raise ValueError("decoder_channels must list 4 pyramid scales plus the stem")
-        return self
 
     @property
     def grid(self):
@@ -236,7 +233,6 @@ class YNetr(nn.Module):
     """The full dual-encoder network."""
 
     def __init__(self, cfg: ModelConfig):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.init_seed)
         self.lf_branch = TransformerBranch(rng, cfg)

@@ -62,8 +62,6 @@ class PhantomSpec:
             self.liver_center = tuple((n - 1) / 2.0 for n in self.shape)
         if self.liver_semi_axes is None:
             self.liver_semi_axes = tuple(0.42 * n for n in self.shape)
-
-    def validate(self):
         lo, hi = self.tumor_volume_cm3
         if not (0 < lo <= hi):
             raise ValueError(f"tumor volume range must be positive, got {self.tumor_volume_cm3}")
@@ -74,7 +72,6 @@ class PhantomSpec:
             raise ValueError("invalid phantom geometry")
         if self.boundary_noise < 0 or self.boundary_noise >= 0.5:
             raise ValueError("boundary noise amplitude must be in [0, 0.5)")
-        return self
 
 
 def _superellipsoid_volume_mm3(semi_axes, p):
@@ -103,7 +100,6 @@ def _radial_field(center, semi_vox, p, bbox):
 
 def generate_phantom(spec: PhantomSpec, return_info=False):
     """Build (Volume3D, LabelVolume) from a spec; bitwise-deterministic."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.shape
     sx, sy, sz = spec.spacing_mm

@@ -31,13 +31,10 @@ class SamplerConfig:
 
     def __post_init__(self):
         self.window = tuple(int(w) for w in self.window)
-
-    def validate(self):
         if any(w < 1 for w in self.window):
             raise ValueError(f"window dims must be positive, got {self.window}")
         if self.jitter_max < 0:
             raise ValueError("jitter_max must be nonnegative")
-        return self
 
 
 @dataclass

@@ -49,13 +49,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ValueError("epochs and steps_per_epoch must be >= 1")
-        self.loss.validate()
-        return self
 
     @property
     def total_steps(self):
@@ -165,8 +163,6 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
     Windows drawn in place of one the case cannot supply are counted per
     case and reason and summed up in one warning when ``train`` returns.
     """
-    cfg.validate()
-    sampler_cfg.validate()
     if not cases:
         raise ValueError("training needs at least one case")
     _keep_freed_heap()

@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import ynetr
+import ynetr.cli as cli_module
 from ynetr.autograd import Tensor, _build_tape
 from ynetr.checkpoint import save_checkpoint
 from ynetr.cli import cli
+from ynetr.metrics import confusion
 from ynetr.model import ModelConfig, YNetr
 from ynetr.volume import LabelVolume, Volume3D, read_vvol, write_vvol
 
@@ -190,6 +192,36 @@ def test_eval_perfect_prediction(tmp_path, runner):
     assert metrics["mean_dice"] == 1.0
 
 
+def test_eval_takes_one_confusion_pass_per_volume(tmp_path, runner, monkeypatch):
+    gt_dir = tmp_path / "gt"
+    pred_dir = tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    rng = np.random.default_rng(1)
+    want = []
+    for i in range(3):
+        pred, gt = (rng.random((2, 8, 8, 8)) < 0.3).astype(np.uint8)
+        write_vvol(LabelVolume(gt, (1, 1, 1)), gt_dir / f"case_{i}.label.vvol")
+        write_vvol(LabelVolume(pred, (1, 1, 1)), pred_dir / f"case_{i}.pred.vvol")
+        c = confusion(pred, gt)
+        want.append(f"{c.tp},{c.fp},{c.fn},{c.tn}")
+    calls = []
+
+    def counting(pred, gt):
+        calls.append(1)
+        return confusion(pred, gt)
+
+    monkeypatch.setattr(ynetr.metrics, "confusion", counting)
+    monkeypatch.setattr(cli_module, "confusion", counting, raising=False)
+    res = runner.invoke(
+        cli, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "r")]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 3
+    rows = (tmp_path / "r" / "report.csv").read_text().splitlines()[1:4]
+    assert [row.split(",", 2)[2] for row in rows] == want
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, runner):
         bad = dict(TOY_CONFIG)
@@ -265,6 +297,14 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert res.output.splitlines() == ["config-error: train.epochs: expected int, got str"]
 
+    def test_out_of_range_config_value_names_its_section(self, tmp_path, runner):
+        cfg = _write_config(tmp_path, {"model": {"depth": 5}})
+        res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "config-error: model: encoder depth must be divisible by 4, got 5"
+        ]
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -302,7 +342,9 @@ class TestExitCodes:
             ({"inference": {"overlap": "x"}},
              "config-error: extra.inference.overlap: expected float, got str"),
             ({"intensity": {"lo": 300.0, "hi": 250.0}},
-             "config-error: intensity window needs lo < hi, got [300.0, 250.0]"),
+             "config-error: extra.intensity: intensity window needs lo < hi, got [300.0, 250.0]"),
+            ({"intensity": {"hi": float("inf")}},
+             "config-error: extra.intensity.hi: expected a finite float, got inf"),
         ],
     )
     def test_infer_bad_checkpoint_settings_is_2(self, tmp_path, runner, extra, message):

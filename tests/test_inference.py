@@ -145,4 +145,10 @@ class TestInferVolume:
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            InferenceConfig(overlap=1.5).validate()
+            InferenceConfig(overlap=1.5)
+
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, -0.1])
+    def test_threshold_outside_unit_interval_is_rejected(self, threshold):
+        # prob > threshold would give an all-empty (>= 1) or all-full (< 0) mask
+        with pytest.raises(ValueError, match="threshold must be in"):
+            InferenceConfig(threshold=threshold)

@@ -137,7 +137,7 @@ class TestBlend:
 class TestLossConfig:
     def test_validate(self):
         with pytest.raises(ValueError):
-            LossConfig(alpha=-0.1).validate()
+            LossConfig(alpha=-0.1)
 
     def test_onehot(self):
         lbl = np.array([[[0.0, 1.0]]], dtype=np.float32)

@@ -80,7 +80,7 @@ class TestDiceCoefficient:
 class TestEvaluate:
     def test_single_perfect(self):
         gt = (np.arange(8).reshape(2, 2, 2) % 2).astype(np.uint8)
-        dices, mean, totals = evaluate([gt], [gt])
+        dices, mean, totals, _ = evaluate([gt], [gt])
         assert dices == [1.0]
         assert mean == 1.0
         assert totals.fp == 0 and totals.fn == 0
@@ -88,7 +88,7 @@ class TestEvaluate:
     def test_mean_of_extremes(self):
         ones = np.ones((2, 2, 2), dtype=np.uint8)
         zeros = np.zeros((2, 2, 2), dtype=np.uint8)
-        dices, mean, _ = evaluate([ones, ones], [ones, zeros])
+        dices, mean, _, _ = evaluate([ones, ones], [ones, zeros])
         assert dices == [1.0, 0.0]
         assert mean == 0.5
 
@@ -96,13 +96,15 @@ class TestEvaluate:
         rng = np.random.default_rng(10)
         preds = [(rng.random((3, 2, 2)) < 0.5).astype(np.uint8) for _ in range(3)]
         gts = [(rng.random((3, 2, 2)) < 0.5).astype(np.uint8) for _ in range(3)]
-        dices, mean, _ = evaluate(preds, gts)
-        expected = []
+        dices, mean, _, counts = evaluate(preds, gts)
+        expected, expected_counts = [], []
         for p, g in zip(preds, gts):
             tp, fp, fn, _ = brute_force_confusion(p, g)
+            expected_counts.append((tp, fp, fn))
             expected.append(1.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn))
         np.testing.assert_allclose(dices, expected, rtol=1e-12)
         np.testing.assert_allclose(mean, np.mean(expected), rtol=1e-12)
+        assert [(c.tp, c.fp, c.fn) for c in counts] == expected_counts
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

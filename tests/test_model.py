@@ -92,20 +92,19 @@ class TestPatchify:
 class TestConfigValidation:
     def test_defaults_valid(self):
         cfg = ModelConfig(input_dims=(128, 128, 128))
-        cfg.validate()
         assert cfg.num_tokens == 512
 
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
-            tiny_config(input_dims=(40, 32, 32)).validate()
+            tiny_config(input_dims=(40, 32, 32))
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
-            tiny_config(depth=10).validate()
+            tiny_config(depth=10)
 
     def test_rejects_bad_heads(self):
         with pytest.raises(ValueError):
-            tiny_config(embed_dim=64, num_heads=5).validate()
+            tiny_config(embed_dim=64, num_heads=5)
 
 
 class TestEncoder:

@@ -161,6 +161,6 @@ class TestGeneratePhantom:
 
     def test_validate_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            PhantomSpec(tumor_volume_cm3=(0.0, 1.0)).validate()
+            PhantomSpec(tumor_volume_cm3=(0.0, 1.0))
         with pytest.raises(ValueError):
-            PhantomSpec(tumor_count=(3, 1)).validate()
+            PhantomSpec(tumor_count=(3, 1))
