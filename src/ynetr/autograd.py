@@ -15,7 +15,9 @@ closures save:
   and only when that side needs a gradient;
 * sqrt, softmax and log_softmax their output; relu its mask; gelu its
   input and Phi(x);
-* conv3d and conv_transpose3d the input and the weight.
+* conv3d (same-size: odd k, stride 1, padding k // 2) and
+  conv_transpose3d (an up-step: kernel == stride, no padding) the input
+  and the weight, whose shape fixes the stride and the padding.
 
 So a value that no closure reads, such as a conv output before its bias
 is added, is freed as soon as the caller drops its tensor.
@@ -409,21 +411,26 @@ def layer_norm(x, weight, bias, axis=-1, eps=1e-5):
     return xhat * weight + bias
 
 
-def conv3d(x, w, stride=1, padding=0):
-    """3-D convolution; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k)."""
+def conv3d(x, w):
+    """Same-size 3-D convolution; ``x`` is (Cin, X, Y, Z), ``w`` is
+    (Cout, Cin, k, k, k) with odd k, so stride 1 and padding k // 2."""
     x, w = _wrap(x), _wrap(w)
     xd, wd = x.data, w.data
-    out = Tensor(_ck.conv3d_forward(xd, wd, stride, padding))
-    return out._record((x, w), lambda g: _ck.conv3d_backward(xd, wd, g, stride, padding))
+    pad = wd.shape[2] // 2
+    out = Tensor(_ck.conv3d_forward(xd, wd, 1, pad))
+    return out._record((x, w), lambda g: _ck.conv3d_backward(xd, wd, g, 1, pad))
 
 
-def conv_transpose3d(x, w, stride=1, padding=0):
-    """Transposed 3-D convolution; ``w`` is (Cin, Cout, k, k, k).
+def conv_transpose3d(x, w):
+    """Transposed 3-D convolution with kernel == stride s and no padding,
+    an s-fold up-step; ``w`` is (Cin, Cout, s, s, s).
 
-    With conv3d's weight reinterpreted this way, this is conv3d's exact
-    adjoint: <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>.
+    With conv3d's weight reinterpreted this way, this is the exact adjoint
+    of the stride-s conv3d without padding:
+    <conv(x, w), y> == <x, conv_transpose3d(y, w)>.
     """
     x, w = _wrap(x), _wrap(w)
     xd, wd = x.data, w.data
-    out = Tensor(_ck.convt3d_forward(xd, wd, stride, padding))
-    return out._record((x, w), lambda g: _ck.convt3d_backward(xd, wd, g, stride, padding))
+    s = wd.shape[2]
+    out = Tensor(_ck.convt3d_forward(xd, wd, s, 0))
+    return out._record((x, w), lambda g: _ck.convt3d_backward(xd, wd, g, s, 0))

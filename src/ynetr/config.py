@@ -2,8 +2,9 @@
 
 Loading is strict: unknown keys, values that do not fit a field's type
 annotation, and non-finite floats are rejected at every level. Every
-config object checks its own values when it is built, so a constructed
-config is a valid one; a loading error names the section it comes from
+config object checks its own values when it is built and is frozen
+(``dataclasses.replace`` builds and checks a new one), so a constructed
+config is and stays a valid one; a loading error names the section it comes from
 (``model: encoder depth must be divisible by 4, got 5``). The canonical
 re-serialization spells out every default, so a config echo fully
 determines a run.
@@ -29,7 +30,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntensityConfig:
     lo: float = -175.0
     hi: float = 250.0
@@ -39,7 +40,7 @@ class IntensityConfig:
             raise ValueError(f"intensity window needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhantomRunConfig:
     count: int = 4
     spec: PhantomSpec = field(default_factory=PhantomSpec)
@@ -49,7 +50,7 @@ class PhantomRunConfig:
             raise ValueError("phantom count must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     intensity: IntensityConfig = field(default_factory=IntensityConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -78,13 +79,9 @@ def _check(tp, value, key):
         return build_config(tp, value, key)
     origin, args = get_origin(tp), get_args(tp)
     got = type(value).__name__
-    if origin in (Union, UnionType):
-        for arm in args:
-            try:
-                return _check(arm, value, key)
-            except ConfigError:
-                pass
-    elif origin is tuple:
+    if origin in (Union, UnionType):  # X | None, the only unions in a config
+        return None if value is None else _check(args[0], value, key)
+    if origin is tuple:
         if isinstance(value, (list, tuple)):
             if len(args) == len(value):
                 return tuple(

@@ -17,7 +17,7 @@ from .volume import LabelVolume, Volume3D, check_finite
 from .wavelet import split_frequency
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceConfig:
     overlap: float = 0.5
     threshold: float = 0.5

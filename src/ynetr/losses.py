@@ -17,7 +17,7 @@ from .autograd import Tensor, _wrap
 DICE_EPS = 1e-5
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """``alpha`` 1.0 trains on Dice alone, 0.0 on cross entropy alone."""
 
@@ -28,13 +28,13 @@ class LossConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-def dice_loss(target, fg_prob, eps=DICE_EPS):
-    """1 - 2*sum(G*Y) / (sum(G) + sum(Y) + eps), differentiable in Y."""
+def dice_loss(target, fg_prob):
+    """1 - 2*sum(G*Y) / (sum(G) + sum(Y) + DICE_EPS), differentiable in Y."""
     target, fg_prob = _wrap(target), _wrap(fg_prob)
     if target.shape != fg_prob.shape:
         raise ValueError(f"shape mismatch: {target.shape} vs {fg_prob.shape}")
     overlap = (target * fg_prob).sum()
-    denom = target.sum() + fg_prob.sum() + eps
+    denom = target.sum() + fg_prob.sum() + DICE_EPS
     return 1.0 - (2.0 * overlap) / denom
 
 
@@ -59,7 +59,7 @@ def label_onehot(labels) -> Tensor:
     return Tensor(np.stack([1.0 - fg, fg]))
 
 
-def dice_ce_loss(labels, logits, alpha=0.5, eps=DICE_EPS):
+def dice_ce_loss(labels, logits, alpha=0.5):
     """Blend alpha * dice + (1 - alpha) * ce on logits for binary labels.
 
     Returns (total, dice_term, ce_term); the endpoints alpha=1 and
@@ -69,7 +69,7 @@ def dice_ce_loss(labels, logits, alpha=0.5, eps=DICE_EPS):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     labels, logits = _wrap(labels), _wrap(logits)
     onehot = label_onehot(labels)
-    d = dice_loss(onehot[1], logits.softmax(axis=0)[1], eps=eps)
+    d = dice_loss(onehot[1], logits.softmax(axis=0)[1])
     c = cross_entropy_loss(onehot, logits)
     if alpha == 1.0:
         total = d

@@ -24,7 +24,7 @@ from .autograd import Tensor, no_grad
 PATCH = 16  # patch edge in voxels; the decoder's four 2x up-steps return to full size
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     input_dims: tuple[int, int, int] = (128, 128, 128)
     embed_dim: int = 768
@@ -36,8 +36,8 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        self.input_dims = tuple(int(d) for d in self.input_dims)
-        self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
+        object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
+        object.__setattr__(self, "decoder_channels", tuple(int(c) for c in self.decoder_channels))
         if any(d % PATCH for d in self.input_dims):
             raise ValueError(f"input dims {self.input_dims} must be divisible by {PATCH}")
         sizes = (*self.input_dims, self.embed_dim, self.num_heads, self.mlp_ratio,
@@ -145,8 +145,8 @@ class UpProjection(nn.Module):
     """Chain of stride-2 transposed convs lifting a tap to its scale."""
 
     def __init__(self, rng, cin, cout, n_up):
-        ups = [nn.ConvTranspose3d(rng, cin, cout, 2, stride=2)]
-        ups += [nn.ConvTranspose3d(rng, cout, cout, 2, stride=2) for _ in range(n_up - 1)]
+        ups = [nn.ConvTranspose3d(rng, cin, cout)]
+        ups += [nn.ConvTranspose3d(rng, cout, cout) for _ in range(n_up - 1)]
         self.ups = nn.ModuleList(ups)
 
     def forward(self, x):
@@ -159,8 +159,8 @@ class Stem(nn.Module):
     """Two full-resolution convs on the one-channel branch input."""
 
     def __init__(self, rng, cout):
-        self.conv1 = nn.Conv3d(rng, 1, cout, 3, padding=1)
-        self.conv2 = nn.Conv3d(rng, cout, cout, 3, padding=1)
+        self.conv1 = nn.Conv3d(rng, 1, cout, 3)
+        self.conv2 = nn.Conv3d(rng, cout, cout, 3)
 
     def forward(self, x):
         return self.conv2(self.conv1(x).relu())
@@ -172,7 +172,7 @@ class TransformerBranch(nn.Module):
         ch = cfg.decoder_channels
         e = cfg.embed_dim
         self.encoder = TransformerEncoder(rng, cfg)
-        self.proj_deep = nn.Conv3d(rng, e, ch[0], 3, padding=1)
+        self.proj_deep = nn.Conv3d(rng, e, ch[0], 3)
         self.proj_mid = UpProjection(rng, e, ch[1], 1)
         self.proj_shallow = UpProjection(rng, e, ch[2], 2)
         self.proj_top = UpProjection(rng, e, ch[3], 3)
@@ -209,13 +209,13 @@ class Decoder(nn.Module):
         self.cfg = cfg
         ch = cfg.decoder_channels
         self.ups = nn.ModuleList(
-            nn.ConvTranspose3d(rng, ch[i - 1], ch[i], 2, stride=2) for i in range(1, 4)
+            nn.ConvTranspose3d(rng, ch[i - 1], ch[i]) for i in range(1, 4)
         )
         self.convs = nn.ModuleList(
-            nn.Conv3d(rng, ch[i], ch[i], 3, padding=1) for i in range(1, 4)
+            nn.Conv3d(rng, ch[i], ch[i], 3) for i in range(1, 4)
         )
-        self.final_up = nn.ConvTranspose3d(rng, ch[3], ch[4], 2, stride=2)
-        self.final_conv = nn.Conv3d(rng, ch[4], ch[4], 3, padding=1)
+        self.final_up = nn.ConvTranspose3d(rng, ch[3], ch[4])
+        self.final_conv = nn.Conv3d(rng, ch[4], ch[4], 3)
         # background and tumour logits
         self.head = nn.Conv3d(rng, ch[4], 2, 1, zero_init=cfg.zero_init_head)
 
@@ -245,18 +245,8 @@ class YNetr(nn.Module):
         return self.decoder(fuse_add(self.lf_branch(lf), self.hf_branch(hf)))
 
     def predict(self, lf: np.ndarray, hf: np.ndarray) -> np.ndarray:
-        """Forward pass without tape recording; numpy in, numpy logits out.
-
-        Accepts bare (X, Y, Z) crops (the sliding-window contract) or
-        channel-first (C, X, Y, Z) arrays.
-        """
+        """Forward pass without tape recording on bare (X, Y, Z) crops (the
+        sliding-window contract); numpy in, (2, X, Y, Z) numpy logits out."""
         with no_grad():
-            out = self.forward(Tensor(volume_to_input(lf)), Tensor(volume_to_input(hf)))
+            out = self.forward(Tensor(lf[None]), Tensor(hf[None]))
         return out.data
-
-
-def volume_to_input(arr: np.ndarray) -> np.ndarray:
-    """Add the channel axis to a bare (X, Y, Z) volume."""
-    if arr.ndim == 3:
-        return arr[None].astype(np.float32, copy=False)
-    return arr.astype(np.float32, copy=False)

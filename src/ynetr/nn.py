@@ -12,8 +12,10 @@ import numpy as np
 from .autograd import Tensor, conv3d, conv_transpose3d, layer_norm
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until inside two standard deviations."""
+def trunc_normal(rng, shape):
+    """Normal(0, std) with std = 0.02, resampled until inside two standard
+    deviations."""
+    std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2 * std
     while bad.any():
@@ -68,29 +70,27 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    def __init__(self, rng, in_dim, out_dim, bias=True):
+    def __init__(self, rng, in_dim, out_dim):
         self.weight = Tensor.param(trunc_normal(rng, (in_dim, out_dim)))
-        self.bias = Tensor.param(np.zeros(out_dim, dtype=np.float32)) if bias else None
+        self.bias = Tensor.param(np.zeros(out_dim, dtype=np.float32))
 
     def forward(self, x):
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5):
+    def __init__(self, dim):
         self.weight = Tensor.param(np.ones(dim, dtype=np.float32))
         self.bias = Tensor.param(np.zeros(dim, dtype=np.float32))
-        self.eps = eps
 
     def forward(self, x):
-        return layer_norm(x, self.weight, self.bias, axis=-1, eps=self.eps)
+        return layer_norm(x, self.weight, self.bias, axis=-1)
 
 
 class Conv3d(Module):
-    def __init__(self, rng, cin, cout, kernel, padding=0, zero_init=False):
+    """Same-size conv: odd ``kernel``, stride 1, padding kernel // 2."""
+
+    def __init__(self, rng, cin, cout, kernel, zero_init=False):
         shape = (cout, cin, kernel, kernel, kernel)
         if zero_init:
             w = np.zeros(shape, dtype=np.float32)
@@ -98,23 +98,22 @@ class Conv3d(Module):
             w = fanin_uniform(rng, shape, cin * kernel**3)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
-        self.padding = padding
         self.cout = cout
 
     def forward(self, x):
-        out = conv3d(x, self.weight, padding=self.padding)
+        out = conv3d(x, self.weight)
         return out + self.bias.reshape(self.cout, 1, 1, 1)
 
 
 class ConvTranspose3d(Module):
-    def __init__(self, rng, cin, cout, kernel, stride=1):
-        shape = (cin, cout, kernel, kernel, kernel)
-        w = fanin_uniform(rng, shape, cin * kernel**3)
+    """The 2x up-step: a 2x2x2 transposed conv with stride 2."""
+
+    def __init__(self, rng, cin, cout):
+        w = fanin_uniform(rng, (cin, cout, 2, 2, 2), cin * 8)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
-        self.stride = stride
         self.cout = cout
 
     def forward(self, x):
-        out = conv_transpose3d(x, self.weight, stride=self.stride)
+        out = conv_transpose3d(x, self.weight)
         return out + self.bias.reshape(self.cout, 1, 1, 1)

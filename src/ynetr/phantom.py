@@ -40,7 +40,7 @@ class TumorInfo:
     achieved_cm3: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhantomSpec:
     shape: tuple[int, int, int] = (128, 128, 128)
     spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -56,12 +56,12 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.shape = tuple(int(n) for n in self.shape)
-        self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
         if self.liver_center is None:
-            self.liver_center = tuple((n - 1) / 2.0 for n in self.shape)
+            object.__setattr__(self, "liver_center", tuple((n - 1) / 2.0 for n in self.shape))
         if self.liver_semi_axes is None:
-            self.liver_semi_axes = tuple(0.42 * n for n in self.shape)
+            object.__setattr__(self, "liver_semi_axes", tuple(0.42 * n for n in self.shape))
         lo, hi = self.tumor_volume_cm3
         if not (0 < lo <= hi):
             raise ValueError(f"tumor volume range must be positive, got {self.tumor_volume_cm3}")

@@ -24,13 +24,13 @@ class NoBackgroundError(Exception):
     """A negative window was requested but no tumor-free window exists."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     window: tuple[int, int, int] = (128, 128, 128)
     jitter_max: int = 48
 
     def __post_init__(self):
-        self.window = tuple(int(w) for w in self.window)
+        object.__setattr__(self, "window", tuple(int(w) for w in self.window))
         if any(w < 1 for w in self.window):
             raise ValueError(f"window dims must be positive, got {self.window}")
         if self.jitter_max < 0:

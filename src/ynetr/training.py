@@ -40,7 +40,7 @@ class TrainingDiverged(RuntimeError):
         self.value = value
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 300

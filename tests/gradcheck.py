@@ -96,35 +96,18 @@ def primitive_cases(rng):
             lambda a, w, b: layer_norm(a, w, b, axis=-1),
             [r(4, 6), rp(6,), r(6,)],
         ),
-        (
-            "conv3d",
-            lambda x, w: conv3d(x, w, stride=1, padding=1),
-            [r(2, 3, 3, 3), r(2, 2, 3, 3, 3)],
-        ),
-        (
-            "conv3d_strided",
-            lambda x, w: conv3d(x, w, stride=2, padding=0),
-            [r(1, 4, 4, 4), r(2, 1, 2, 2, 2)],
-        ),
+        ("conv3d", lambda x, w: conv3d(x, w), [r(2, 3, 3, 3), r(2, 2, 3, 3, 3)]),
+        ("conv3d_noncubic", lambda x, w: conv3d(x, w), [r(2, 5, 4, 3), r(3, 2, 3, 3, 3)]),
+        ("conv3d_k1", lambda x, w: conv3d(x, w), [r(3, 3, 4, 2), r(2, 3, 1, 1, 1)]),
         (
             "conv_transpose3d",
-            lambda x, w: conv_transpose3d(x, w, stride=2, padding=0),
+            lambda x, w: conv_transpose3d(x, w),
             [r(2, 2, 2, 2), r(2, 1, 2, 2, 2)],
         ),
         (
-            "conv_transpose3d_pad",
-            lambda x, w: conv_transpose3d(x, w, stride=1, padding=1),
-            [r(1, 3, 3, 3), r(1, 2, 3, 3, 3)],
-        ),
-        (
-            "conv3d_noncubic_nopad",
-            lambda x, w: conv3d(x, w, stride=1, padding=0),
-            [r(2, 5, 4, 3), r(3, 2, 3, 3, 3)],
-        ),
-        (
-            "conv3d_strided_pad",
-            lambda x, w: conv3d(x, w, stride=2, padding=1),
-            [r(2, 5, 4, 3), r(2, 2, 3, 3, 3)],
+            "conv_transpose3d_k3",
+            lambda x, w: conv_transpose3d(x, w),
+            [r(2, 2, 1, 2), r(2, 1, 3, 3, 3)],
         ),
     ]
     return cases

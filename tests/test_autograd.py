@@ -102,18 +102,21 @@ def convt3d_grad_oracle(x, w, g, stride, pad):
     return gx, gw
 
 
-# (k, stride, pad) of transposed convs: k == stride, k > stride and
-# k < stride, with and without padding
+# (k, stride, pad) of transposed convs. Only k == stride without padding
+# is served; the others must be rejected.
 CONVT_CASES = [
-    (2, 2, 0), (3, 3, 0), (2, 1, 0), (3, 1, 1), (3, 1, 2), (2, 2, 1), (3, 2, 0), (3, 2, 1),
-    (2, 3, 0), (4, 2, 1), (1, 2, 0),
+    (2, 2, 0), (3, 3, 0), (1, 1, 0), (2, 1, 0), (3, 1, 1), (3, 1, 2), (2, 2, 1), (3, 2, 0),
+    (3, 2, 1), (2, 3, 0), (4, 2, 1), (1, 2, 0),
 ]
+UP_STEPS = [(k, s, p) for k, s, p in CONVT_CASES if (s, p) == (k, 0)]
+
+REJECTED = r"got stride \d+, padding \d+"
 
 
-def tape_grads(op, x, w, g, stride, pad):
+def tape_grads(op, x, w, g):
     """(gx, gw) of <op(x, w), g> through the tape."""
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    (op(xt, wt, stride=stride, padding=pad) * Tensor(g)).sum().backward()
+    (op(xt, wt) * Tensor(g)).sum().backward()
     return xt.grad, wt.grad
 
 
@@ -144,37 +147,57 @@ class TestForwardValues:
         x = rng.standard_normal((1, 4, 4, 4)).astype(np.float32)
         k = np.zeros((1, 1, 3, 3, 3), dtype=np.float32)
         k[0, 0, 1, 1, 1] = 1.0
-        out = conv3d(Tensor(x), Tensor(k), stride=1, padding=1)
+        out = conv3d(Tensor(x), Tensor(k))
         np.testing.assert_array_equal(out.data, x)
 
     def test_conv_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 0)]:
+        for k in (1, 3, 5):
             x = rng.standard_normal((2, 6, 5, 7)).astype(np.float32)
-            w = rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32)
-            got = conv3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-            want = conv3d_oracle(x, w, stride, pad)
+            w = rng.standard_normal((3, 2, k, k, k)).astype(np.float32)
+            got = conv3d(Tensor(x), Tensor(w)).data
+            want = conv3d_oracle(x, w, 1, k // 2)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_conv_transpose_matches_scatter_oracle(self):
         rng = np.random.default_rng(4)
-        for stride, pad in [(1, 0), (2, 0), (2, 1)]:
+        for s in (1, 2, 3):
             x = rng.standard_normal((2, 3, 4, 3)).astype(np.float32)
-            w = rng.standard_normal((2, 3, 2, 2, 2)).astype(np.float32)
-            got = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-            want = convt3d_oracle(x, w, stride, pad)
+            w = rng.standard_normal((2, 3, s, s, s)).astype(np.float32)
+            got = conv_transpose3d(Tensor(x), Tensor(w)).data
+            want = convt3d_oracle(x, w, s, 0)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_conv_shape_errors(self):
         x = Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32))
-        w = Tensor(np.zeros((1, 3, 3, 3, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="channels"):
-            conv3d(x, w)
-        w2 = Tensor(np.zeros((1, 2, 9, 9, 9), dtype=np.float32))
-        with pytest.raises(ValueError, match="larger than"):
-            conv3d(x, w2)
-        with pytest.raises(ValueError, match="stride"):
-            conv3d(x, Tensor(np.zeros((1, 2, 3, 3, 3), dtype=np.float32)), stride=0)
+            conv3d(x, Tensor(np.zeros((1, 3, 3, 3, 3), dtype=np.float32)))
+        with pytest.raises(ValueError, match="channels"):
+            conv_transpose3d(x, Tensor(np.zeros((3, 1, 2, 2, 2), dtype=np.float32)))
+
+    def test_conv3d_rejects_an_even_kernel(self):
+        x = Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="odd kernel, got 2"):
+            conv3d(x, Tensor(np.zeros((1, 2, 2, 2, 2), dtype=np.float32)))
+
+    @pytest.mark.parametrize("kernel, k, stride, pad", [
+        ("conv3d_forward", 3, 2, 1), ("conv3d_forward", 3, 1, 0),
+        ("conv3d_backward", 3, 2, 1), ("conv3d_backward", 3, 1, 0),
+        ("convt3d_forward", 2, 1, 0), ("convt3d_forward", 2, 2, 1),
+        ("convt3d_backward", 2, 1, 0), ("convt3d_backward", 2, 2, 1),
+    ])
+    def test_kernels_reject_a_stride_or_pad_they_do_not_serve(self, kernel, k, stride, pad):
+        # shapes the kernel would accept if it served (stride, pad)
+        x = np.zeros((2, 4, 4, 4), dtype=np.float32)
+        if kernel.startswith("conv3d"):
+            w = np.zeros((3, 2, k, k, k), dtype=np.float32)
+            out = conv3d_oracle(x, w, stride, pad).astype(np.float32)
+        else:
+            w = np.zeros((2, 3, k, k, k), dtype=np.float32)
+            out = convt3d_oracle(x, w, stride, pad).astype(np.float32)
+        args = (x, w, out, stride, pad) if kernel.endswith("backward") else (x, w, stride, pad)
+        with pytest.raises(ValueError, match=REJECTED):
+            getattr(ck, kernel)(*args)
 
 
 class TestConvBackwardOracles:
@@ -199,16 +222,24 @@ class TestConvBackwardOracles:
     @pytest.mark.parametrize("cin, cout", list(SPLITS))
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_conv_grads_match_loop_oracle(self, k, pad, stride, cin, cout):
+        # same-size convs (odd k, stride 1, pad k // 2) match the oracle;
+        # both kernels reject every other (k, stride, pad)
         rng = np.random.default_rng(100 + 9 * k + 3 * pad + stride + cout)
         x = rng.standard_normal((cin, 5, 4, 6)).astype(np.float32)
         w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
-        out = conv3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-        np.testing.assert_allclose(out, conv3d_oracle(x, w, stride, pad), rtol=1e-5, atol=1e-5)
+        if (k % 2, stride, pad) != (1, 1, k // 2):
+            with pytest.raises(ValueError, match="conv3d"):
+                ck.conv3d_forward(x, w, stride, pad)
+            with pytest.raises(ValueError, match="conv3d"):
+                ck.conv3d_backward(x, w, x, stride, pad)
+            return
+        out = conv3d(Tensor(x), Tensor(w)).data
+        np.testing.assert_allclose(out, conv3d_oracle(x, w, 1, pad), rtol=1e-5, atol=1e-5)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        gx, gw = tape_grads(conv3d, x, w, g, stride, pad)
-        want_gx, want_gw = conv3d_grad_oracle(x, w, g, stride, pad)
+        gx, gw = tape_grads(conv3d, x, w, g)
+        want_gx, want_gw = conv3d_grad_oracle(x, w, g, 1, pad)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
 
@@ -218,13 +249,13 @@ class TestConvBackwardOracles:
         rng = np.random.default_rng(300 + cin)
         x = rng.standard_normal((cin, 20, 22, 24)).astype(np.float32)
         w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
-        out = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
+        out = conv3d(Tensor(x), Tensor(w)).data
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1))).astype(np.float64)
         windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))
         want = np.einsum("ixyzabc,oiabc->oxyz", windows, w.astype(np.float64))
         np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-4)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        gx, gw = tape_grads(conv3d, x, w, g, 1, 1)
+        gx, gw = tape_grads(conv3d, x, w, g)
         want_gx, want_gw = conv3d_grad_oracle(x, w, g, 1, 1)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-3)
@@ -232,12 +263,21 @@ class TestConvBackwardOracles:
     @pytest.mark.parametrize("cout", [3, 1])
     @pytest.mark.parametrize("k, stride, pad", CONVT_CASES)
     def test_conv_transpose_grads_match_loop_oracle(self, k, stride, pad, cout):
+        # up-steps (k == stride, no padding) match the oracle; both kernels
+        # reject every other (k, stride, pad)
         rng = np.random.default_rng(200 + 9 * k + 3 * pad + stride + cout)
         x = rng.standard_normal((2, 5, 4, 6)).astype(np.float32)
         w = rng.standard_normal((2, cout, k, k, k)).astype(np.float32)
-        out = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+        if (stride, pad) != (k, 0):
+            with pytest.raises(ValueError, match="conv_transpose3d"):
+                ck.convt3d_forward(x, w, stride, pad)
+            with pytest.raises(ValueError, match="conv_transpose3d"):
+                ck.convt3d_backward(x, w, x, stride, pad)
+            return
+        out = conv_transpose3d(Tensor(x), Tensor(w)).data
+        np.testing.assert_allclose(out, convt3d_oracle(x, w, k, 0), rtol=1e-5, atol=1e-5)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        gx, gw = tape_grads(conv_transpose3d, x, w, g, stride, pad)
+        gx, gw = tape_grads(conv_transpose3d, x, w, g)
         want_gx, want_gw = convt3d_grad_oracle(x, w, g, stride, pad)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
@@ -313,14 +353,15 @@ class TestOperatorProperties:
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
     def test_conv_adjoint_identity(self):
+        # the up-step is the adjoint of the stride-s conv without padding,
+        # here the float64 loop oracle
         rng = np.random.default_rng(10)
-        for k, stride, pad in CONVT_CASES:
+        for s, _, _ in UP_STEPS:
             y = rng.standard_normal((3, 3, 4, 5)).astype(np.float32)
-            w = rng.standard_normal((3, 2, k, k, k)).astype(np.float32)
-            shape = [(n - 1) * stride + k - 2 * pad for n in y.shape[1:]]
-            x = rng.standard_normal((2, *shape)).astype(np.float32)
-            cx = conv3d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-            cty = conv_transpose3d(Tensor(y), Tensor(w), stride=stride, padding=pad).data
+            w = rng.standard_normal((3, 2, s, s, s)).astype(np.float32)
+            x = rng.standard_normal((2, *(n * s for n in y.shape[1:]))).astype(np.float32)
+            cx = conv3d_oracle(x, w, s, 0)
+            cty = conv_transpose3d(Tensor(y), Tensor(w)).data
             lhs = float((cx * y).sum(dtype=np.float64))
             rhs = float((x * cty).sum(dtype=np.float64))
             assert abs(lhs - rhs) <= 1e-4 * max(abs(lhs), abs(rhs), 1e-6)
@@ -329,20 +370,21 @@ class TestOperatorProperties:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 8, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 2, 3, 3, 3)).astype(np.float32)
-        a = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
-        b = conv3d(Tensor(x), Tensor(w), stride=1, padding=1).data
+        a = conv3d(Tensor(x), Tensor(w)).data
+        b = conv3d(Tensor(x), Tensor(w)).data
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("cin, cout, stride",
+    @pytest.mark.parametrize("cin, cout, pad",
                              [(2, 6, 1), (6, 2, 1), (3, 4, 2), (2, 1, 1), (8, 1, 1), (1, 16, 1)])
-    def test_deterministic_backward(self, cin, cout, stride):
+    def test_deterministic_backward(self, cin, cout, pad):
+        k = 2 * pad + 1
         rng = np.random.default_rng(12)
         x = rng.standard_normal((cin, 12, 10, 14)).astype(np.float32)
-        w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
-        out = conv3d(Tensor(x), Tensor(w), stride=stride, padding=1).data
+        w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+        out = conv3d(Tensor(x), Tensor(w)).data
         g = rng.standard_normal(out.shape).astype(np.float32)
-        gx1, gw1 = tape_grads(conv3d, x, w, g, stride, 1)
-        gx2, gw2 = tape_grads(conv3d, x, w, g, stride, 1)
+        gx1, gw1 = tape_grads(conv3d, x, w, g)
+        gx2, gw2 = tape_grads(conv3d, x, w, g)
         assert gx1.tobytes() == gx2.tobytes()
         assert gw1.tobytes() == gw2.tobytes()
 

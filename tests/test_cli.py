@@ -305,6 +305,14 @@ class TestExitCodes:
             "config-error: model: encoder depth must be divisible by 4, got 5"
         ]
 
+    def test_nonfinite_optional_config_value_is_2(self, tmp_path, runner):
+        cfg = _write_config(tmp_path, {"phantom": {"spec": {"liver_center": [float("nan"), 1, 2]}}})
+        res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "config-error: phantom.spec.liver_center[0]: expected a finite float, got nan"
+        ]
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

@@ -1,15 +1,24 @@
+import dataclasses
 import json
 
 import pytest
 
 from ynetr.config import (
     ConfigError,
+    IntensityConfig,
+    PhantomRunConfig,
     RunConfig,
     canonical_json,
     load_run_config,
     run_config_from_dict,
     run_config_to_dict,
 )
+from ynetr.inference import InferenceConfig
+from ynetr.losses import LossConfig
+from ynetr.model import ModelConfig
+from ynetr.phantom import PhantomSpec
+from ynetr.sampling import SamplerConfig
+from ynetr.training import TrainConfig
 
 
 def minimal_dict(**overrides):
@@ -150,11 +159,39 @@ def test_nested_and_optional_values_are_checked():
     bad["train"]["loss"] = {"alpha": "half"}
     with pytest.raises(ConfigError, match="train.loss.alpha: expected float, got str"):
         run_config_from_dict(bad)
+    # a value in an optional field is checked against the field's type alone,
+    # so the specific fault is named
     bad = minimal_dict()
     bad["phantom"]["spec"]["liver_center"] = [1.0, 2.0]
-    want = r"phantom.spec.liver_center: expected tuple\[float, float, float\] \| None, got list"
+    want = r"phantom.spec.liver_center: expected tuple\[float, float, float\], got 2 items"
     with pytest.raises(ConfigError, match=want):
         run_config_from_dict(bad)
+    bad["phantom"]["spec"]["liver_center"] = [float("nan"), 1.0, 2.0]
+    want = r"phantom.spec.liver_center\[0\]: expected a finite float, got nan"
+    with pytest.raises(ConfigError, match=want):
+        run_config_from_dict(bad)
+
+
+CONFIG_CLASSES = [IntensityConfig, ModelConfig, SamplerConfig, TrainConfig, LossConfig,
+                  InferenceConfig, PhantomSpec, PhantomRunConfig, RunConfig]
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_configs_are_frozen(cls):
+    cfg = cls()
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
+def test_replace_runs_the_checks_again():
+    with pytest.raises(ValueError, match="divisible by 4, got 6"):
+        dataclasses.replace(ModelConfig(depth=4), depth=6)
+    with pytest.raises(ValueError, match="threshold"):
+        dataclasses.replace(InferenceConfig(), threshold=1.0)
+    with pytest.raises(ConfigError, match="sampler window"):
+        dataclasses.replace(RunConfig(), sampler=SamplerConfig(window=(32, 32, 32)))
+    assert dataclasses.replace(SamplerConfig(), window=[16, 16, 16]).window == (16, 16, 16)
 
 
 def test_well_typed_values_accepted():

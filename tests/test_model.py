@@ -208,8 +208,8 @@ class TestForward:
 
     def test_deterministic_construction_and_forward(self):
         rng = np.random.default_rng(8)
-        lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
-        hf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
+        lf = rng.standard_normal((32, 32, 32)).astype(np.float32)
+        hf = rng.standard_normal((32, 32, 32)).astype(np.float32)
         a = YNetr(tiny_config(zero_init_head=False)).predict(lf, hf)
         b = YNetr(tiny_config(zero_init_head=False)).predict(lf, hf)
         assert a.tobytes() == b.tobytes()
@@ -218,9 +218,9 @@ class TestForward:
         model = YNetr(tiny_config(zero_init_head=False))
         zero_branch_projections(model, "hf")
         rng = np.random.default_rng(9)
-        lf = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
+        lf = rng.standard_normal((32, 32, 32)).astype(np.float32)
         outs = [
-            model.predict(lf, rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
+            model.predict(lf, rng.standard_normal((32, 32, 32)).astype(np.float32))
             for _ in range(3)
         ]
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
