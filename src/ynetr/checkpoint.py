@@ -25,10 +25,6 @@ class CheckpointError(Exception):
     pass
 
 
-class ConfigMismatchError(CheckpointError):
-    """Checkpoint was produced by a differently configured model."""
-
-
 def model_config_from_dict(d) -> ModelConfig:
     try:
         return build_config(ModelConfig, d, "model_config")
@@ -141,27 +137,19 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> YNetr:
-    """Build a model from the stored config and load its parameters."""
+    """Build a model from the stored config and load its parameters; a
+    parameter that is missing or has another shape raises CheckpointError."""
     model = YNetr(model_config_from_dict(ckpt.meta["model_config"]))
-    load_into(model, ckpt)
-    return model
-
-
-def load_into(model: YNetr, ckpt: Checkpoint):
-    if model_config_from_dict(ckpt.meta["model_config"]) != model.cfg:
-        raise ConfigMismatchError(
-            "checkpoint model config does not match the target model"
-        )
     for name, p in model.named_parameters():
-        key = f"param:{name}"
-        if key not in ckpt.arrays:
-            raise ConfigMismatchError(f"checkpoint is missing parameter {name}")
-        arr = ckpt.arrays[key]
+        arr = ckpt.arrays.get(f"param:{name}")
+        if arr is None:
+            raise CheckpointError(f"checkpoint is missing parameter {name}")
         if arr.shape != p.data.shape:
-            raise ConfigMismatchError(
+            raise CheckpointError(
                 f"parameter {name}: checkpoint shape {arr.shape} vs model {p.data.shape}"
             )
         p.data[...] = arr
+    return model
 
 
 def _optimizer_meta(opt_meta):

@@ -5,7 +5,10 @@ annotation, and non-finite floats are rejected at every level. Every
 config object checks its own values when it is built and is frozen
 (``dataclasses.replace`` builds and checks a new one), so a constructed
 config is and stays a valid one; a loading error names the section it comes from
-(``model: encoder depth must be divisible by 4, got 5``). The canonical
+(``model: encoder depth must be divisible by 4, got 5``). No key is
+optional and none takes ``null``; settings that no run varies are module
+constants instead of keys (the phantom's intensities, spacing and liver
+geometry in ``phantom``, the MLP ratio in ``model``). The canonical
 re-serialization spells out every default, so a config echo fully
 determines a run.
 """
@@ -16,8 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .inference import InferenceConfig
 from .model import ModelConfig
@@ -72,15 +74,14 @@ def _type_name(tp):
 
 
 def _check(tp, value, key):
-    """``value`` as the field annotation ``tp`` wants it (JSON arrays become
-    tuples, JSON objects nested dataclasses, ints in float fields floats),
-    or a ConfigError naming ``key``."""
+    """``value`` as the field annotation ``tp`` wants it, or a ConfigError
+    naming ``key``. A config field is a nested dataclass (from a JSON
+    object), a fixed-length tuple (from a JSON array), a bool, an int, or a
+    finite float (ints are accepted); no field is optional."""
     if is_dataclass(tp):
         return build_config(tp, value, key)
     origin, args = get_origin(tp), get_args(tp)
     got = type(value).__name__
-    if origin in (Union, UnionType):  # X | None, the only unions in a config
-        return None if value is None else _check(args[0], value, key)
     if origin is tuple:
         if isinstance(value, (list, tuple)):
             if len(args) == len(value):

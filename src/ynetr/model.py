@@ -22,6 +22,7 @@ from . import nn
 from .autograd import Tensor, no_grad
 
 PATCH = 16  # patch edge in voxels; the decoder's four 2x up-steps return to full size
+MLP_RATIO = 4  # hidden width of each block's MLP over the embed dim, as in UNETR
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class ModelConfig:
     embed_dim: int = 768
     depth: int = 12
     num_heads: int = 12
-    mlp_ratio: int = 4
     decoder_channels: tuple[int, int, int, int, int] = (512, 512, 256, 128, 64)
     zero_init_head: bool = True
     init_seed: int = 0
@@ -40,10 +40,8 @@ class ModelConfig:
         object.__setattr__(self, "decoder_channels", tuple(int(c) for c in self.decoder_channels))
         if any(d % PATCH for d in self.input_dims):
             raise ValueError(f"input dims {self.input_dims} must be divisible by {PATCH}")
-        sizes = (*self.input_dims, self.embed_dim, self.num_heads, self.mlp_ratio,
-                 *self.decoder_channels)
-        if min(sizes) < 1:
-            raise ValueError("dims, channels, embed dim, heads and mlp ratio must be >= 1")
+        if min(*self.input_dims, self.embed_dim, self.num_heads, *self.decoder_channels) < 1:
+            raise ValueError("dims, channels, embed dim and heads must be >= 1")
         if self.depth % 4 != 0:
             raise ValueError(f"encoder depth must be divisible by 4, got {self.depth}")
         if self.embed_dim % self.num_heads != 0:
@@ -106,12 +104,12 @@ class MultiHeadSelfAttention(nn.Module):
 class TransformerBlock(nn.Module):
     """Pre-norm block: x + MHSA(LN(x)), then x + MLP(LN(x))."""
 
-    def __init__(self, rng, embed_dim, num_heads, mlp_ratio):
+    def __init__(self, rng, embed_dim, num_heads):
         self.ln1 = nn.LayerNorm(embed_dim)
         self.attn = MultiHeadSelfAttention(rng, embed_dim, num_heads)
         self.ln2 = nn.LayerNorm(embed_dim)
-        self.fc1 = nn.Linear(rng, embed_dim, mlp_ratio * embed_dim)
-        self.fc2 = nn.Linear(rng, mlp_ratio * embed_dim, embed_dim)
+        self.fc1 = nn.Linear(rng, embed_dim, MLP_RATIO * embed_dim)
+        self.fc2 = nn.Linear(rng, MLP_RATIO * embed_dim, embed_dim)
 
     def forward(self, x):
         x = x + self.attn(self.ln1(x))
@@ -126,7 +124,7 @@ class TransformerEncoder(nn.Module):
         self.embed = nn.Linear(rng, PATCH**3, cfg.embed_dim)
         self.pos = Tensor.param(nn.trunc_normal(rng, (cfg.num_tokens, cfg.embed_dim)))
         self.blocks = nn.ModuleList(
-            TransformerBlock(rng, cfg.embed_dim, cfg.num_heads, cfg.mlp_ratio)
+            TransformerBlock(rng, cfg.embed_dim, cfg.num_heads)
             for _ in range(cfg.depth)
         )
 

@@ -7,6 +7,15 @@ high-frequency content; a radial binary search calibrates each voxelized
 tumor to its sampled target volume, which makes the size distribution a
 testable contract rather than a statistical accident.
 
+A spec sets only the shape, the tumor count and volume ranges and the
+seed. Appearance and geometry are constants: voxels are 1 mm cubes
+(``SPACING_MM``); the background reads ``BACKGROUND_HU`` (-70), the liver
+``LIVER_HU`` (60) and each tumor ``TUMOR_OFFSET_HU`` (-35) more, all
+under Gaussian texture of ``TEXTURE_SIGMA_HU`` (8); tumor edges wobble
+by up to ``BOUNDARY_NOISE`` (8%) of the radius. The liver ellipsoid is
+derived from the shape: centred in the volume with semi-axes 0.42 times
+each edge, so it always fits.
+
 Defaults put half the tumor mass below ~8 cm^3 on a 3-25 cm^3 range
 (log-uniform sampling), mimicking the size statistics of small-lesion
 liver CT cohorts.
@@ -22,6 +31,14 @@ from scipy import ndimage
 
 from .volume import LabelVolume, Volume3D, voxel_volume_cm3
 
+SPACING_MM = (1.0, 1.0, 1.0)
+_VOXEL_CM3 = voxel_volume_cm3(SPACING_MM)
+BACKGROUND_HU = -70.0
+LIVER_HU = 60.0
+TUMOR_OFFSET_HU = -35.0
+TEXTURE_SIGMA_HU = 8.0
+BOUNDARY_NOISE = 0.08  # amplitude of the tumor radius wobble, as a fraction
+
 # binary-search bracket for the radial multiplier; the analytic semi-axis
 # solve lands the voxelized volume near u=1, so a narrow bracket suffices
 _RADIAL_LO, _RADIAL_HI = 0.85, 1.15
@@ -31,47 +48,31 @@ class PhantomError(Exception):
     """Requested tumor configuration cannot be realized inside the liver."""
 
 
-@dataclass
-class TumorInfo:
-    center: tuple[float, float, float]
-    semi_axes_mm: tuple[float, float, float]
-    exponent: float
-    target_cm3: float
-    achieved_cm3: float
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     shape: tuple[int, int, int] = (128, 128, 128)
-    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    liver_center: tuple[float, float, float] | None = None
-    liver_semi_axes: tuple[float, float, float] | None = None
-    liver_hu: float = 60.0
-    texture_sigma_hu: float = 8.0
-    background_hu: float = -70.0
     tumor_count: tuple[int, int] = (1, 3)
     tumor_volume_cm3: tuple[float, float] = (3.0, 25.0)
-    tumor_offset_hu: float = -35.0
-    boundary_noise: float = 0.08
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
-        if self.liver_center is None:
-            object.__setattr__(self, "liver_center", tuple((n - 1) / 2.0 for n in self.shape))
-        if self.liver_semi_axes is None:
-            object.__setattr__(self, "liver_semi_axes", tuple(0.42 * n for n in self.shape))
         lo, hi = self.tumor_volume_cm3
         if not (0 < lo <= hi):
             raise ValueError(f"tumor volume range must be positive, got {self.tumor_volume_cm3}")
         cmin, cmax = self.tumor_count
         if cmin < 0 or cmax < cmin:
             raise ValueError(f"bad tumor count range {self.tumor_count}")
-        if any(s <= 0 for s in self.spacing_mm) or any(n < 1 for n in self.shape):
-            raise ValueError("invalid phantom geometry")
-        if self.boundary_noise < 0 or self.boundary_noise >= 0.5:
-            raise ValueError("boundary noise amplitude must be in [0, 0.5)")
+        if any(n < 1 for n in self.shape):
+            raise ValueError(f"phantom shape must be positive, got {self.shape}")
+
+    @property
+    def liver_center(self):
+        return tuple((n - 1) / 2.0 for n in self.shape)
+
+    @property
+    def liver_semi_axes(self):
+        return tuple(0.42 * n for n in self.shape)
 
 
 def _superellipsoid_volume_mm3(semi_axes, p):
@@ -98,12 +99,10 @@ def _radial_field(center, semi_vox, p, bbox):
     return sum(np.abs(c / s) ** p for c, s in zip(coords, semi_vox)) ** (1.0 / p)
 
 
-def generate_phantom(spec: PhantomSpec, return_info=False):
+def generate_phantom(spec: PhantomSpec):
     """Build (Volume3D, LabelVolume) from a spec; bitwise-deterministic."""
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.shape
-    sx, sy, sz = spec.spacing_mm
-    vox_cm3 = voxel_volume_cm3(spec.spacing_mm)
 
     xs, ys, zs = np.meshgrid(
         np.arange(nx, dtype=np.float64),
@@ -118,25 +117,19 @@ def generate_phantom(spec: PhantomSpec, return_info=False):
         + ((zs - lc[2]) / ls[2]) ** 2
     ) <= 1.0
 
-    volume = np.full(spec.shape, spec.background_hu, dtype=np.float32)
-    volume[liver] = spec.liver_hu
-    volume += rng.normal(0.0, spec.texture_sigma_hu, size=spec.shape).astype(np.float32)
+    volume = np.full(spec.shape, BACKGROUND_HU, dtype=np.float32)
+    volume[liver] = LIVER_HU
+    volume += rng.normal(0.0, TEXTURE_SIGMA_HU, size=spec.shape).astype(np.float32)
 
     labels = np.zeros(spec.shape, dtype=np.uint8)
     cmin, cmax = spec.tumor_count
     count = int(rng.integers(cmin, cmax + 1))
-    infos = []
     for _ in range(count):
-        infos.append(_place_tumor(spec, rng, labels, volume, vox_cm3))
-
-    vol = Volume3D(volume, spec.spacing_mm)
-    lbl = LabelVolume(labels, spec.spacing_mm)
-    if return_info:
-        return vol, lbl, infos
-    return vol, lbl
+        _place_tumor(spec, rng, labels, volume)
+    return Volume3D(volume, SPACING_MM), LabelVolume(labels, SPACING_MM)
 
 
-def _place_tumor(spec, rng, labels, volume, vox_cm3, attempts=200):
+def _place_tumor(spec, rng, labels, volume, attempts=200):
     lo, hi = spec.tumor_volume_cm3
     target_cm3 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     p = float(rng.uniform(1.6, 3.0))
@@ -146,15 +139,14 @@ def _place_tumor(spec, rng, labels, volume, vox_cm3, attempts=200):
     unit_vol = _superellipsoid_volume_mm3(ratios, p)
     t_mm = (target_cm3 * 1000.0 / unit_vol) ** (1.0 / 3.0)
     semi_mm = ratios * t_mm
-    semi_vox = semi_mm / np.asarray(spec.spacing_mm)
+    semi_vox = semi_mm / np.asarray(SPACING_MM)
 
     lc = np.asarray(spec.liver_center)
     ls = np.asarray(spec.liver_semi_axes)
-    amp = spec.boundary_noise
     # worst-case footprint of the voxelized tumor: largest search radius,
     # full boundary noise, and the p > 2 diagonal bulge past the 2-ball
     bulge = max(1.0, 3.0 ** (0.5 - 1.0 / p))
-    rho = semi_vox * _RADIAL_HI * (1.0 + amp) * bulge
+    rho = semi_vox * _RADIAL_HI * (1.0 + BOUNDARY_NOISE) * bulge
     reach = rho + 1.0
     if float((semi_vox / ls).max()) >= 1.0:
         raise PhantomError(
@@ -174,9 +166,9 @@ def _place_tumor(spec, rng, labels, volume, vox_cm3, attempts=200):
         b0 = np.maximum(np.floor(center - reach).astype(int), 0)
         b1 = np.minimum(np.ceil(center + reach).astype(int) + 1, np.asarray(spec.shape))
         bbox = list(zip(b0, b1))
-        noise = _smooth_field(rng, tuple(b1 - b0), amp)
+        noise = _smooth_field(rng, tuple(b1 - b0), BOUNDARY_NOISE)
         rho_field = _radial_field(center, semi_vox, p, bbox)
-        mask, achieved = _calibrate(rho_field, noise, target_cm3, vox_cm3)
+        mask = _calibrate(rho_field, noise, target_cm3)
         if mask is None:
             continue
         if not _inside_liver(mask, bbox, lc, ls):
@@ -187,14 +179,8 @@ def _place_tumor(spec, rng, labels, volume, vox_cm3, attempts=200):
         if labels[region][grown].any():
             continue
         labels[region][mask] = 1
-        volume[region][mask] += np.float32(spec.tumor_offset_hu)
-        return TumorInfo(
-            center=tuple(center),
-            semi_axes_mm=tuple(semi_mm),
-            exponent=p,
-            target_cm3=target_cm3,
-            achieved_cm3=achieved,
-        )
+        volume[region][mask] += np.float32(TUMOR_OFFSET_HU)
+        return
     raise PhantomError(
         f"could not place a {target_cm3:.2f} cm^3 tumor inside the liver region"
     )
@@ -205,18 +191,19 @@ def _inside_liver(mask, bbox, lc, ls):
     return bool((((coords - lc) / ls) ** 2).sum(axis=1).max() <= 1.0)
 
 
-def _calibrate(rho, noise, target_cm3, vox_cm3, tol=0.03):
-    """Binary-search the radial multiplier so the voxel count hits target."""
+def _calibrate(rho, noise, target_cm3, tol=0.03):
+    """Binary-search the radial multiplier so the voxel count hits target;
+    the closest mask, or None when none lands within tolerance."""
     thresh = 1.0 + noise
 
     def measure(u):
         m = rho <= u * thresh
-        return m, float(np.count_nonzero(m)) * vox_cm3
+        return m, float(np.count_nonzero(m)) * _VOXEL_CM3
 
-    lo_mask, lo_vol = measure(_RADIAL_LO)
+    _, lo_vol = measure(_RADIAL_LO)
     hi_mask, hi_vol = measure(_RADIAL_HI)
     if lo_vol > target_cm3 or hi_vol < target_cm3:
-        return None, 0.0
+        return None
     lo, hi = _RADIAL_LO, _RADIAL_HI
     best_mask, best_vol = hi_mask, hi_vol
     for _ in range(48):
@@ -229,7 +216,7 @@ def _calibrate(rho, noise, target_cm3, vox_cm3, tol=0.03):
         else:
             hi = mid
     # voxel quantization floor: tiny tumors cannot land closer than one voxel
-    limit = max(tol * target_cm3, 1.1 * vox_cm3)
+    limit = max(tol * target_cm3, 1.1 * _VOXEL_CM3)
     if abs(best_vol - target_cm3) > limit:
-        return None, 0.0
-    return best_mask, best_vol
+        return None
+    return best_mask

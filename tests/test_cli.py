@@ -154,6 +154,20 @@ def test_sampler_fallbacks_take_one_stderr_line(tmp_path, runner):
     assert len(lines) == 1 and "no tumor-free window" in lines[0], lines
 
 
+def test_phantom_runs_on_an_edited_echo(tmp_path, runner):
+    # a smaller shape in the default echo needs no other edit: the liver follows it
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    res = runner.invoke(cli, ["phantom", "--config", str(empty), "--out", str(tmp_path / "a")])
+    assert res.exit_code == 0, res.output
+    doc = json.loads((tmp_path / "a" / "config.echo.json").read_text())
+    doc["phantom"]["spec"].update(shape=[32, 32, 32], tumor_volume_cm3=[0.3, 1.0])
+    cfg = _write_config(tmp_path, doc)
+    res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    assert read_vvol(tmp_path / "b" / "case_000.vvol").voxels.shape == (32, 32, 32)
+
+
 def test_empty_config_runs(tmp_path, runner):
     data, run = tmp_path / "data", tmp_path / "run"
     empty = tmp_path / "empty.json"
@@ -306,11 +320,12 @@ class TestExitCodes:
         ]
 
     def test_nonfinite_optional_config_value_is_2(self, tmp_path, runner):
-        cfg = _write_config(tmp_path, {"phantom": {"spec": {"liver_center": [float("nan"), 1, 2]}}})
+        doc = {"phantom": {"spec": {"tumor_volume_cm3": [float("nan"), 2]}}}
+        cfg = _write_config(tmp_path, doc)
         res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert res.output.splitlines() == [
-            "config-error: phantom.spec.liver_center[0]: expected a finite float, got nan"
+            "config-error: phantom.spec.tumor_volume_cm3[0]: expected a finite float, got nan"
         ]
 
     @pytest.mark.parametrize(
@@ -322,6 +337,15 @@ class TestExitCodes:
             ("model", "in_channels", 1),
             ("model", "num_classes", 2),
             ("model", "patch", 16),
+            ("model", "mlp_ratio", 4),
+            ("phantom.spec", "spacing_mm", [1.0, 1.0, 1.0]),
+            ("phantom.spec", "liver_center", [7.5, 7.5, 7.5]),
+            ("phantom.spec", "liver_semi_axes", [6.72, 6.72, 6.72]),
+            ("phantom.spec", "liver_hu", 60.0),
+            ("phantom.spec", "texture_sigma_hu", 8.0),
+            ("phantom.spec", "background_hu", -70.0),
+            ("phantom.spec", "tumor_offset_hu", -35.0),
+            ("phantom.spec", "boundary_noise", 0.08),
             ("train", "batch_size", 1),
             ("train.loss", "kind", "dice_ce"),
             ("train.loss", "dice_eps", 1e-5),
@@ -378,6 +402,7 @@ class TestExitCodes:
             (b" 16384\n", b" 16380\n"),  # shape does not match the byte count
             (b'"model_config": {', b'"model_config": {"lf_branch": "transformer", '),  # removed key
             (b'"model_config": {', b'"model_config": {"patch": 16, '),  # removed key
+            (b'"model_config": {', b'"model_config": {"mlp_ratio": 4, '),  # removed key
         ],
     )
     def test_infer_malformed_checkpoint_is_3(self, tmp_path, runner, old, new):

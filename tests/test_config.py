@@ -159,15 +159,14 @@ def test_nested_and_optional_values_are_checked():
     bad["train"]["loss"] = {"alpha": "half"}
     with pytest.raises(ConfigError, match="train.loss.alpha: expected float, got str"):
         run_config_from_dict(bad)
-    # a value in an optional field is checked against the field's type alone,
-    # so the specific fault is named
+    # a tuple is checked for its length, then item by item, so the fault is named
     bad = minimal_dict()
-    bad["phantom"]["spec"]["liver_center"] = [1.0, 2.0]
-    want = r"phantom.spec.liver_center: expected tuple\[float, float, float\], got 2 items"
+    bad["phantom"]["spec"]["tumor_volume_cm3"] = [1.0, 2.0, 3.0]
+    want = r"phantom.spec.tumor_volume_cm3: expected tuple\[float, float\], got 3 items"
     with pytest.raises(ConfigError, match=want):
         run_config_from_dict(bad)
-    bad["phantom"]["spec"]["liver_center"] = [float("nan"), 1.0, 2.0]
-    want = r"phantom.spec.liver_center\[0\]: expected a finite float, got nan"
+    bad["phantom"]["spec"]["tumor_volume_cm3"] = [float("nan"), 2.0]
+    want = r"phantom.spec.tumor_volume_cm3\[0\]: expected a finite float, got nan"
     with pytest.raises(ConfigError, match=want):
         run_config_from_dict(bad)
 
@@ -197,8 +196,8 @@ def test_replace_runs_the_checks_again():
 def test_well_typed_values_accepted():
     doc = minimal_dict()
     doc["intensity"] = {"lo": -100, "hi": 200.5}  # ints are accepted for floats
-    doc["phantom"]["spec"]["liver_center"] = None
+    doc["phantom"]["spec"]["tumor_volume_cm3"] = [1, 2.5]
     cfg = run_config_from_dict(doc)
     assert cfg.intensity.lo == -100.0 and isinstance(cfg.intensity.lo, float)
-    doc["phantom"]["spec"]["liver_center"] = [10, 11.5, 12]
-    assert run_config_from_dict(doc).phantom.spec.liver_center == (10.0, 11.5, 12.0)
+    assert cfg.phantom.spec.tumor_volume_cm3 == (1.0, 2.5)
+    assert all(isinstance(v, float) for v in cfg.phantom.spec.tumor_volume_cm3)

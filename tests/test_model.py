@@ -6,6 +6,7 @@ import pytest
 from ynetr.autograd import Tensor
 from ynetr.losses import dice_ce_loss
 from ynetr.model import (
+    MLP_RATIO,
     PATCH,
     ModelConfig,
     YNetr,
@@ -283,7 +284,7 @@ class TestParameterCount:
         cfg = tiny_config()
         model = YNetr(cfg)
         e, p, c = cfg.embed_dim, PATCH, 1  # one-channel branch inputs
-        n, r, depth = cfg.num_tokens, cfg.mlp_ratio, cfg.depth
+        n, r, depth = cfg.num_tokens, MLP_RATIO, cfg.depth
         ch = cfg.decoder_channels
         k3, k1, up = 27, 1, 8  # conv kernel volumes: 3^3, 1^3, 2^3
 

@@ -1,10 +1,11 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from ynetr.phantom import PhantomError, PhantomSpec, generate_phantom
+from ynetr.phantom import TUMOR_OFFSET_HU, PhantomError, PhantomSpec, generate_phantom
 from ynetr.volume import LabelVolume, voxel_volume_cm3
 
 
@@ -102,7 +103,6 @@ class TestGeneratePhantom:
     def test_eight_cm3_target(self):
         spec = PhantomSpec(
             shape=(64, 64, 64),
-            spacing_mm=(1.0, 1.0, 1.0),
             tumor_count=(1, 1),
             tumor_volume_cm3=(8.0, 8.0),
             seed=7,
@@ -112,19 +112,18 @@ class TestGeneratePhantom:
         assert 7200 <= count <= 8800
 
     def test_components_match_targets(self):
+        # a one-value range fixes every tumor's target volume
         spec = PhantomSpec(
             shape=(72, 72, 56),
             tumor_count=(2, 2),
-            tumor_volume_cm3=(1.0, 6.0),
+            tumor_volume_cm3=(3.0, 3.0),
             seed=11,
         )
-        _, lbl, infos = generate_phantom(spec, return_info=True)
+        _, lbl = generate_phantom(spec)
         comps = component_volumes_cm3(lbl)
-        assert len(comps) == len(infos) == 2
-        got = sorted(v for _, v in comps)
-        want = sorted(t.target_cm3 for t in infos)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 0.10 * w
+        assert len(comps) == 2
+        for _, got in comps:
+            assert abs(got - 3.0) <= 0.10 * 3.0
 
     def test_tumors_inside_liver(self):
         spec = PhantomSpec(
@@ -142,12 +141,15 @@ class TestGeneratePhantom:
             shape=(48, 48, 48),
             tumor_count=(1, 1),
             tumor_volume_cm3=(2.0, 2.0),
-            texture_sigma_hu=0.0,
             seed=17,
         )
         vol, lbl = generate_phantom(spec)
-        tumor_mean = vol.voxels[lbl.labels > 0].mean()
-        assert tumor_mean == pytest.approx(spec.liver_hu + spec.tumor_offset_hu, abs=1.0)
+        coords = np.indices(spec.shape).reshape(3, -1).T
+        lc, ls = np.asarray(spec.liver_center), np.asarray(spec.liver_semi_axes)
+        liver = ((((coords - lc) / ls) ** 2).sum(axis=1) <= 1.0).reshape(spec.shape)
+        tumor = lbl.labels > 0
+        contrast = vol.voxels[tumor].mean() - vol.voxels[liver & ~tumor].mean()
+        assert contrast == pytest.approx(TUMOR_OFFSET_HU, abs=1.0)
 
     def test_unachievable_tumor(self):
         spec = PhantomSpec(
@@ -158,6 +160,14 @@ class TestGeneratePhantom:
         )
         with pytest.raises(PhantomError):
             generate_phantom(spec)
+
+    def test_liver_follows_a_replaced_shape(self):
+        # the liver is derived from the shape, so replace() cannot leave it stale
+        spec = replace(PhantomSpec(tumor_volume_cm3=(0.3, 1.0)), shape=(32, 32, 32))
+        assert spec.liver_center == (15.5, 15.5, 15.5)
+        _, lbl = generate_phantom(spec)
+        assert lbl.labels.shape == (32, 32, 32)
+        assert 1 <= len(component_volumes_cm3(lbl)) <= 3
 
     def test_validate_rejects_bad_ranges(self):
         with pytest.raises(ValueError):

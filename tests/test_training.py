@@ -1,18 +1,19 @@
 import logging
+import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from ynetr.autograd import Tensor
 from ynetr.checkpoint import (
     CheckpointError,
-    ConfigMismatchError,
     load_checkpoint,
-    load_into,
     restore_model,
     restore_optimizer,
     save_checkpoint,
 )
+from ynetr.cli import cli
 from ynetr.losses import LossConfig
 from ynetr.model import ModelConfig, YNetr
 from ynetr.optim import AdamW
@@ -26,7 +27,7 @@ from ynetr.training import (
     train,
     write_history_csv,
 )
-from ynetr.volume import LabelVolume
+from ynetr.volume import LabelVolume, Volume3D, write_vvol
 
 WINDOW = (16, 16, 16)
 
@@ -207,21 +208,34 @@ class TestCheckpoint:
         save_checkpoint(path2, restored, opt2, step=3, extra={"name": "t"})
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_config_mismatch(self, tmp_path):
-        model = tiny_model(seed=2)
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "checkpoint is missing parameter {name}"),
+        ("misshapen", r"parameter {name}: checkpoint shape \(1, 2\) vs model \(2,\)"),
+    ], ids=["missing", "misshapen"])
+    def test_parameter_missing_or_misshapen(self, tmp_path, fault, message):
+        # hand-made files can pass the manifest checks and still not fit the model
+        model = tiny_model()
         path = tmp_path / "ck.ynck"
-        save_checkpoint(path, model, step=0)
-        other = YNetr(
-            ModelConfig(
-                input_dims=WINDOW,
-                embed_dim=64,
-                num_heads=4,
-                depth=12,
-                decoder_channels=(16, 16, 8, 8, 4),
-            )
-        )
-        with pytest.raises(ConfigMismatchError):
-            load_into(other, load_checkpoint(path))
+        save_checkpoint(path, model)
+        name, last = list(model.named_parameters())[-1]
+        assert last.data.shape == (2,)
+        raw = path.read_bytes()
+        line = f"tensor param:{name} 1 2 8\n".encode()
+        assert raw.count(line) == 1
+        if fault == "missing":  # the last tensor's bytes end the payload
+            raw = raw.replace(line, b"")[: -last.data.nbytes]
+        else:
+            raw = raw.replace(line, f"tensor param:{name} 2 1 2 8\n".encode())
+        path.write_bytes(raw)
+        message = message.format(name=name)
+        with pytest.raises(CheckpointError, match=f"^{message}$"):
+            restore_model(load_checkpoint(path))
+        write_vvol(Volume3D(np.zeros(WINDOW, dtype=np.float32), (1, 1, 1)), tmp_path / "x.vvol")
+        res = CliRunner().invoke(cli, ["infer", "--checkpoint", str(path),
+                                       "--out", str(tmp_path / "pred"), str(tmp_path / "x.vvol")])
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and re.fullmatch(f"io-error: {message}", lines[0])
 
     def test_removed_model_key_rejected(self, tmp_path):
         # checkpoints written while the CNN ablation branch existed carry lf_branch
