@@ -1,9 +1,20 @@
 """Checkpoint files: text manifest plus raw little-endian float32 payload.
 
-The manifest echoes the model configuration and optimizer hyperparameters
-as one JSON line, then lists every tensor with its shape and byte length;
-the payload is the concatenation of the listed buffers in order. Reading
-back a checkpoint written from the same state is bitwise exact.
+The manifest's meta line is one JSON object that holds what only the
+checkpoint knows:
+
+* ``model_config``: the ``ModelConfig`` fields the model was built with;
+* ``optimizer``: ``{"t": <steps taken>}``, or null in a model-only
+  checkpoint. The learning rate and weight decay come from the
+  ``TrainConfig`` of the run that loads it;
+* ``extra``: a JSON object of run settings, such as the intensity window
+  and inference config that ``ynetr infer`` reads.
+
+Then every tensor is listed with its shape and byte length: the parameters
+as ``param:<name>``, then the AdamW moments as ``adamw.m:<i>`` and
+``adamw.v:<i>``. The payload is the concatenation of the listed buffers in
+order. Reading back a checkpoint written from the same state is bitwise
+exact. A top-level meta key other than these is ignored.
 """
 
 from __future__ import annotations
@@ -25,39 +36,21 @@ class CheckpointError(Exception):
     pass
 
 
-def model_config_from_dict(d) -> ModelConfig:
-    try:
-        return build_config(ModelConfig, d, "model_config")
-    except ConfigError as exc:
-        raise CheckpointError(f"invalid model config: {exc}") from exc
-
-
 @dataclass
 class Checkpoint:
     meta: dict
     arrays: dict
+    model_config: ModelConfig
 
 
-def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, step: int = 0,
-                    extra: dict | None = None):
+def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, extra: dict | None = None):
     entries = [(f"param:{name}", p.data) for name, p in model.named_parameters()]
-    opt_meta = None
     if optimizer is not None:
-        state = optimizer.state_arrays()
-        entries += [(f"adamw.m:{i}", m) for i, m in enumerate(state["m"])]
-        entries += [(f"adamw.v:{i}", v) for i, v in enumerate(state["v"])]
-        opt_meta = {
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "weight_decay": optimizer.weight_decay,
-            "t": state["t"],
-        }
+        entries += [(f"adamw.m:{i}", m) for i, m in enumerate(optimizer.m)]
+        entries += [(f"adamw.v:{i}", v) for i, v in enumerate(optimizer.v)]
     meta = {
-        "step": int(step),
         "model_config": asdict(model.cfg),
-        "optimizer": opt_meta,
+        "optimizer": None if optimizer is None else {"t": optimizer.t},
         "extra": extra or {},
     }
     lines = [MAGIC, "meta " + json.dumps(meta, sort_keys=True)]
@@ -86,7 +79,8 @@ def _tensor_entry(line):
 
 
 def _parse_manifest(text: bytes):
-    """(meta, tensor directory) of the manifest lines between magic and ``end``."""
+    """(meta, model config, tensor directory) of the manifest lines between
+    magic and ``end``."""
     try:
         lines = text.decode("ascii").split("\n")
     except UnicodeDecodeError:
@@ -104,10 +98,13 @@ def _parse_manifest(text: bytes):
             raise CheckpointError(f"unexpected manifest line {line!r}")
     if not isinstance(meta, dict):
         raise CheckpointError("manifest has no meta object")
-    model_config_from_dict(meta.get("model_config"))
+    try:
+        model_cfg = build_config(ModelConfig, meta.get("model_config"), "model_config")
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid model config: {exc}") from exc
     if not isinstance(meta.get("extra", {}), dict):
         raise CheckpointError("meta 'extra' is not a JSON object")
-    return meta, directory
+    return meta, model_cfg, directory
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -120,7 +117,7 @@ def load_checkpoint(path) -> Checkpoint:
     if stop < 0:
         raise CheckpointError(f"{path}: manifest not terminated")
     try:
-        meta, directory = _parse_manifest(raw[len(MAGIC) + 1 : stop])
+        meta, model_cfg, directory = _parse_manifest(raw[len(MAGIC) + 1 : stop])
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     pos = stop + len(b"\nend\n")
@@ -133,13 +130,13 @@ def load_checkpoint(path) -> Checkpoint:
         pos += nbytes
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after payload")
-    return Checkpoint(meta=meta, arrays=arrays)
+    return Checkpoint(meta=meta, arrays=arrays, model_config=model_cfg)
 
 
 def restore_model(ckpt: Checkpoint) -> YNetr:
     """Build a model from the stored config and load its parameters; a
     parameter that is missing or has another shape raises CheckpointError."""
-    model = YNetr(model_config_from_dict(ckpt.meta["model_config"]))
+    model = YNetr(ckpt.model_config)
     for name, p in model.named_parameters():
         arr = ckpt.arrays.get(f"param:{name}")
         if arr is None:
@@ -152,38 +149,35 @@ def restore_model(ckpt: Checkpoint) -> YNetr:
     return model
 
 
-def _optimizer_meta(opt_meta):
-    """Validated AdamW hyperparameters and step count from the checkpoint meta."""
-    if opt_meta is None:
-        raise CheckpointError("checkpoint carries no optimizer state")
-    if not isinstance(opt_meta, dict):
-        raise CheckpointError("optimizer meta is not a JSON object")
-    out = {}
-    for key in ("t", "lr", "beta1", "beta2", "eps", "weight_decay"):
-        value = opt_meta.get(key)
-        kinds, what = (int, "an integer") if key == "t" else ((int, float), "a finite number")
-        if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
-            raise CheckpointError(f"optimizer meta {key!r} must be {what}, got {value!r}")
-        out[key] = value
-    if out["t"] < 0:
-        raise CheckpointError(f"optimizer step count t is negative: {out['t']}")
-    for key in ("beta1", "beta2"):
-        if not 0 <= out[key] < 1:
-            raise CheckpointError(f"optimizer {key} {out[key]!r} is outside [0, 1)")
-    return out
-
-
 def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
-    meta = _optimizer_meta(ckpt.meta.get("optimizer"))
-    n = len(optimizer.params)
-    try:
-        m = [ckpt.arrays[f"adamw.m:{i}"] for i in range(n)]
-        v = [ckpt.arrays[f"adamw.v:{i}"] for i in range(n)]
-    except KeyError as exc:
-        raise CheckpointError(f"optimizer state incomplete: {exc}") from exc
-    try:
-        optimizer.load_state_arrays({"m": m, "v": v, "t": meta["t"]})
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
-    for key in ("lr", "beta1", "beta2", "eps", "weight_decay"):
-        setattr(optimizer, key, float(meta[key]))
+    """Load the moments and the step count ``t`` of ``ckpt`` into ``optimizer``,
+    which keeps the learning rate and weight decay it was built with.
+
+    Every check runs before anything is written, and ``t`` is set last.
+    """
+    meta = ckpt.meta.get("optimizer")
+    if meta is None:
+        raise CheckpointError("checkpoint carries no optimizer state")
+    if not isinstance(meta, dict):
+        raise CheckpointError("optimizer meta is not a JSON object")
+    unknown = sorted(set(meta) - {"t"})
+    if unknown:
+        raise CheckpointError(f"optimizer meta: unknown keys {unknown}")
+    t = meta.get("t")
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+        raise CheckpointError(f"optimizer meta 't' must be a non-negative integer, got {t!r}")
+    moments = []
+    for key, buffers in (("m", optimizer.m), ("v", optimizer.v)):
+        for i, dst in enumerate(buffers):
+            name = f"adamw.{key}:{i}"
+            src = ckpt.arrays.get(name)
+            if src is None:
+                raise CheckpointError(f"optimizer state incomplete: no {name}")
+            if src.shape != dst.shape:
+                raise CheckpointError(
+                    f"optimizer moment {name} shape {src.shape} does not match {dst.shape}"
+                )
+            moments.append((dst, src))
+    for dst, src in moments:
+        dst[...] = src
+    optimizer.t = t

@@ -138,7 +138,7 @@ def train_cmd(config_path, data_dir, out_dir):
             "inference": dataclasses.asdict(cfg.inference),
         }
         history, optimizer = train(model, cases, cfg.train, cfg.sampler)
-        save_checkpoint(ckpt_path, model, optimizer, step=cfg.train.total_steps, extra=extra)
+        save_checkpoint(ckpt_path, model, optimizer, extra=extra)
         write_history_csv(history, out / "loss_history.csv")
         click.echo(
             f"trained {cfg.train.total_steps} steps; final loss {history[-1].loss:.4f}; "

@@ -17,10 +17,13 @@ def trunc_normal(rng, shape):
     deviations."""
     std = 0.02
     vals = rng.normal(0.0, std, size=shape)
-    bad = np.abs(vals) > 2 * std
-    while bad.any():
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * std
+    flat = vals.reshape(-1)
+    # only the redrawn entries are checked again, in the order a full rescan
+    # would redraw them, so the random stream is consumed the same way
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return vals.astype(np.float32)
 
 

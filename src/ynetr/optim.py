@@ -1,5 +1,12 @@
 """AdamW with decoupled weight decay.
 
+The moment decay rates ``BETA1`` = 0.9 and ``BETA2`` = 0.999 and the
+denominator guard ``EPS`` = 1e-8 are AdamW's published defaults
+(Loshchilov & Hutter, arXiv 1711.05101). They are module constants, not
+options: no run sets another value, so the learning rate and the weight
+decay, both from ``TrainConfig``, are the only hyperparameters, and the
+step count ``t`` with the moments is all the state a resumed run needs.
+
 Moments are bias-corrected with the step count incremented before the
 correction; decay is applied to the parameter directly rather than mixed
 into the moment estimates.
@@ -9,6 +16,7 @@ The step is bitwise equal to the per-tensor formula
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
     p -= lr * (m/c1) / (sqrt(v/c2) + eps);  p -= (lr*wd) * p
 
+(b1, b2 and eps being ``BETA1``, ``BETA2`` and ``EPS`` in float32)
 evaluated one whole-tensor float32 operation at a time. Instead of a
 dozen passes over each tensor, each allocating a temporary, it views
 parameters, gradients and moments as flat arrays and runs the same
@@ -42,6 +50,10 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 # elements per chunk: 256 KB per float32 stream
 _CHUNK = 65536
@@ -94,10 +106,11 @@ def _self_dots(items, dots):
         dots[i] = float(np.dot(g, g))
 
 
-def _update(chunks, b1, b2, c1, c2, lr, eps, lr_wd):
+def _update(chunks, c1, c2, lr, lr_wd):
     """Run the AdamW update on ``chunks`` of (p, g, m, v) flat slices."""
     a = np.empty(_CHUNK, dtype=np.float32)
     b = np.empty(_CHUNK, dtype=np.float32)
+    b1, b2, eps = np.float32(BETA1), np.float32(BETA2), np.float32(EPS)
     one_b1 = np.float32(1.0) - b1
     one_b2 = np.float32(1.0) - b2
     for p, g, m, v in chunks:
@@ -123,15 +136,13 @@ def _update(chunks, b1, b2, c1, c2, lr, eps, lr_wd):
 
 
 class AdamW:
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr=1e-4, weight_decay=0.01):
         if lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {lr}")
         self.params = list(params)
         for p in self.params:
             _flat_data(p)
         self.lr = float(lr)
-        self.beta1, self.beta2 = (float(b) for b in betas)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -164,29 +175,8 @@ class AdamW:
             err.norm = norm
             raise err
         self.t += 1
-        b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
-        c1 = np.float32(1.0 - self.beta1**self.t)
-        c2 = np.float32(1.0 - self.beta2**self.t)
+        c1 = np.float32(1.0 - BETA1**self.t)
+        c2 = np.float32(1.0 - BETA2**self.t)
         lr = np.float32(self.lr)
         wd = np.float32(self.weight_decay)
-        consts = (b1, b2, c1, c2, lr, np.float32(self.eps), lr * wd if wd != 0.0 else None)
-        _run(_update, chunks, *consts)
-
-    def state_arrays(self):
-        """Moment buffers and step count, for checkpointing."""
-        return {"m": self.m, "v": self.v, "t": self.t}
-
-    def load_state_arrays(self, state):
-        for key in ("m", "v"):
-            if len(state[key]) != len(self.params):
-                raise ValueError(f"optimizer state {key!r} does not match parameter count")
-            for dst, src in zip(getattr(self, key), state[key]):
-                if dst.shape != src.shape:
-                    raise ValueError(
-                        f"optimizer moment {key!r} shape {src.shape} does not match {dst.shape}"
-                    )
-        for dst, src in zip(self.m, state["m"]):
-            dst[...] = src
-        for dst, src in zip(self.v, state["v"]):
-            dst[...] = src
-        self.t = int(state["t"])
+        _run(_update, chunks, c1, c2, lr, lr * wd if wd != 0.0 else None)

@@ -1,8 +1,9 @@
 """Training loop: balanced window draws and Dice-CE descent.
 
 Each optimizer step uses its own counter-keyed random stream, so a run
-is bitwise reproducible and resuming from a checkpoint at step k replays
-exactly the draws an uninterrupted run would have made.
+is bitwise reproducible and resuming from a checkpoint whose optimizer
+has taken k steps replays exactly the draws an uninterrupted run would
+have made.
 """
 
 from __future__ import annotations
@@ -155,11 +156,15 @@ def step_rng(seed, step):
 
 
 def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
-          optimizer: AdamW | None = None, start_step: int = 0, progress=None):
+          optimizer: AdamW | None = None, progress=None):
     """Run (or resume) the optimization; returns (history, optimizer).
 
-    ``start_step`` is the number of steps already taken; the loop runs
-    until ``cfg.total_steps``, one window per step, positive on odd steps.
+    The run resumes after the ``optimizer.t`` steps the optimizer has
+    already taken (none for a new one) and goes on until
+    ``cfg.total_steps``, one window per step, positive on odd steps. An
+    optimizer returned by one call, or restored from its checkpoint,
+    continues where that run stopped.
+
     Windows drawn in place of one the case cannot supply are counted per
     case and reason and summed up in one warning when ``train`` returns.
     """
@@ -172,7 +177,7 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
         )
     history = []
     fallbacks = Counter()
-    for step in range(start_step + 1, cfg.total_steps + 1):
+    for step in range(optimizer.t + 1, cfg.total_steps + 1):
         rng = step_rng(cfg.seed, step)
         optimizer.zero_grad()
         case = cases[int(rng.integers(len(cases)))]
@@ -196,8 +201,7 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
             progress(rec)
     if fallbacks:
         counts = sorted(fallbacks.items())
-        log.warning("sampler fell back in %d of %d draws: %s", fallbacks.total(),
-                    cfg.total_steps - start_step,
+        log.warning("sampler fell back in %d of %d draws: %s", fallbacks.total(), len(history),
                     "; ".join(f"case {name} x{n}, {why}" for (name, why), n in counts))
     return history, optimizer
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 
+# AdamW's published defaults (Loshchilov & Hutter, arXiv 1711.05101), written
+# out here rather than read from ynetr.optim
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class ReferenceAdamW:
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr=1e-4, weight_decay=0.01):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = (float(b) for b in betas)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -24,11 +27,11 @@ class ReferenceAdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
-        c1 = np.float32(1.0 - self.beta1**self.t)
-        c2 = np.float32(1.0 - self.beta2**self.t)
+        b1, b2 = np.float32(BETA1), np.float32(BETA2)
+        c1 = np.float32(1.0 - BETA1**self.t)
+        c2 = np.float32(1.0 - BETA2**self.t)
         lr = np.float32(self.lr)
-        eps = np.float32(self.eps)
+        eps = np.float32(EPS)
         wd = np.float32(self.weight_decay)
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)

@@ -109,7 +109,10 @@ def test_full_pipeline(tmp_path, runner):
         cli, ["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]
     )
     assert res.exit_code == 0, res.output
-    assert (run / "checkpoint.ynck").exists()
+    with open(run / "checkpoint.ynck", "rb") as fh:
+        fh.readline()
+        meta = json.loads(fh.readline().decode()[len("meta "):])
+    assert meta["optimizer"] == {"t": 2} and "step" not in meta
     history = (run / "loss_history.csv").read_text().splitlines()
     assert history[0] == "step,loss,dice_component,ce_component"
     assert len(history) == 3

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ynetr import nn
 from ynetr.autograd import Tensor
 from ynetr.losses import dice_ce_loss
 from ynetr.model import (
@@ -315,3 +316,28 @@ class TestParameterCount:
         decoder += conv(ch[4], 2, k1)  # background and tumour logits
         expected = 2 * branch + decoder
         assert model.num_parameters() == expected
+
+
+def trunc_normal_full_rescan(rng, shape):
+    """The plain resampling loop: redraw every entry outside two standard
+    deviations, then check the whole array again."""
+    std = 0.02
+    vals = rng.normal(0.0, std, size=shape)
+    bad = np.abs(vals) > 2 * std
+    while bad.any():
+        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(vals) > 2 * std
+    return vals.astype(np.float32)
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (5, 3), (4, 3, 2), (384, 1536)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_full_rescan(self, seed, shape):
+        # the same random stream in the same order gives the same values
+        got = nn.trunc_normal(np.random.default_rng(seed), shape)
+        want = trunc_normal_full_rescan(np.random.default_rng(seed), shape)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert np.abs(got).max() <= 0.04
+

@@ -73,23 +73,6 @@ def test_moment_invariants_random_steps():
         assert np.isfinite(p.data).all()
 
 
-def test_state_roundtrip():
-    rng = np.random.default_rng(1)
-    p = _param(rng.standard_normal(4))
-    opt = AdamW([p], lr=1e-3)
-    for _ in range(3):
-        p.grad = rng.standard_normal(4).astype(np.float32)
-        opt.step()
-    state = opt.state_arrays()
-    clone = AdamW([_param(p.data.copy())], lr=1e-3)
-    clone.load_state_arrays(
-        {"m": [state["m"][0].copy()], "v": [state["v"][0].copy()], "t": state["t"]}
-    )
-    np.testing.assert_array_equal(clone.m[0], opt.m[0])
-    np.testing.assert_array_equal(clone.v[0], opt.v[0])
-    assert clone.t == opt.t
-
-
 # -- the chunked step against the per-tensor formula ------------------------
 
 SHAPES = [(1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 3,), (16, 8, 3, 3, 3)]
@@ -177,17 +160,6 @@ def test_non_finite_gradient_leaves_every_parameter_untouched(monkeypatch, worke
     assert repr(err.value.norm) == repr(bad)
     assert _state_bytes(params, opt) == before
     assert opt.t == 1
-
-
-def test_load_state_rejects_mismatched_second_moment():
-    opt = AdamW([_param([1.0, 2.0])], lr=1e-3)
-    with pytest.raises(ValueError, match="'v' shape"):
-        opt.load_state_arrays(
-            {"m": [np.zeros(2, dtype=np.float32)], "v": [np.zeros(1, dtype=np.float32)], "t": 1}
-        )
-    with pytest.raises(ValueError, match="'v' does not match parameter count"):
-        opt.load_state_arrays({"m": [np.zeros(2, dtype=np.float32)], "v": [], "t": 1})
-    np.testing.assert_array_equal(opt.m[0], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("workers", [1, 5])

@@ -196,17 +196,29 @@ class TestCheckpoint:
         model = tiny_model(seed=1, zero_head=False)
         opt = AdamW(model.parameters(), lr=1e-3)
         path = tmp_path / "ck.ynck"
-        save_checkpoint(path, model, opt, step=3, extra={"name": "t"})
+        save_checkpoint(path, model, opt, extra={"name": "t"})
         ckpt = load_checkpoint(path)
-        assert ckpt.meta["step"] == 3
+        assert set(ckpt.meta) == {"model_config", "optimizer", "extra"}
+        assert ckpt.meta["optimizer"] == {"t": 0}
         assert ckpt.meta["extra"]["name"] == "t"
+        assert ckpt.model_config == model.cfg
         restored = restore_model(ckpt)
         assert param_bytes(restored) == param_bytes(model)
         path2 = tmp_path / "ck2.ynck"
         opt2 = AdamW(restored.parameters(), lr=1e-3)
         restore_optimizer(opt2, ckpt)
-        save_checkpoint(path2, restored, opt2, step=3, extra={"name": "t"})
+        save_checkpoint(path2, restored, opt2, extra={"name": "t"})
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_old_step_key_ignored(self, tmp_path):
+        # checkpoints of earlier versions carry a top-level step; the model still loads
+        model = tiny_model(seed=1, zero_head=False)
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert raw.count(b', "optimizer": null}') == 1
+        path.write_bytes(raw.replace(b', "optimizer": null}', b', "optimizer": null, "step": 0}'))
+        assert param_bytes(restore_model(load_checkpoint(path))) == param_bytes(model)
 
     @pytest.mark.parametrize("fault, message", [
         ("missing", "checkpoint is missing parameter {name}"),
@@ -255,19 +267,37 @@ class TestCheckpoint:
         train(straight, cases, train_cfg(steps_per_epoch=6), sampler)
 
         resumed = tiny_model()
-        cfg_a = train_cfg(steps_per_epoch=3)
-        _, opt = train(resumed, cases, cfg_a, sampler)
+        _, opt = train(resumed, cases, train_cfg(steps_per_epoch=3), sampler)
         path = tmp_path / "mid.ynck"
-        save_checkpoint(path, resumed, opt, step=3)
+        save_checkpoint(path, resumed, opt)
 
-        fresh = restore_model(load_checkpoint(path))
-        opt2 = AdamW(fresh.parameters(), lr=cfg_a.learning_rate,
-                     weight_decay=cfg_a.weight_decay)
-        restore_optimizer(opt2, load_checkpoint(path))
-        train(fresh, cases, train_cfg(steps_per_epoch=6), sampler,
-              optimizer=opt2, start_step=3)
+        # the resumed run builds its optimizer from its own config
+        cfg = train_cfg(steps_per_epoch=6)
+        ckpt = load_checkpoint(path)
+        fresh = restore_model(ckpt)
+        opt2 = AdamW(fresh.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+        restore_optimizer(opt2, ckpt)
+        assert opt2.t == 3
+        history, _ = train(fresh, cases, cfg, sampler, optimizer=opt2)
 
+        assert [r.step for r in history] == [4, 5, 6]
+        assert opt2.t == 6
         assert param_bytes(fresh) == param_bytes(straight)
+
+    def test_returned_optimizer_continues(self):
+        sampler = SamplerConfig(window=WINDOW, jitter_max=4)
+        cases = tiny_cases()
+        straight = tiny_model()
+        train(straight, cases, train_cfg(steps_per_epoch=6), sampler)
+
+        model = tiny_model()
+        _, opt = train(model, cases, train_cfg(steps_per_epoch=2), sampler)
+        history, _ = train(model, cases, train_cfg(steps_per_epoch=6), sampler, optimizer=opt)
+        assert [r.step for r in history] == [3, 4, 5, 6]
+        assert param_bytes(model) == param_bytes(straight)
+        # a run that has already reached total_steps takes no further step
+        history, _ = train(model, cases, train_cfg(steps_per_epoch=6), sampler, optimizer=opt)
+        assert history == [] and opt.t == 6
 
 
 class TestNonFiniteGradient:
@@ -292,28 +322,63 @@ class TestNonFiniteGradient:
         assert not any(m.any() for m in opt.m + opt.v)
 
 
+def assert_untouched(opt):
+    """A fresh optimizer after a refused restore: no moment written, t still 0."""
+    assert opt.t == 0
+    assert not any(a.any() for a in opt.m + opt.v)
+
+
 class TestRestoreOptimizerValidation:
+    # hyperparameters that earlier versions stored in the optimizer meta
+    STORED_BEFORE = ["lr", "beta1", "beta2", "eps", "weight_decay"]
+
     @pytest.fixture()
     def saved(self, tmp_path):
+        # two steps on random gradients, so that every saved moment is nonzero
         model = tiny_model(seed=1)
         opt = AdamW(model.parameters(), lr=1e-3)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            for p in opt.params:
+                p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+            opt.step()
         path = tmp_path / "ck.ynck"
-        save_checkpoint(path, model, opt, step=2)
+        save_checkpoint(path, model, opt)
         return model, path
 
-    @pytest.mark.parametrize("key", ["t", "lr", "beta1", "beta2", "eps", "weight_decay"])
-    @pytest.mark.parametrize("bad", ["missing", "0.5", None, True, float("nan")])
+    def test_moments_and_step_loaded_hyperparameters_kept(self, saved):
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        opt = AdamW(model.parameters(), lr=5e-4, weight_decay=0.0)
+        restore_optimizer(opt, ckpt)
+        assert (opt.lr, opt.weight_decay) == (5e-4, 0.0)
+        assert opt.t == 2
+        for i in range(len(opt.params)):
+            assert opt.m[i].tobytes() == ckpt.arrays[f"adamw.m:{i}"].tobytes()
+            assert opt.v[i].tobytes() == ckpt.arrays[f"adamw.v:{i}"].tobytes()
+        assert all(a.any() for a in opt.m + opt.v)
+
+    @pytest.mark.parametrize("key", ["t", *STORED_BEFORE])
+    @pytest.mark.parametrize("bad", ["missing", "0.5", None, True, float("nan"), 1e-3])
     def test_missing_or_non_numeric_meta(self, saved, key, bad):
+        # t must be a non-negative int; a stored hyperparameter, as older
+        # checkpoints carry, is refused whatever its value, and its absence
+        # is the layout this version writes
         model, path = saved
         ckpt = load_checkpoint(path)
         if bad == "missing":
-            del ckpt.meta["optimizer"][key]
+            ckpt.meta["optimizer"].pop(key, None)
         else:
             ckpt.meta["optimizer"][key] = bad
         opt = AdamW(model.parameters(), lr=5e-4)
+        if key != "t" and bad == "missing":
+            restore_optimizer(opt, ckpt)
+            assert opt.t == 2
+            return
         with pytest.raises(CheckpointError, match=key):
             restore_optimizer(opt, ckpt)
-        assert opt.lr == 5e-4 and opt.t == 0
+        assert opt.lr == 5e-4
+        assert_untouched(opt)
 
     def test_fractional_step_count(self, saved):
         model, path = saved
@@ -332,6 +397,7 @@ class TestRestoreOptimizerValidation:
     @pytest.mark.parametrize("key", ["beta1", "beta2"])
     @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
     def test_beta_outside_unit_interval(self, saved, key, value):
+        # the betas are constants now, so a stored beta is refused, in range or not
         model, path = saved
         ckpt = load_checkpoint(path)
         ckpt.meta["optimizer"][key] = value
@@ -345,6 +411,26 @@ class TestRestoreOptimizerValidation:
         with pytest.raises(CheckpointError, match="optimizer"):
             restore_optimizer(AdamW(model.parameters()), ckpt)
 
+    def test_model_only_checkpoint(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model)
+        opt = AdamW(model.parameters())
+        with pytest.raises(CheckpointError, match="no optimizer state"):
+            restore_optimizer(opt, load_checkpoint(path))
+        assert_untouched(opt)
+
+    def test_second_moment_missing(self, saved):
+        # the last entry, so that every other moment would be written first
+        model, path = saved
+        ckpt = load_checkpoint(path)
+        name = f"adamw.v:{len(list(model.parameters())) - 1}"
+        del ckpt.arrays[name]
+        opt = AdamW(model.parameters())
+        with pytest.raises(CheckpointError, match=f"^optimizer state incomplete: no {name}$"):
+            restore_optimizer(opt, ckpt)
+        assert_untouched(opt)
+
     def test_second_moment_shape_checked(self, saved):
         model, path = saved
         ckpt = load_checkpoint(path)
@@ -352,4 +438,4 @@ class TestRestoreOptimizerValidation:
         opt = AdamW(model.parameters())
         with pytest.raises(CheckpointError, match="shape"):
             restore_optimizer(opt, ckpt)
-        assert opt.t == 0
+        assert_untouched(opt)
