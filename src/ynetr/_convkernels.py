@@ -34,8 +34,10 @@ So offset (dx, dy, dz) contributes ``W[:, :, dx, dy, dz] @ flat[:, d:d + n]``
 to every output at once, where ``flat[:, d:d + n]`` is a contiguous slice
 of each row. The n = X*Yp*Zp columns cover whole rows of the padded
 grid, including junk columns with b >= Y or c >= Z whose windows wrap
-around into the next row. They are computed and dropped when the result
-is cropped to (Cout, X, Y, Z). The zero tail of (k-1)*(Zp+1) columns
+around into the next row. They are computed and left out of the result:
+the forward returns the (Cout, X, Y, Z) crop as a view, without a copy,
+and the bias add that follows it in ``nn.Conv3d`` writes a new
+contiguous array anyway. The zero tail of (k-1)*(Zp+1) columns
 keeps the last shifted slice inside the buffer.
 
 Backward. The input gradient of a same-size conv is the same-size conv
@@ -83,7 +85,14 @@ conv_transpose3d. With kernel == stride s and no padding, input voxel
 ``w.reshape(Cin, -1).T @ x.reshape(Cin, -1)``, whose rows are
 (o, rx, ry, rz), and a depth-to-space copy that puts row (o, r) of
 column (a, b, c) at voxel (a*s + rx, b*s + ry, c*s + rz) of channel o.
-The backward is the space-to-depth copy ``gs`` of ``g`` into that
+The copy runs one offset r at a time: the rows of offset r, a
+contiguous (Cout, X, Y, Z) block of every channel, go to the strided
+slice ``out[:, :, rx, :, ry, :, rz]`` of the output viewed as
+(Cout, X, s, Y, s, Z, s). A single 7-D transposed copy reads the GEMM
+result X*Y*Z elements apart along the output's fastest axis: at
+32 -> 16 channels on a 32^3 grid the whole call took 14-26 ms that way
+against 8-14 ms per offset, with about 2 ms in the GEMM. The backward
+is the space-to-depth copy ``gs`` of ``g`` into the GEMM's
 (Cout*s**3, X*Y*Z) layout and two GEMMs: gx = w.reshape(Cin, -1) @ gs
 and gw = x.reshape(Cin, -1) @ gs.T.
 
@@ -192,7 +201,8 @@ def _column_blocks(flat, shifts, halo, n):
 
 def _corr1(flat, grid, w):
     """Valid stride-1 correlation of the flat padded volume with ``w``
-    (Cout, Cin, k, k, k); returns (Cout, Xp-k+1, Yp-k+1, Zp-k+1)."""
+    (Cout, Cin, k, k, k); returns (Cout, Xp-k+1, Yp-k+1, Zp-k+1), a view
+    that drops the wrap-around columns."""
     cout, cin, k = w.shape[:3]
     xp, yp, zp = grid
     ox, oy, oz = xp - k + 1, yp - k + 1, zp - k + 1
@@ -212,10 +222,10 @@ def _corr1(flat, grid, w):
         if buf is None:  # sized by the first block, the widest
             buf = np.empty((len(wm), m + halo), dtype=np.float32)
         p = np.matmul(wm, block, out=buf[:, : m + halo]).reshape(len(outs), cout, -1)
-        yb[...] = p[0, :, :m]
-        for i, d in enumerate(outs[1:], 1):
+        np.add(p[0, :, :m], p[1, :, outs[1] : outs[1] + m], out=yb)
+        for i, d in enumerate(outs[2:], 2):
             yb += p[i, :, d : d + m]
-    return np.ascontiguousarray(y.reshape(cout, ox, yp, zp)[:, :, :oy, :oz])
+    return y.reshape(cout, ox, yp, zp)[:, :, :oy, :oz]
 
 
 def _weight_grad1(g_full, flat, grid, k):
@@ -252,7 +262,8 @@ def conv3d_backward(x, w, g, stride, pad):
     """Gradients (gx, gw) of conv3d given upstream gradient ``g``."""
     k = _same_size(w, stride, pad)
     gflat, grid = _flat_padded(g, pad, k)
-    gx = _corr1(gflat, grid, _flip(w))
+    # contiguous: gradient layouts set the order of _unbroadcast's sums (see _accum)
+    gx = np.ascontiguousarray(_corr1(gflat, grid, _flip(w)))
     flat, _ = _flat_padded(x, pad, k)
     _, yp, zp = grid
     q = (pad * yp + pad) * zp + pad  # g_full: the padded g, shifted by the pad
@@ -267,8 +278,11 @@ def convt3d_forward(x, w, stride, pad):
     s = _up_step(w, stride, pad)
     _, X, Y, Z = x.shape
     y = w.reshape(cin, -1).T @ x.reshape(cin, -1)  # rows (o, rx, ry, rz)
-    y = y.reshape(cout, s, s, s, X, Y, Z).transpose(0, 4, 1, 5, 2, 6, 3)
-    return y.reshape(cout, X * s, Y * s, Z * s)
+    y = y.reshape(cout, s, s, s, X, Y, Z)
+    out = np.empty((cout, X, s, Y, s, Z, s), dtype=np.float32)
+    for rx, ry, rz in _offsets(s):
+        out[:, :, rx, :, ry, :, rz] = y[:, rx, ry, rz]
+    return out.reshape(cout, X * s, Y * s, Z * s)
 
 
 def convt3d_backward(x, w, g, stride, pad):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import keep_freed_heap
 from .sampling import pad_to_window
 from .volume import LabelVolume, Volume3D, check_finite
 from .wavelet import split_frequency
@@ -68,6 +69,7 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     (probability Volume3D, mask LabelVolume) at the input shape; a
     volume with NaN or inf voxels raises ValueError.
     """
+    keep_freed_heap()
     cfg = cfg or InferenceConfig()
     check_finite(volume.voxels, "inference volume")
     orig = volume.voxels.shape

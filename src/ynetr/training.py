@@ -8,16 +8,14 @@ have made.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import platform
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, keep_freed_heap
 from .losses import LossConfig, segmentation_loss
 from .optim import AdamW
 from .sampling import (
@@ -117,39 +115,6 @@ def _draw(case, want_positive, rng, sampler_cfg):
         return sample, "no tumor-free window (unconstrained windows drawn)"
 
 
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap():
-    """Have glibc keep the memory a training step frees for the next step
-    instead of returning it to the OS; elsewhere this does nothing.
-
-    ``backward()`` frees saved values and intermediate gradients as it
-    goes. By default glibc unmaps freed blocks above its mmap threshold
-    and trims a free heap top above its trim threshold, and the next step
-    faults the pages in again. Measured on a 2-core host, medians of steps
-    3-12 of the bench models, seed 1:
-
-    * ``train_encoder`` without these settings: 65k-72k minor page faults
-      per step, backward 0.215 s and the step 0.507 s. With them: median
-      18 faults, backward 0.123 s and the step 0.402 s, the same as before
-      backward released anything (8 faults, 0.120 s, 0.407 s).
-    * A 64 MiB trim threshold still left 52k faults per step.
-    * The trim threshold alone left ``train_mid`` at 12k faults per step:
-      its 16 MiB activations came from mmap until the mmap threshold was
-      raised above them.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-
-
 def step_rng(seed, step):
     """Counter-keyed stream: deterministic and resume-safe."""
     return np.random.default_rng([seed, step])
@@ -170,7 +135,7 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
     """
     if not cases:
         raise ValueError("training needs at least one case")
-    _keep_freed_heap()
+    keep_freed_heap()
     if optimizer is None:
         optimizer = AdamW(
             model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay

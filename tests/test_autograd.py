@@ -13,6 +13,7 @@ from ynetr.autograd import (
     layer_norm,
     no_grad,
 )
+from ynetr.model import ModelConfig
 
 
 def ensure_grads(params):
@@ -62,6 +63,52 @@ def convt3d_oracle(x, w, stride, pad):
     if pad:
         return yp[:, pad:-pad, pad:-pad, pad:-pad]
     return yp
+
+
+def convt3d_depth_to_space(x, w):
+    """The up-step as one GEMM and one 7-D transposed depth-to-space copy,
+    the bitwise oracle of the kernel's copy one offset at a time."""
+    cin, cout, s = w.shape[:3]
+    _, X, Y, Z = x.shape
+    y = w.reshape(cin, -1).T @ x.reshape(cin, -1)
+    y = y.reshape(cout, s, s, s, X, Y, Z).transpose(0, 4, 1, 5, 2, 6, 3)
+    return y.reshape(cout, X * s, Y * s, Z * s)
+
+
+def up_steps(cfg):
+    """(cin, cout, input grid) of every up-step of a YNetr with ModelConfig
+    ``cfg``: the tap projections of a branch, then the decoder's."""
+    e, c = cfg.embed_dim, cfg.decoder_channels
+
+    def at(n):  # the grid after n up-steps
+        return tuple(g << n for g in cfg.grid)
+
+    return [
+        (e, c[1], at(0)),
+        (e, c[2], at(0)), (c[2], c[2], at(1)),
+        (e, c[3], at(0)), (c[3], c[3], at(1)), (c[3], c[3], at(2)),
+        (c[0], c[1], at(0)), (c[1], c[2], at(1)), (c[2], c[3], at(2)), (c[3], c[4], at(3)),
+    ]
+
+
+TINY = ModelConfig(input_dims=(16, 16, 16), embed_dim=32, num_heads=4,
+                   decoder_channels=(16, 16, 8, 8, 4))
+# the bench's MID and ENCODER models (bench/workloads.py)
+MID = ModelConfig(input_dims=(64, 64, 64), embed_dim=192, decoder_channels=(128, 128, 64, 32, 16))
+ENCODER = ModelConfig(input_dims=(32, 32, 32), embed_dim=384, decoder_channels=(32, 32, 16, 8, 4))
+
+
+def _up_step_cases():
+    """Every distinct up-step of the tiny, MID, ENCODER and paper-default
+    models. Of the paper default's, those on grids up to 16^3, which include
+    every K = 768 step; the two on 32^3 and 64^3 grids would need 0.5 and
+    2 GB for the kernel and the oracle together."""
+    cases = {}
+    for name, cfg in (("tiny", TINY), ("mid", MID), ("encoder", ENCODER), ("paper", ModelConfig())):
+        for cin, cout, grid in up_steps(cfg):
+            if name != "paper" or max(grid) <= 16:
+                cases.setdefault((cin, cout, grid), f"{name}-{cin}-{cout}-{grid[0]}")
+    return [pytest.param(*shape, id=name) for shape, name in cases.items()]
 
 
 def _window(stride, k, a, b, c):
@@ -167,6 +214,49 @@ class TestForwardValues:
             got = conv_transpose3d(Tensor(x), Tensor(w)).data
             want = convt3d_oracle(x, w, s, 0)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_relu_is_bitwise_where(self):
+        f32 = np.finfo(np.float32)
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, f32.smallest_subnormal,
+                   -f32.smallest_subnormal, 3 * f32.smallest_subnormal, -f32.tiny / 2,
+                   f32.tiny, -f32.tiny, f32.max, -f32.max]
+        rng = np.random.default_rng(6)
+        x = np.concatenate([np.array(special, dtype=np.float32),
+                            rng.standard_normal(4096).astype(np.float32)])
+        xt = Tensor(x, requires_grad=True)
+        out = xt.relu()
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == np.where(x > 0, x, np.float32(0.0)).tobytes()
+        # the closure keeps the output, no mask
+        saved = [c.cell_contents for c in out._node.backward.__closure__]
+        assert [a for a in saved if isinstance(a, np.ndarray) and a is not out.data] == []
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        (gx,) = out._node.backward(g)
+        assert gx.tobytes() == (g * (x > 0)).tobytes()
+
+    def test_up_steps_match_the_tiny_model(self, monkeypatch):
+        calls = []
+        original = ck.convt3d_forward
+
+        def recorded(x, w, stride, pad):
+            calls.append((x.shape[0], w.shape[1], x.shape[1:]))
+            return original(x, w, stride, pad)
+
+        monkeypatch.setattr(ck, "convt3d_forward", recorded)
+        tiny_model_step()
+        # two branches of six tap up-steps, then the decoder's four
+        assert len(calls) == 16
+        assert sorted(set(calls)) == sorted(set(up_steps(TINY)))
+
+    @pytest.mark.parametrize("cin, cout, grid", _up_step_cases())
+    def test_conv_transpose_is_bitwise_depth_to_space(self, cin, cout, grid):
+        rng = np.random.default_rng(cin * 7 + cout + grid[0])
+        x = rng.standard_normal((cin, *grid), dtype=np.float32)
+        w = (rng.standard_normal((cin, cout, 2, 2, 2), dtype=np.float32)
+             / np.float32(np.sqrt(cin * 8)))
+        got = ck.convt3d_forward(x, w, 2, 0)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == convt3d_depth_to_space(x, w).tobytes()
 
     def test_conv_shape_errors(self):
         x = Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32))

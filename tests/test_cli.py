@@ -157,6 +157,25 @@ def test_sampler_fallbacks_take_one_stderr_line(tmp_path, runner):
     assert len(lines) == 1 and "no tumor-free window" in lines[0], lines
 
 
+def test_infer_prints_one_line_per_volume(tmp_path, runner):
+    # in a subprocess, whose heap settings are those infer_volume applies
+    cfg = _write_config(tmp_path)
+    data, run, pred = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
+    assert runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(data)]).exit_code == 0
+    res = runner.invoke(cli, ["train", "--config", str(cfg), "--data", str(data), "--out", str(run)])
+    assert res.exit_code == 0, res.output
+    env = dict(os.environ, PYTHONPATH=str(Path(ynetr.__file__).parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-m", "ynetr.cli", "infer", "--checkpoint", str(run / "checkpoint.ynck"),
+         "--out", str(pred), str(data / "case_000.vvol")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    fg = int(read_vvol(pred / "case_000.pred.vvol").labels.sum())
+    assert res.stdout == f"case_000: foreground voxels {fg}\n"
+
+
 def test_phantom_runs_on_an_edited_echo(tmp_path, runner):
     # a smaller shape in the default echo needs no other edit: the liver follows it
     empty = tmp_path / "empty.json"

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ynetr.inference
+import ynetr.training
 from ynetr.autograd import Tensor
 from ynetr.checkpoint import (
     CheckpointError,
@@ -128,6 +130,19 @@ class TestTrainLoop:
         assert [r.step for r in history] == [1, 2, 3, 4]
         assert all(np.isfinite(r.loss) for r in history)
         assert all(np.isfinite(r.dice) and np.isfinite(r.ce) for r in history)
+
+    def test_train_and_infer_keep_the_freed_heap(self, monkeypatch):
+        assert ynetr.training.keep_freed_heap is ynetr.inference.keep_freed_heap
+        calls = []
+        for mod in (ynetr.training, ynetr.inference):
+            monkeypatch.setattr(mod, "keep_freed_heap", lambda name=mod.__name__: calls.append(name))
+        model = tiny_model()
+        train(model, tiny_cases(), train_cfg(steps_per_epoch=1),
+              SamplerConfig(window=WINDOW, jitter_max=4))
+        assert calls == ["ynetr.training"]
+        vol = Volume3D(np.random.default_rng(0).random(WINDOW).astype(np.float32), (1.0, 1.0, 1.0))
+        ynetr.inference.infer_volume(model.predict, vol, WINDOW)
+        assert calls == ["ynetr.training", "ynetr.inference"]
 
     def test_deterministic_runs_bitwise(self, tmp_path):
         results = []
