@@ -15,12 +15,24 @@ as ``param:<name>``, then the AdamW moments as ``adamw.m:<i>`` and
 ``adamw.v:<i>``. The payload is the concatenation of the listed buffers in
 order. Reading back a checkpoint written from the same state is bitwise
 exact. A top-level meta key other than these is ignored.
+
+Each tensor moves once each way. ``save_checkpoint`` writes every array's
+own buffer, with no intermediate bytes object. ``load_checkpoint`` checks
+the payload length against the manifest, then reads each tensor's bytes
+straight into the C-contiguous float32 array that keeps it. Restoring
+draws nothing and copies nothing: ``restore_model`` builds the model with
+placeholder weights and ``restore_optimizer`` replaces the moments, both
+adopting the loaded arrays. A ``Checkpoint`` therefore shares its arrays
+with what was restored from it: training a restored model or optimizer
+changes ``ckpt.arrays``, and two models restored from one ``Checkpoint``
+share their parameters. Load the file again for an independent copy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,7 +73,7 @@ def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, extra: d
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _tensor_entry(line):
@@ -110,33 +122,45 @@ def _parse_manifest(text: bytes):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; malformed content raises CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(MAGIC.encode() + b"\n"):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    stop = raw.find(b"\nend\n")
-    if stop < 0:
-        raise CheckpointError(f"{path}: manifest not terminated")
-    try:
-        meta, model_cfg, directory = _parse_manifest(raw[len(MAGIC) + 1 : stop])
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    pos = stop + len(b"\nend\n")
-    arrays = {}
-    for name, shape, nbytes in directory:
-        chunk = raw[pos : pos + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at tensor {name}")
-        arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-        pos += nbytes
-    if pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after payload")
+        if fh.readline() != MAGIC.encode() + b"\n":
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        lines = []
+        for line in iter(fh.readline, b""):
+            if line == b"end\n":
+                break
+            lines.append(line)
+        else:
+            raise CheckpointError(f"{path}: manifest not terminated")
+        try:
+            meta, model_cfg, directory = _parse_manifest(b"".join(lines)[:-1])
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+        pos, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        arrays = {}
+        for name, shape, nbytes in directory:
+            # checked before the array is allocated: a manifest cannot make
+            # the reader allocate more than the file holds
+            if size - pos < nbytes:
+                raise CheckpointError(f"{path}: truncated payload at tensor {name}")
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr) != nbytes:
+                raise CheckpointError(f"{path}: file shrank while reading tensor {name}")
+            arrays[name] = arr.astype(np.float32, copy=False)  # no copy on little-endian hosts
+            pos += nbytes
+        if pos != size:
+            raise CheckpointError(f"{path}: {size - pos} trailing bytes after payload")
     return Checkpoint(meta=meta, arrays=arrays, model_config=model_cfg)
 
 
 def restore_model(ckpt: Checkpoint) -> YNetr:
-    """Build a model from the stored config and load its parameters; a
-    parameter that is missing or has another shape raises CheckpointError."""
-    model = YNetr(ckpt.model_config)
+    """Build a model from the stored config that adopts the stored parameters.
+
+    The model is built without drawing an initialisation, and each of its
+    parameters takes the checkpoint's array itself as its data, so the two
+    share memory. A parameter that is missing or has another shape raises
+    CheckpointError.
+    """
+    model = YNetr(ckpt.model_config, _draw=False)
     for name, p in model.named_parameters():
         arr = ckpt.arrays.get(f"param:{name}")
         if arr is None:
@@ -145,7 +169,7 @@ def restore_model(ckpt: Checkpoint) -> YNetr:
             raise CheckpointError(
                 f"parameter {name}: checkpoint shape {arr.shape} vs model {p.data.shape}"
             )
-        p.data[...] = arr
+        p.data = arr
     return model
 
 
@@ -153,7 +177,9 @@ def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
     """Load the moments and the step count ``t`` of ``ckpt`` into ``optimizer``,
     which keeps the learning rate and weight decay it was built with.
 
-    Every check runs before anything is written, and ``t`` is set last.
+    The optimizer adopts the checkpoint's moment arrays in place of its own,
+    with no copy, so the two share memory. Every check runs before any
+    moment is adopted, and ``t`` is set last.
     """
     meta = ckpt.meta.get("optimizer")
     if meta is None:
@@ -177,7 +203,7 @@ def restore_optimizer(optimizer: AdamW, ckpt: Checkpoint):
                 raise CheckpointError(
                     f"optimizer moment {name} shape {src.shape} does not match {dst.shape}"
                 )
-            moments.append((dst, src))
-    for dst, src in moments:
-        dst[...] = src
+            moments.append((buffers, i, src))
+    for buffers, i, src in moments:
+        buffers[i] = src
     optimizer.t = t

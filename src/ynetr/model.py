@@ -228,11 +228,16 @@ class Decoder(nn.Module):
 
 
 class YNetr(nn.Module):
-    """The full dual-encoder network."""
+    """The full dual-encoder network.
 
-    def __init__(self, cfg: ModelConfig):
+    Built with ``_draw=False``, its drawn weights are read-only placeholders
+    without storage (see :func:`nn.placeholder`), which the caller must
+    replace; only checkpoint restore builds it that way.
+    """
+
+    def __init__(self, cfg: ModelConfig, *, _draw=True):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.init_seed)
+        rng = np.random.default_rng(cfg.init_seed) if _draw else None
         self.lf_branch = TransformerBranch(rng, cfg)
         self.hf_branch = TransformerBranch(rng, cfg)
         self.decoder = Decoder(rng, cfg)

@@ -12,9 +12,23 @@ import numpy as np
 from .autograd import Tensor, conv3d, conv_transpose3d, layer_norm
 
 
+def placeholder(shape):
+    """Read-only float32 zeros of ``shape`` that own no storage.
+
+    The draw helpers return it when they get no generator, for a model whose
+    caller replaces every drawn array (checkpoint restore): nothing is drawn
+    or allocated for values that are about to be overwritten. Writing to it
+    raises ValueError.
+    """
+    return np.broadcast_to(np.float32(0.0), shape)
+
+
 def trunc_normal(rng, shape):
     """Normal(0, std) with std = 0.02, resampled until inside two standard
-    deviations."""
+    deviations; a :func:`placeholder` the caller must replace when ``rng``
+    is None."""
+    if rng is None:
+        return placeholder(shape)
     std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     flat = vals.reshape(-1)
@@ -28,6 +42,10 @@ def trunc_normal(rng, shape):
 
 
 def fanin_uniform(rng, shape, fan_in):
+    """Uniform on +-1/sqrt(fan_in); a :func:`placeholder` the caller must
+    replace when ``rng`` is None."""
+    if rng is None:
+        return placeholder(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 

@@ -145,8 +145,10 @@ class AdamW:
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # np.zeros, unlike zeros_like, leaves the pages untouched until the
+        # first step, so moments that restore_optimizer replaces cost no memory
+        self.m = [np.zeros(p.data.shape, dtype=np.float32) for p in self.params]
+        self.v = [np.zeros(p.data.shape, dtype=np.float32) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:

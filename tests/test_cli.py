@@ -425,14 +425,25 @@ class TestExitCodes:
             (b'"model_config": {', b'"model_config": {"lf_branch": "transformer", '),  # removed key
             (b'"model_config": {', b'"model_config": {"patch": 16, '),  # removed key
             (b'"model_config": {', b'"model_config": {"mlp_ratio": 4, '),  # removed key
+            # a 4 TiB head bias, refused before anything is allocated for it
+            (b"head.bias 1 2 8\n", b"head.bias 1 1099511627776 4398046511104\n"),
+            # a slice keeps that part of the file and appends new
+            pytest.param(slice(None, -1), b"", id="payload one byte short"),
+            # the last tensor is the 2-float head bias
+            pytest.param(slice(None, -8), b"", id="payload cut at a tensor boundary"),
+            pytest.param(slice(None), b"\0", id="trailing byte"),
         ],
     )
     def test_infer_malformed_checkpoint_is_3(self, tmp_path, runner, old, new):
         ckpt = tmp_path / "model.ynck"
         save_checkpoint(ckpt, YNetr(ModelConfig(**TOY_CONFIG["model"])))
         raw = ckpt.read_bytes()
-        assert old in raw
-        ckpt.write_bytes(raw.replace(old, new, 1))
+        if isinstance(old, slice):
+            raw = raw[old] + new
+        else:
+            assert old in raw
+            raw = raw.replace(old, new, 1)
+        ckpt.write_bytes(raw)
         write_vvol(Volume3D(np.zeros((16, 16, 16), dtype=np.float32), (1, 1, 1)),
                    tmp_path / "x.vvol")
         res = runner.invoke(

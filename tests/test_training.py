@@ -1,5 +1,8 @@
+import json
 import logging
 import re
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from click.testing import CliRunner
 
 import ynetr.inference
 import ynetr.training
+from ynetr import nn
 from ynetr.autograd import Tensor
 from ynetr.checkpoint import (
     CheckpointError,
+    MAGIC,
     load_checkpoint,
     restore_model,
     restore_optimizer,
@@ -206,6 +211,27 @@ class TestTrainLoop:
         assert [(r.step, r.loss) for r in back] == [(r.step, r.loss) for r in history]
 
 
+def checkpoint_file_oracle(model, optimizer=None, extra=None):
+    """The bytes of a checkpoint file by the earlier writer's formula: the
+    manifest, then each tensor as ``np.ascontiguousarray(arr, "<f4").tobytes()``."""
+    entries = [(f"param:{name}", p.data) for name, p in model.named_parameters()]
+    if optimizer is not None:
+        entries += [(f"adamw.m:{i}", m) for i, m in enumerate(optimizer.m)]
+        entries += [(f"adamw.v:{i}", v) for i, v in enumerate(optimizer.v)]
+    meta = {
+        "model_config": asdict(model.cfg),
+        "optimizer": None if optimizer is None else {"t": optimizer.t},
+        "extra": extra or {},
+    }
+    lines = [MAGIC, "meta " + json.dumps(meta, sort_keys=True)]
+    for name, arr in entries:
+        shape = " ".join(str(n) for n in arr.shape)
+        lines.append(f"tensor {name} {arr.ndim} {shape} {arr.nbytes}")
+    lines.append("end")
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in entries)
+    return ("\n".join(lines) + "\n").encode("ascii") + payload
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = tiny_model(seed=1, zero_head=False)
@@ -224,6 +250,51 @@ class TestCheckpoint:
         restore_optimizer(opt2, ckpt)
         save_checkpoint(path2, restored, opt2, extra={"name": "t"})
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("with_optimizer", [False, True], ids=["model", "optimizer"])
+    def test_file_matches_writer_oracle(self, tmp_path, with_optimizer):
+        model = tiny_model(seed=2, zero_head=False)
+        opt = None
+        if with_optimizer:  # two steps on random gradients: every moment is nonzero
+            opt = AdamW(model.parameters(), lr=1e-3)
+            rng = np.random.default_rng(1)
+            for _ in range(2):
+                for p in opt.params:
+                    p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+                opt.step()
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model, opt, extra={"name": "t"})
+        assert path.read_bytes() == checkpoint_file_oracle(model, opt, extra={"name": "t"})
+
+    def test_restore_draws_nothing(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=1, zero_head=False)
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model)
+        for helper in ("trunc_normal", "fanin_uniform"):
+            def refuse(rng, *args, draw=getattr(nn, helper)):
+                if rng is not None:
+                    raise AssertionError("restore drew an initialisation it overwrites")
+                return draw(rng, *args)
+            monkeypatch.setattr(nn, helper, refuse)
+        restored = restore_model(load_checkpoint(path))
+        assert param_bytes(restored) == param_bytes(model)
+
+    def test_restore_peak_memory_is_one_payload(self, tmp_path):
+        # every tensor is held once: no whole-file bytes, no copy into the
+        # model, and no initialisation drawn for the model to overwrite
+        model = YNetr(ModelConfig(input_dims=WINDOW, embed_dim=64, num_heads=4, depth=4,
+                                  decoder_channels=(16, 16, 8, 8, 4)))
+        payload = sum(p.data.nbytes for p in model.parameters())
+        path = tmp_path / "ck.ynck"
+        save_checkpoint(path, model)
+        tracemalloc.start()
+        try:
+            restored = restore_model(load_checkpoint(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert param_bytes(restored) == param_bytes(model)
+        assert peak <= 1.25 * payload, f"peak {peak} B for a payload of {payload} B"
 
     def test_old_step_key_ignored(self, tmp_path):
         # checkpoints of earlier versions carry a top-level step; the model still loads
