@@ -70,11 +70,13 @@ k**a*cout <= 4*k**(3-a)*cin. At k = 3 the 1 -> 16 stem conv keeps
 a = 0 (one GEMM per block, K = 27), the 16 -> 16 and 32 -> 32 convs
 take a = 2 (M = 144, K = 48), and the 16 -> 1 input gradient of the
 stem takes a = 3, whose block is a view of the input: nothing is copied.
-The reason is measured. On a 2-core Xeon with OpenBLAS 0.3.31, a
-(16, 432) @ (432, 8192) GEMM, the 16 -> 16 conv at a = 0, runs at
-115-125 GFLOP/s with 2 threads (65-70 with one), a (144, 48) or
-(48, 144) times 8326 columns at 230-270 (125-130), and the copy falls
-from 27 times the input to 9 times (a = 1) or 3 times (a = 2). A GEMM
+The reason is measured. On a 2-core AVX-512 Xeon with OpenBLAS
+0.3.31 (medians of 200 float32 calls), a (16, 432) @ (432, 8192) GEMM,
+the 16 -> 16 conv at a = 0, runs at 74-75 GFLOP/s with 2 threads (42-45
+with one), and a (144, 48) or (48, 144) times 8326 columns at 134-140
+(78-96; 0.83 ms per call with 2 threads). Inside ``_corr1`` the GEMMs
+of a 16 -> 16 forward at 64^3 ran at 106-130 GFLOP/s (77-85). The copy
+falls from 27 times the input to 9 times (a = 1) or 3 times (a = 2). A GEMM
 per offset instead, with K = cin, would stream a full-size output
 through memory 27 times. With a single offset (k = 1) the block is a
 view of all n columns and nothing is copied.

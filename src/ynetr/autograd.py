@@ -36,8 +36,11 @@ second ``backward()`` through the same graph raises ``ValueError``. The
 loss and the leaves keep their gradients, which may be views of one
 another or of a released node's gradient.
 
-All math is numpy under the hood; values stay float32 throughout so
-test tolerances are meaningful for the precision actually used.
+All math is numpy alone; values stay float32 throughout so test
+tolerances are meaningful for the precision actually used. GELU is the
+exact one, x * Phi(x) (Hendrycks & Gimpel, arXiv 1606.08415), and its
+``erf`` is local: Cephes's rational functions in float64, rounded to
+float32, which equal ``scipy.special.erf`` bitwise on every float32.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import platform
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from . import _convkernels as _ck
 
@@ -106,6 +108,62 @@ def keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+# Cephes's erf (ndtr.c, S. L. Moshier): x*T(x^2)/U(x^2) for |x| <= 1, and
+# 1 - erfc(x) above, with erfc(x) = exp(-x^2)*P(x)/Q(x). U and Q are monic;
+# Cephes leaves their 1 out (p1evl), and 1*x is x exactly
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_CHUNK = 32768  # float64 elements: each temporary (256 KiB) stays in L2
+
+
+def _polevl(x, coef):
+    """Cephes's Horner order, (c0*x + c1)*x + c2 ..., in float64."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def erf(x):
+    """The error function of a float32 array, bitwise equal to Cephes's
+    float64 erf (the one ``scipy.special.erf`` runs) rounded to float32.
+
+    erf is odd and rounding is symmetric, so it is evaluated on |x| and
+    given the sign of x; Cephes forms the negative half as 1 - (2 - erfc),
+    which rounds to the same float32 on every input. |x| is clamped at 6,
+    where the float64 result is already 1.0, so that the polynomials stay
+    finite for inf. NaN stays NaN. Each chunk evaluates the |x| <= 1 form
+    on all of its elements and the erfc form only where |x| > 1.
+    """
+    flat = x.ravel()
+    out = np.empty(flat.shape, np.float32)
+    for i in range(0, flat.size, _ERF_CHUNK):
+        a = np.abs(flat[i : i + _ERF_CHUNK], dtype=np.float64)
+        np.minimum(a, 6.0, out=a)
+        z = a * a
+        r = _polevl(z, _ERF_T)
+        r *= a
+        r /= _polevl(z, _ERF_U)
+        big = np.flatnonzero(a > 1.0)
+        b = a[big]
+        erfc = np.exp(-z[big])
+        erfc *= _polevl(b, _ERFC_P)
+        erfc /= _polevl(b, _ERFC_Q)
+        r[big] = 1.0 - erfc
+        out[i : i + _ERF_CHUNK] = r
+    return np.copysign(out, flat, out=out).reshape(x.shape)
 
 
 def _unbroadcast(grad, shape):

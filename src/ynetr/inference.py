@@ -54,6 +54,14 @@ def build_tiling_plan(dims, window, overlap) -> TilingPlan:
     return TilingPlan(window=tuple(window), starts=starts)
 
 
+def _coverage(dim, starts, window):
+    """How many windows cover each index of one axis."""
+    count = np.zeros(dim)
+    for s in starts:
+        count[s : s + window] += 1.0
+    return count
+
+
 def _softmax_fg(logits):
     shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
@@ -80,15 +88,17 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     plan = build_tiling_plan(padded.shape, window, cfg.overlap)
     wx, wy, wz = plan.window
     acc = np.zeros(padded.shape, dtype=np.float64)
-    weight = np.zeros(padded.shape, dtype=np.float64)
     for ox in plan.starts[0]:
         for oy in plan.starts[1]:
             for oz in plan.starts[2]:
                 sl = (slice(ox, ox + wx), slice(oy, oy + wy), slice(oz, oz + wz))
                 logits = predict_fn(lf[sl], hf[sl])
                 acc[sl] += _softmax_fg(logits)
-                weight[sl] += 1.0
-    prob = (acc / weight).astype(np.float32)[: orig[0], : orig[1], : orig[2]]
+    # the windows are a grid, so a voxel's window count is the product of
+    # its per-axis counts: small integers, so the product is exact
+    cx, cy, cz = map(_coverage, padded.shape, plan.starts, plan.window)
+    acc /= (cx[:, None, None] * cy[None, :, None]) * cz[None, None, :]
+    prob = acc.astype(np.float32)[: orig[0], : orig[1], : orig[2]]
     mask = (prob > cfg.threshold).astype(np.uint8)
     return (
         Volume3D(prob, volume.spacing_mm),

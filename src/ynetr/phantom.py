@@ -23,11 +23,11 @@ liver CT cohorts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import LabelVolume, Volume3D, voxel_volume_cm3
 
@@ -83,12 +83,44 @@ def _superellipsoid_volume_mm3(semi_axes, p):
 
 
 def _smooth_field(rng, shape, amplitude):
-    """Low-frequency noise in [-amplitude, amplitude] via trilinear zoom."""
-    coarse = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
-    axes = [np.linspace(0, 3, n) for n in shape]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([gx, gy, gz])
-    return amplitude * ndimage.map_coordinates(coarse, coords, order=1)
+    """Low-frequency noise in [-amplitude, amplitude]: a 4^3 grid of
+    uniform draws, trilinearly interpolated at linspace(0, 3, n) per axis.
+
+    The arithmetic is that of ``scipy.ndimage.map_coordinates(order=1)``,
+    which this equals bitwise: per axis, cell i = floor(c), w0 = 1 - (c - i)
+    and w1 = 1 - w0; a zero plane after the grid serves the points at 3.0
+    (with weight 0); the eight corners are added in C order, each as
+    v*wx*wy*wz, to a sum that starts at 0.0.
+    """
+    coarse = np.zeros((5, 5, 5))
+    coarse[:4, :4, :4] = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
+    cells, weights = [], []
+    for axis, n in enumerate(shape):
+        at = [1, 1, 1]
+        at[axis] = n
+        c = np.linspace(0, 3, n)
+        i = np.floor(c)
+        w0 = 1.0 - (c - i)
+        cells.append(i.astype(np.intp).reshape(at))
+        weights.append((w0.reshape(at), (1.0 - w0).reshape(at)))
+    (ix, iy, iz), (wx, wy, wz) = cells, weights
+    field = 0.0
+    for dx, dy, dz in itertools.product((0, 1), repeat=3):
+        v = coarse[ix + dx, iy + dy, iz + dz]
+        field = field + v * wx[dx] * wy[dy] * wz[dz]
+    return amplitude * field
+
+
+def _dilate6(mask):
+    """Binary dilation by the 6-neighbour cross, zero outside the box:
+    the mask OR-ed with its six one-voxel shifts."""
+    grown = mask.copy()
+    for axis in range(3):
+        head = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        tail = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        grown[head] |= mask[tail]
+        grown[tail] |= mask[head]
+    return grown
 
 
 def _radial_field(center, semi_vox, p, bbox):
@@ -175,7 +207,7 @@ def _place_tumor(spec, rng, labels, volume, attempts=200):
             continue
         region = tuple(slice(a, b) for a, b in bbox)
         # keep tumors 6-disconnected so components map 1:1 to tumors
-        grown = ndimage.binary_dilation(mask, ndimage.generate_binary_structure(3, 1))
+        grown = _dilate6(mask)
         if labels[region][grown].any():
             continue
         labels[region][mask] = 1

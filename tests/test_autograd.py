@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 
 import ynetr._convkernels as ck
 import ynetr.autograd as autograd
@@ -628,3 +629,59 @@ class TestGraphRelease:
         with pytest.raises(ValueError, match="released"):
             (y * 3.0).sum().backward()
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def float32_run(center, half_width):
+    """The 2 * half_width consecutive float32 values around ``center``."""
+    bits = int(np.float32(center).view(np.int32))
+    run = np.arange(bits - half_width, bits + half_width, dtype=np.int64)
+    return run.astype(np.int32).view(np.float32)
+
+
+# the smallest float32 whose float32 erf is 1
+ERF_REACHES_ONE = np.float32(3.919206)
+
+
+class TestErfOracle:
+    """``autograd.erf`` against ``scipy.special.erf``, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(x):
+        got, want = autograd.erf(x), scipy_special.erf(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        bad = np.flatnonzero((got.view(np.int32) != want.view(np.int32)) & ~nan)
+        assert bad.size == 0, (x[bad[:5]], got[bad[:5]], want[bad[:5]])
+
+    def test_seeded_sample(self):
+        rng = np.random.default_rng(0)
+        normal = rng.standard_normal(500_000).astype(np.float32) * np.float32(2.5)
+        # uniform bit patterns reach every exponent, inf and NaN included
+        bits = rng.integers(0, 2**32, size=500_000, dtype=np.uint32).view(np.float32)
+        self.assert_bitwise(np.concatenate([normal, bits]).reshape(1000, 1000))
+
+    @pytest.mark.parametrize("center", [1.0, -1.0, 6.0, -6.0, ERF_REACHES_ONE, -ERF_REACHES_ONE])
+    def test_dense_ulp_sweep(self, center):
+        self.assert_bitwise(float32_run(center, 1 << 16))
+
+    def test_where_erf_reaches_one(self):
+        below = np.nextafter(ERF_REACHES_ONE, np.float32(0.0))
+        assert scipy_special.erf(below) < 1.0 and scipy_special.erf(ERF_REACHES_ONE) == 1.0
+        x = np.array([below, ERF_REACHES_ONE], np.float32)
+        np.testing.assert_array_equal(autograd.erf(x), [scipy_special.erf(below), 1.0])
+
+    def test_special_values(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-39, -1e-39, np.inf, -np.inf, np.nan],
+                     np.float32)
+        got = autograd.erf(x)
+        assert np.signbit(got[:2]).tolist() == [False, True]
+        np.testing.assert_array_equal(got[6:8], [1.0, -1.0])
+        assert np.isnan(got[8])
+        self.assert_bitwise(x)
+
+    def test_empty_and_strided(self):
+        assert autograd.erf(np.zeros((0, 3), np.float32)).shape == (0, 3)
+        x = np.random.default_rng(1).standard_normal((40, 30)).astype(np.float32).T
+        self.assert_bitwise(x)

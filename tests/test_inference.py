@@ -105,14 +105,17 @@ class TestInferVolume:
         direct = stable_softmax_fg(value_dependent_stub(pair.lf.voxels, pair.hf.voxels))
         assert prob.voxels.tobytes() == direct.tobytes()
 
-    def test_blend_matches_brute_force(self):
-        vol = self._volume((48, 32, 24), seed=2)
+    # (37, 29, 41) clamps the last window start on every axis at every overlap
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("shape", [(48, 32, 24), (37, 29, 41)], ids=["48x32x24", "37x29x41"])
+    def test_blend_matches_brute_force(self, shape, overlap):
+        vol = self._volume(shape, seed=2)
         window = (16, 16, 16)
         prob, _ = infer_volume(
-            value_dependent_stub, vol, window, InferenceConfig(overlap=0.5)
+            value_dependent_stub, vol, window, InferenceConfig(overlap=overlap)
         )
-        want = brute_force_blend(vol, window, 0.5, value_dependent_stub)
-        assert np.abs(prob.voxels - want).max() <= 1e-6
+        want = brute_force_blend(vol, window, overlap, value_dependent_stub)
+        assert prob.voxels.tobytes() == want.tobytes()
 
     def test_probabilities_bounded_and_mask_threshold(self):
         vol = self._volume((24, 24, 24), seed=3)

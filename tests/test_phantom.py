@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from ynetr.phantom import TUMOR_OFFSET_HU, PhantomError, PhantomSpec, generate_phantom
+from ynetr.phantom import (
+    BOUNDARY_NOISE,
+    TUMOR_OFFSET_HU,
+    PhantomError,
+    PhantomSpec,
+    _dilate6,
+    _smooth_field,
+    generate_phantom,
+)
 from ynetr.volume import LabelVolume, voxel_volume_cm3
 
 
@@ -174,3 +182,45 @@ class TestGeneratePhantom:
             PhantomSpec(tumor_volume_cm3=(0.0, 1.0))
         with pytest.raises(ValueError):
             PhantomSpec(tumor_count=(3, 1))
+
+
+class TestScipyOracles:
+    """The numpy interpolation and dilation against scipy.ndimage, bitwise."""
+
+    @staticmethod
+    def box_shapes(n, seed):
+        rng = np.random.default_rng(seed)
+        edges = [1, 2] + list(range(3, 50))
+        return [tuple(int(e) for e in rng.choice(edges, size=3)) for _ in range(n)]
+
+    def test_smooth_field_matches_map_coordinates(self):
+        shapes = self.box_shapes(40, seed=0) + [(1, 1, 1), (2, 2, 2), (1, 2, 37), (2, 45, 1)]
+        for i, shape in enumerate(shapes):
+            got = _smooth_field(np.random.default_rng(i), shape, BOUNDARY_NOISE)
+            coarse = np.random.default_rng(i).uniform(-1.0, 1.0, size=(4, 4, 4))
+            coords = np.stack(np.meshgrid(*[np.linspace(0, 3, n) for n in shape], indexing="ij"))
+            want = BOUNDARY_NOISE * ndimage.map_coordinates(coarse, coords, order=1)
+            assert got.dtype == want.dtype and got.shape == shape
+            assert got.tobytes() == want.tobytes(), shape
+
+    def test_dilate6_matches_binary_dilation(self):
+        cross = ndimage.generate_binary_structure(3, 1)
+        rng = np.random.default_rng(1)
+        for shape in self.box_shapes(30, seed=2):
+            for density in (0.01, 0.2, 0.7):
+                mask = rng.random(shape) < density
+                want = ndimage.binary_dilation(mask, cross)
+                np.testing.assert_array_equal(_dilate6(mask), want)
+
+    def test_dilate6_on_every_face(self):
+        cross = ndimage.generate_binary_structure(3, 1)
+        mask = np.zeros((6, 7, 5), bool)
+        mask[0, 3, 2] = mask[-1, 1, 1] = mask[2, 0, 4] = True
+        mask[4, -1, 0] = mask[1, 5, 0] = mask[3, 2, -1] = True
+        np.testing.assert_array_equal(_dilate6(mask), ndimage.binary_dilation(mask, cross))
+        for shape in [(1, 1, 1), (1, 4, 1), (2, 1, 3)]:
+            full = np.ones(shape, bool)
+            np.testing.assert_array_equal(_dilate6(full), full)
+            one = np.zeros(shape, bool)
+            one[(0,) * 3] = True
+            np.testing.assert_array_equal(_dilate6(one), ndimage.binary_dilation(one, cross))
