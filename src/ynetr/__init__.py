@@ -12,7 +12,6 @@ from .inference import InferenceConfig, TilingPlan, build_tiling_plan, infer_vol
 from .losses import (
     LossConfig,
     cross_entropy_loss,
-    dice_ce_loss,
     dice_loss,
     label_onehot,
     segmentation_loss,

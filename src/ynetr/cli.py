@@ -3,7 +3,9 @@
 Every run-producing subcommand writes a canonical ``config.echo.json``
 into its output directory; re-running from that echo reproduces the
 outputs bitwise. Failures exit nonzero with a one-line machine-parsable
-``<class>-error:`` message (config=2, io=3, numeric=4).
+``<class>-error:`` message (config=2, io=3, numeric=4). A ``.vvol`` file
+of the wrong kind (a label where a volume belongs, or the reverse) is an
+io-error.
 """
 
 from __future__ import annotations
@@ -23,19 +25,21 @@ from .checkpoint import (
     restore_model,
     save_checkpoint,
 )
-from .config import (
-    ConfigError,
-    IntensityConfig,
-    build_config,
-    load_run_config,
-    write_config_echo,
-)
+from .config import ConfigError, build_config, load_run_config, write_config_echo
 from .inference import InferenceConfig, infer_volume
 from .metrics import evaluate
 from .model import YNetr
 from .phantom import PhantomError, generate_phantom
 from .training import TrainingDiverged, prepare_case, train, write_history_csv
-from .volume import VvolError, normalize_intensity, read_vvol, write_vvol
+from .volume import (
+    IntensityConfig,
+    LabelVolume,
+    Volume3D,
+    VvolError,
+    normalize_intensity,
+    read_vvol,
+    write_vvol,
+)
 from .wavelet import split_frequency
 
 EXIT_CONFIG = 2
@@ -56,6 +60,15 @@ def _reporting():
     except (TrainingDiverged, FloatingPointError) as exc:
         click.echo(f"numeric-error: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
+
+
+def _read(path, cls):
+    """The ``cls`` (Volume3D or LabelVolume) stored at ``path``; a file of
+    the other kind raises VvolError."""
+    vol = read_vvol(path)
+    if not isinstance(vol, cls):
+        raise VvolError(f"{path}: expected a {cls.__name__}, got a {type(vol).__name__}")
+    return vol
 
 
 @click.group()
@@ -91,8 +104,7 @@ def wavelet(input_path, out_dir):
         src = Path(input_path)
         out = Path(out_dir) if out_dir else src.parent
         out.mkdir(parents=True, exist_ok=True)
-        vol = read_vvol(src)
-        pair = split_frequency(vol)
+        pair = split_frequency(_read(src, Volume3D))
         stem = src.name[: -len(".vvol")] if src.name.endswith(".vvol") else src.stem
         write_vvol(pair.lf, out / f"{stem}.lf.vvol")
         write_vvol(pair.hf, out / f"{stem}.hf.vvol")
@@ -111,7 +123,8 @@ def _load_dataset(data_dir):
         vol_path = data / f"{stem}.vvol"
         if not vol_path.exists():
             raise VvolError(f"label {stem} has no matching volume {vol_path}")
-        pairs.append((stem, read_vvol(vol_path), read_vvol(data / f"{stem}.label.vvol")))
+        vol = _read(vol_path, Volume3D)
+        pairs.append((stem, vol, _read(data / f"{stem}.label.vvol", LabelVolume)))
     return pairs
 
 
@@ -126,9 +139,8 @@ def train_cmd(config_path, data_dir, out_dir):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_config_echo(cfg, out)
-        hu = (cfg.intensity.lo, cfg.intensity.hi)
         cases = [
-            prepare_case(stem, vol, lbl, cfg.sampler.window, hu_window=hu)
+            prepare_case(stem, vol, lbl, cfg.sampler.window, cfg.intensity)
             for stem, vol, lbl in _load_dataset(data_dir)
         ]
         model = YNetr(cfg.model)
@@ -156,15 +168,14 @@ def infer(ckpt_path, out_dir, inputs):
         ckpt = load_checkpoint(ckpt_path)
         model = restore_model(ckpt)
         extra = ckpt.meta.get("extra", {})
-        hu = build_config(IntensityConfig, extra.get("intensity", {}), "extra.intensity")
+        intensity = build_config(IntensityConfig, extra.get("intensity", {}), "extra.intensity")
         inf = build_config(InferenceConfig, extra.get("inference", {}), "extra.inference")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         window = model.cfg.input_dims
         for path in inputs:
             src = Path(path)
-            vol = read_vvol(src)
-            norm = normalize_intensity(vol, hu.lo, hu.hi)
+            norm = normalize_intensity(_read(src, Volume3D), intensity)
             prob, mask = infer_volume(model.predict, norm, window, inf)
             stem = src.name[: -len(".vvol")] if src.name.endswith(".vvol") else src.stem
             write_vvol(prob, out / f"{stem}.prob.vvol")
@@ -188,11 +199,11 @@ def eval_cmd(pred_dir, gt_dir, out_dir):
             raise VvolError(f"no '*.pred.vvol' files found in {pred}")
         preds, gts = [], []
         for stem in stems:
-            preds.append(read_vvol(pred / f"{stem}.pred.vvol"))
+            preds.append(_read(pred / f"{stem}.pred.vvol", LabelVolume))
             gt_path = gt / f"{stem}.label.vvol"
             if not gt_path.exists():
                 raise VvolError(f"missing ground truth {gt_path}")
-            gts.append(read_vvol(gt_path))
+            gts.append(_read(gt_path, LabelVolume))
         dices, mean, totals, counts = evaluate(preds, gts)
         with open(out / "report.csv", "w") as fh:
             fh.write("volume,dice,tp,fp,fn,tn\n")

@@ -1,5 +1,13 @@
 """Run configuration: one JSON document wiring every pipeline stage.
 
+Each section's class lives beside the code that reads it
+(``IntensityConfig`` in ``volume``, ``ModelConfig`` in ``model``,
+``SamplerConfig`` in ``sampling``, ``TrainConfig`` and its ``LossConfig``
+in ``training`` and ``losses``, ``InferenceConfig`` in ``inference``) and
+holds that section's only defaults and range checks; downstream
+functions take the checked config object, not loose numbers. This module
+adds the run-level checks and the strict loader.
+
 Loading is strict: unknown keys, values that do not fit a field's type
 annotation, and non-finite floats are rejected at every level. Every
 config object checks its own values when it is built and is frozen
@@ -26,20 +34,11 @@ from .model import ModelConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
 from .training import TrainConfig
+from .volume import IntensityConfig
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class IntensityConfig:
-    lo: float = -175.0
-    hi: float = 250.0
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"intensity window needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import keep_freed_heap
+from .autograd import Tensor, keep_freed_heap
 from .sampling import pad_to_window
 from .volume import LabelVolume, Volume3D, check_finite
 from .wavelet import split_frequency
@@ -40,8 +40,6 @@ def tile_positions(dim: int, window: int, overlap: float):
     """Sorted window starts covering [0, dim) with the requested overlap."""
     if window > dim:
         raise ValueError(f"window {window} exceeds dim {dim}; pad the volume first")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     stride = max(1, round(window * (1.0 - overlap)))
     starts = list(range(0, dim - window + 1, stride))
     if starts[-1] != dim - window:
@@ -62,17 +60,11 @@ def _coverage(dim, starts, window):
     return count
 
 
-def _softmax_fg(logits):
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=0, keepdims=True))[1]
-
-
 def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | None = None):
     """Predict a whole (normalized) volume with sliding windows.
 
     ``predict_fn(lf_crop, hf_crop) -> logits`` takes (X, Y, Z) crops and
-    returns (2, X, Y, Z) logits; any callable with that contract works,
+    returns (2, X, Y, Z) float32 logits; any callable with that contract works,
     which keeps the blending logic testable with stubs. Returns
     (probability Volume3D, mask LabelVolume) at the input shape; a
     volume with NaN or inf voxels raises ValueError.
@@ -93,7 +85,7 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
             for oz in plan.starts[2]:
                 sl = (slice(ox, ox + wx), slice(oy, oy + wy), slice(oz, oz + wz))
                 logits = predict_fn(lf[sl], hf[sl])
-                acc[sl] += _softmax_fg(logits)
+                acc[sl] += Tensor(logits).softmax(axis=0).data[1]
     # the windows are a grid, so a voxel's window count is the product of
     # its per-axis counts: small integers, so the product is exact
     cx, cy, cz = map(_coverage, padded.shape, plan.starts, plan.window)

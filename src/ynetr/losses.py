@@ -3,7 +3,9 @@
 Dice runs on the foreground-channel probability of the binary task; the
 cross entropy is computed from logits through log-softmax for stability
 and mean-reduced over voxels so the blend weight keeps the same balance
-at any window size.
+at any window size. ``segmentation_loss`` is the blend; it takes its
+weight from a ``LossConfig``, which holds the weight's only default and
+range check.
 """
 
 from __future__ import annotations
@@ -59,27 +61,20 @@ def label_onehot(labels) -> Tensor:
     return Tensor(np.stack([1.0 - fg, fg]))
 
 
-def dice_ce_loss(labels, logits, alpha=0.5):
-    """Blend alpha * dice + (1 - alpha) * ce on logits for binary labels.
+def segmentation_loss(cfg: LossConfig, labels, logits):
+    """Blend ``cfg.alpha * dice + (1 - cfg.alpha) * ce`` on logits for binary labels.
 
     Returns (total, dice_term, ce_term); the endpoints alpha=1 and
     alpha=0 reproduce the component losses exactly.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     labels, logits = _wrap(labels), _wrap(logits)
     onehot = label_onehot(labels)
     d = dice_loss(onehot[1], logits.softmax(axis=0)[1])
     c = cross_entropy_loss(onehot, logits)
-    if alpha == 1.0:
+    if cfg.alpha == 1.0:
         total = d
-    elif alpha == 0.0:
+    elif cfg.alpha == 0.0:
         total = c
     else:
-        total = alpha * d + (1.0 - alpha) * c
+        total = cfg.alpha * d + (1.0 - cfg.alpha) * c
     return total, d, c
-
-
-def segmentation_loss(cfg: LossConfig, labels, logits):
-    """The configured Dice-CE blend as (total, dice_term, ce_term)."""
-    return dice_ce_loss(labels, logits, alpha=cfg.alpha)

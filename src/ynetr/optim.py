@@ -136,7 +136,11 @@ def _update(chunks, c1, c2, lr, lr_wd):
 
 
 class AdamW:
-    def __init__(self, params, lr=1e-4, weight_decay=0.01):
+    """AdamW over ``params``. ``lr`` and ``weight_decay`` have no defaults
+    here: a run takes them from its ``TrainConfig``, which holds the only
+    ones. ``lr`` 0, which moves no parameter, is allowed."""
+
+    def __init__(self, params, lr, weight_decay):
         if lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {lr}")
         self.params = list(params)

@@ -26,7 +26,7 @@ from .sampling import (
     sample_any_window,
     sample_window,
 )
-from .volume import LabelVolume, Volume3D, check_finite, normalize_intensity
+from .volume import IntensityConfig, LabelVolume, Volume3D, check_finite, normalize_intensity
 from .wavelet import split_frequency
 
 log = logging.getLogger(__name__)
@@ -79,13 +79,19 @@ class StepRecord:
 
 
 def prepare_case(name, volume: Volume3D, label: LabelVolume, window,
-                 hu_window=(-175.0, 250.0)) -> TrainingCase:
-    """Normalize, pad to the sampling window, and split frequencies once.
+                 intensity: IntensityConfig = IntensityConfig()) -> TrainingCase:
+    """Normalize with the ``intensity`` window, pad to the sampling window,
+    and split frequencies once.
 
-    A volume with NaN or inf voxels raises ValueError.
+    A volume with NaN or inf voxels, or whose shape differs from the
+    label's, raises ValueError.
     """
+    if volume.shape != label.shape:
+        raise ValueError(
+            f"case {name}: volume shape {volume.shape} differs from label shape {label.shape}"
+        )
     check_finite(volume.voxels, f"case {name}")
-    norm = normalize_intensity(volume, *hu_window)
+    norm = normalize_intensity(volume, intensity)
     vox = pad_to_window(norm.voxels, window)
     lab = pad_to_window(label.labels, window)
     pair = split_frequency(Volume3D(vox, volume.spacing_mm))

@@ -1,4 +1,5 @@
-"""3D scalar volumes, binary label volumes, and the ``.vvol`` file format.
+"""3D scalar volumes, binary label volumes, the ``.vvol`` file format,
+and the HU intensity window that maps a CT volume onto [0, 1].
 
 A ``.vvol`` file is a plain-text header followed by a raw little-endian
 32-bit payload in x-fastest order. The format is deliberately minimal so
@@ -171,16 +172,24 @@ def check_finite(voxels: np.ndarray, where: str | None = None):
         raise ValueError(f"{where}: {msg}" if where else msg)
 
 
-def normalize_intensity(v: Volume3D, lo: float = -175.0, hi: float = 250.0) -> Volume3D:
-    """Clip voxel values to [lo, hi] and map them affinely onto [0, 1].
+@dataclass(frozen=True)
+class IntensityConfig:
+    """The HU window ``[lo, hi]`` that ``normalize_intensity`` maps onto
+    [0, 1]; the default is a common abdominal soft-tissue preset."""
 
-    The default window is a common abdominal soft-tissue preset in HU.
-    """
-    if lo >= hi:
-        raise ValueError(f"intensity window requires lo < hi, got [{lo}, {hi}]")
-    lo32 = np.float32(lo)
-    span = np.float32(hi) - lo32
-    out = (np.clip(v.voxels, lo, hi) - lo32) / span
+    lo: float = -175.0
+    hi: float = 250.0
+
+    def __post_init__(self):
+        if self.lo >= self.hi:
+            raise ValueError(f"intensity window needs lo < hi, got [{self.lo}, {self.hi}]")
+
+
+def normalize_intensity(v: Volume3D, window: IntensityConfig = IntensityConfig()) -> Volume3D:
+    """Clip voxel values to the window's [lo, hi] and map them affinely onto [0, 1]."""
+    lo32 = np.float32(window.lo)
+    span = np.float32(window.hi) - lo32
+    out = (np.clip(v.voxels, window.lo, window.hi) - lo32) / span
     return Volume3D(out.astype(np.float32), v.spacing_mm)
 
 

@@ -17,7 +17,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class ReferenceAdamW:
-    def __init__(self, params, lr=1e-4, weight_decay=0.01):
+    def __init__(self, params, lr, weight_decay):
         self.params = list(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)

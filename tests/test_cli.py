@@ -284,6 +284,71 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "io-error:" in res.output
 
+    # each file holds the kind its command reads there, except ``wrong``,
+    # which holds the other kind
+    @pytest.mark.parametrize(
+        "command, wrong",
+        [
+            ("wavelet", "data/case.vvol"),
+            ("infer", "data/case.vvol"),
+            ("train", "data/case.vvol"),
+            ("train", "data/case.label.vvol"),
+            ("eval", "pred/case.pred.vvol"),
+            ("eval", "data/case.label.vvol"),
+        ],
+    )
+    def test_file_of_the_wrong_kind_is_3(self, tmp_path, runner, command, wrong):
+        volume = Volume3D(np.zeros((16, 16, 16), dtype=np.float32), (1, 1, 1))
+        label = LabelVolume(np.zeros((16, 16, 16), dtype=np.uint8), (1, 1, 1))
+        files = {"data/case.vvol": volume, "data/case.label.vvol": label,
+                 "pred/case.pred.vvol": label}
+        for d in ("data", "pred"):
+            (tmp_path / d).mkdir()
+        right = files[wrong]
+        swapped = label if right is volume else volume
+        for name, vol in files.items():
+            write_vvol(swapped if name == wrong else vol, tmp_path / name)
+        ckpt = tmp_path / "model.ynck"
+        if command == "infer":
+            save_checkpoint(ckpt, YNetr(ModelConfig(**TOY_CONFIG["model"])))
+        out = str(tmp_path / "out")
+        args = {
+            "wavelet": ["wavelet", str(tmp_path / "data/case.vvol"), "--out", out],
+            "infer": ["infer", "--checkpoint", str(ckpt), "--out", out,
+                      str(tmp_path / "data/case.vvol")],
+            "train": ["train", "--config", str(_write_config(tmp_path)),
+                      "--data", str(tmp_path / "data"), "--out", out],
+            "eval": ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "data"),
+                     "--out", out],
+        }[command]
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 3, res.output
+        assert res.output.splitlines() == [
+            f"io-error: {tmp_path / wrong}: expected a {type(right).__name__}, "
+            f"got a {type(swapped).__name__}"
+        ]
+
+    @pytest.mark.parametrize(
+        "vol_shape, lbl_shape",
+        [((24, 16, 16), (16, 16, 16)), ((16, 16, 16), (20, 16, 16))],
+        ids=["volume-longer", "label-longer"],
+    )
+    def test_train_volume_and_label_shapes_differ_is_2(self, tmp_path, runner, vol_shape,
+                                                        lbl_shape):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_vvol(Volume3D(np.zeros(vol_shape, dtype=np.float32), (1, 1, 1)),
+                   data / "case_000.vvol")
+        write_vvol(LabelVolume(np.zeros(lbl_shape, dtype=np.uint8), (1, 1, 1)),
+                   data / "case_000.label.vvol")
+        res = runner.invoke(cli, ["train", "--config", str(_write_config(tmp_path)),
+                                  "--data", str(data), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2, res.output
+        assert res.output.splitlines() == [
+            f"config-error: case case_000: volume shape {vol_shape} differs from label shape "
+            f"{lbl_shape}"
+        ]
+
     def test_infer_nonfinite_volume_is_3(self, tmp_path, runner):
         model = YNetr(ModelConfig(**TOY_CONFIG["model"]))
         ckpt = tmp_path / "model.ynck"

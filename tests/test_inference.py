@@ -26,10 +26,6 @@ class TestTilePositions:
         with pytest.raises(ValueError):
             tile_positions(100, 128, 0.5)
 
-    def test_bad_overlap(self):
-        with pytest.raises(ValueError):
-            tile_positions(128, 64, 1.0)
-
     def test_coverage_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -149,6 +145,8 @@ class TestInferVolume:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             InferenceConfig(overlap=1.5)
+        with pytest.raises(ValueError, match="overlap must be in"):
+            InferenceConfig(overlap=1.0)
 
     @pytest.mark.parametrize("threshold", [1.0, 1.5, -0.1])
     def test_threshold_outside_unit_interval_is_rejected(self, threshold):

@@ -7,9 +7,9 @@ from ynetr.autograd import Tensor
 from ynetr.losses import (
     LossConfig,
     cross_entropy_loss,
-    dice_ce_loss,
     dice_loss,
     label_onehot,
+    segmentation_loss,
 )
 
 EPS = 1e-5
@@ -89,36 +89,39 @@ class TestBlend:
 
     def test_alpha_one_is_dice(self):
         labels, logits = self._setup()
-        total, d, c = dice_ce_loss(labels, logits, alpha=1.0)
+        total, d, c = segmentation_loss(LossConfig(alpha=1.0), labels, logits)
         assert total.item() == d.item()
 
     def test_alpha_zero_is_ce(self):
         labels, logits = self._setup()
-        total, d, c = dice_ce_loss(labels, logits, alpha=0.0)
+        total, d, c = segmentation_loss(LossConfig(alpha=0.0), labels, logits)
         assert total.item() == c.item()
 
     def test_alpha_half_is_mean(self):
         labels, logits = self._setup()
-        total, d, c = dice_ce_loss(labels, logits, alpha=0.5)
+        total, d, c = segmentation_loss(LossConfig(alpha=0.5), labels, logits)
         np.testing.assert_allclose(total.item(), 0.5 * (d.item() + c.item()), atol=1e-7)
 
     def test_monotone_in_alpha(self):
         labels, logits = self._setup()
-        vals = [dice_ce_loss(labels, logits, alpha=a)[0].item() for a in np.linspace(0, 1, 7)]
+        vals = [
+            segmentation_loss(LossConfig(alpha=a), labels, logits)[0].item()
+            for a in np.linspace(0, 1, 7)
+        ]
         diffs = np.diff(vals)
         assert (diffs >= -1e-7).all() or (diffs <= 1e-7).all()
 
     def test_alpha_out_of_range(self):
-        labels, logits = self._setup()
-        with pytest.raises(ValueError):
-            dice_ce_loss(labels, logits, alpha=1.5)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            LossConfig(alpha=1.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         labels = (rng.random((2, 2, 4)) < 0.5).astype(np.float32)
         logits = rng.standard_normal((2, 2, 2, 4)).astype(np.float32)
+        cfg = LossConfig(alpha=0.5)
         t = Tensor(logits, requires_grad=True)
-        total, _, _ = dice_ce_loss(labels, t, alpha=0.5)
+        total, _, _ = segmentation_loss(cfg, labels, t)
         total.backward()
         h = 1e-3
         fd = np.zeros_like(logits)
@@ -127,8 +130,8 @@ class TestBlend:
             hi[idx] += h
             lo[idx] -= h
             fd[idx] = (
-                dice_ce_loss(labels, hi, alpha=0.5)[0].item()
-                - dice_ce_loss(labels, lo, alpha=0.5)[0].item()
+                segmentation_loss(cfg, labels, hi)[0].item()
+                - segmentation_loss(cfg, labels, lo)[0].item()
             ) / (2 * h)
         scale = max(np.abs(fd).max(), np.abs(t.grad).max())
         assert np.abs(fd - t.grad).max() <= 1e-2 * scale

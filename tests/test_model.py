@@ -5,7 +5,7 @@ import pytest
 
 from ynetr import nn
 from ynetr.autograd import Tensor
-from ynetr.losses import dice_ce_loss
+from ynetr.losses import LossConfig, segmentation_loss
 from ynetr.model import (
     MLP_RATIO,
     PATCH,
@@ -242,7 +242,7 @@ class TestForward:
         lf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         hf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         labels = (rng.random((32, 32, 32)) < 0.2).astype(np.float32)
-        total, _, _ = dice_ce_loss(labels, model(lf, hf), alpha=0.5)
+        total, _, _ = segmentation_loss(LossConfig(alpha=0.5), labels, model(lf, hf))
         total.backward()
         silent = [
             name
@@ -273,7 +273,7 @@ class TestForward:
         lf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         hf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         labels = (rng.random((32, 32, 32)) < 0.2).astype(np.float32)
-        dice_ce_loss(labels, model(lf, hf), alpha=0.5)[0].backward()
+        segmentation_loss(LossConfig(alpha=0.5), labels, model(lf, hf))[0].backward()
         weights = [p.data for p in model.parameters() if p.data.ndim == 5]
         assert len(weights) > 0
         want = {(id(w), d): 1 for w in weights for d in ("forward", "backward")}

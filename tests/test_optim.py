@@ -54,7 +54,7 @@ def test_none_grad_treated_as_zero():
 
 def test_shape_mismatch_rejected():
     p = _param([1.0, 2.0])
-    opt = AdamW([p], lr=1e-3)
+    opt = AdamW([p], lr=1e-3, weight_decay=0.01)
     p.grad = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError, match="shape"):
         opt.step()
@@ -109,8 +109,8 @@ def test_step_bitwise_equals_per_tensor_formula(weight_decay):
 
 def test_step_bitwise_with_one_none_grad():
     params, ref_params = _twin_params(5)
-    opt = AdamW(params, lr=1e-3)
-    ref = ReferenceAdamW(ref_params, lr=1e-3)
+    opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+    ref = ReferenceAdamW(ref_params, lr=1e-3, weight_decay=0.01)
     rng = np.random.default_rng(6)
     for _ in range(10):
         for p, q in zip(params, ref_params):
@@ -125,12 +125,12 @@ def test_step_bitwise_with_one_none_grad():
 def test_non_contiguous_parameter_rejected():
     p = Tensor(np.ones((4, 6), dtype=np.float32).T, requires_grad=True)
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        AdamW([p])
+        AdamW([p], lr=1e-4, weight_decay=0.01)
 
 
 def test_shape_mismatch_leaves_every_parameter_untouched():
     a, b = _param([1.0, 2.0]), _param([3.0])
-    opt = AdamW([a, b], lr=1e-1)
+    opt = AdamW([a, b], lr=1e-1, weight_decay=0.01)
     a.grad = np.ones(2, dtype=np.float32)
     b.grad = np.ones(2, dtype=np.float32)
     with pytest.raises(ValueError, match="shape"):
@@ -147,7 +147,7 @@ def test_non_finite_gradient_leaves_every_parameter_untouched(monkeypatch, worke
     rng = np.random.default_rng(10)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(optim, "_pool", (os.getpid(), workers, pool if workers > 1 else None))
-        opt = AdamW(params, lr=1e-3)
+        opt = AdamW(params, lr=1e-3, weight_decay=0.01)
         for p in params:
             p.grad = rng.standard_normal(p.shape).astype(np.float32)
         opt.step()  # nonzero moments, so that any update would show
@@ -172,8 +172,8 @@ def test_step_independent_of_worker_count(monkeypatch, workers):
     try:
         with ThreadPoolExecutor(workers) as pool:
             monkeypatch.setattr(optim, "_pool", (os.getpid(), workers, pool))
-            opt = AdamW(params, lr=1e-3)
-            ref = ReferenceAdamW(ref_params, lr=1e-3)
+            opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+            ref = ReferenceAdamW(ref_params, lr=1e-3, weight_decay=0.01)
             rng = np.random.default_rng(8)
             for _ in range(3):
                 for p, q in zip(params, ref_params):

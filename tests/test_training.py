@@ -34,7 +34,8 @@ from ynetr.training import (
     train,
     write_history_csv,
 )
-from ynetr.volume import LabelVolume, Volume3D, write_vvol
+from ynetr.volume import IntensityConfig, LabelVolume, Volume3D, normalize_intensity, write_vvol
+from ynetr.wavelet import split_frequency
 
 WINDOW = (16, 16, 16)
 
@@ -116,6 +117,31 @@ class TestPrepareCase:
         vol.voxels[4, 5, 6] = np.inf
         with pytest.raises(ValueError, match="case c: 2 non-finite voxels"):
             prepare_case("c", vol, lbl, WINDOW)
+
+    @pytest.mark.parametrize(
+        "vol_shape, lbl_shape",
+        [((24, 16, 16), WINDOW), (WINDOW, (20, 16, 16))],
+        ids=["volume-longer", "label-longer"],
+    )
+    def test_rejects_shape_mismatch(self, vol_shape, lbl_shape):
+        vol = Volume3D(np.zeros(vol_shape, dtype=np.float32), (1, 1, 1))
+        lbl = LabelVolume(np.zeros(lbl_shape, dtype=np.uint8), (1, 1, 1))
+        want = f"case c: volume shape {vol_shape} differs from label shape {lbl_shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            prepare_case("c", vol, lbl, WINDOW)
+
+    def test_window_matches_the_clip_formula_bitwise(self):
+        lo, hi = -100.0, 200.0
+        vol, lbl = generate_phantom(PhantomSpec(shape=WINDOW, tumor_count=(1, 1),
+                                                tumor_volume_cm3=(0.15, 0.3), seed=100))
+        vol.voxels[0, 0, 0], vol.voxels[1, 1, 1] = -1000.0, 500.0  # clipped at both ends
+        want = (np.clip(vol.voxels, lo, hi) - np.float32(lo)) / (np.float32(hi) - np.float32(lo))
+        window = IntensityConfig(lo, hi)
+        assert normalize_intensity(vol, window).voxels.tobytes() == want.tobytes()
+        case = prepare_case("c", vol, lbl, WINDOW, window)
+        pair = split_frequency(Volume3D(want, vol.spacing_mm))
+        assert case.lf.tobytes() == pair.lf.voxels.tobytes()
+        assert case.hf.tobytes() == pair.hf.voxels.tobytes()
 
 
 class TestTrainLoop:
@@ -235,7 +261,7 @@ def checkpoint_file_oracle(model, optimizer=None, extra=None):
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = tiny_model(seed=1, zero_head=False)
-        opt = AdamW(model.parameters(), lr=1e-3)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
         path = tmp_path / "ck.ynck"
         save_checkpoint(path, model, opt, extra={"name": "t"})
         ckpt = load_checkpoint(path)
@@ -246,7 +272,7 @@ class TestCheckpoint:
         restored = restore_model(ckpt)
         assert param_bytes(restored) == param_bytes(model)
         path2 = tmp_path / "ck2.ynck"
-        opt2 = AdamW(restored.parameters(), lr=1e-3)
+        opt2 = AdamW(restored.parameters(), lr=1e-3, weight_decay=0.01)
         restore_optimizer(opt2, ckpt)
         save_checkpoint(path2, restored, opt2, extra={"name": "t"})
         assert path.read_bytes() == path2.read_bytes()
@@ -256,7 +282,7 @@ class TestCheckpoint:
         model = tiny_model(seed=2, zero_head=False)
         opt = None
         if with_optimizer:  # two steps on random gradients: every moment is nonzero
-            opt = AdamW(model.parameters(), lr=1e-3)
+            opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
             rng = np.random.default_rng(1)
             for _ in range(2):
                 for p in opt.params:
@@ -397,7 +423,7 @@ class TestNonFiniteGradient:
         monkeypatch.setattr(Tensor, "backward", poisoned)
         model = tiny_model()
         before = param_bytes(model)
-        opt = AdamW(model.parameters(), lr=1e-3)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
         with pytest.raises(TrainingDiverged, match="gradient") as err:
             train(model, tiny_cases(), train_cfg(), SamplerConfig(window=WINDOW, jitter_max=4),
                   optimizer=opt)
@@ -422,7 +448,7 @@ class TestRestoreOptimizerValidation:
     def saved(self, tmp_path):
         # two steps on random gradients, so that every saved moment is nonzero
         model = tiny_model(seed=1)
-        opt = AdamW(model.parameters(), lr=1e-3)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
         rng = np.random.default_rng(0)
         for _ in range(2):
             for p in opt.params:
@@ -456,7 +482,7 @@ class TestRestoreOptimizerValidation:
             ckpt.meta["optimizer"].pop(key, None)
         else:
             ckpt.meta["optimizer"][key] = bad
-        opt = AdamW(model.parameters(), lr=5e-4)
+        opt = AdamW(model.parameters(), lr=5e-4, weight_decay=0.01)
         if key != "t" and bad == "missing":
             restore_optimizer(opt, ckpt)
             assert opt.t == 2
@@ -471,14 +497,14 @@ class TestRestoreOptimizerValidation:
         ckpt = load_checkpoint(path)
         ckpt.meta["optimizer"]["t"] = 2.5
         with pytest.raises(CheckpointError, match="'t'"):
-            restore_optimizer(AdamW(model.parameters()), ckpt)
+            restore_optimizer(AdamW(model.parameters(), lr=1e-4, weight_decay=0.01), ckpt)
 
     def test_negative_step_count(self, saved):
         model, path = saved
         ckpt = load_checkpoint(path)
         ckpt.meta["optimizer"]["t"] = -1
         with pytest.raises(CheckpointError, match="negative"):
-            restore_optimizer(AdamW(model.parameters()), ckpt)
+            restore_optimizer(AdamW(model.parameters(), lr=1e-4, weight_decay=0.01), ckpt)
 
     @pytest.mark.parametrize("key", ["beta1", "beta2"])
     @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
@@ -488,20 +514,20 @@ class TestRestoreOptimizerValidation:
         ckpt = load_checkpoint(path)
         ckpt.meta["optimizer"][key] = value
         with pytest.raises(CheckpointError, match=key):
-            restore_optimizer(AdamW(model.parameters()), ckpt)
+            restore_optimizer(AdamW(model.parameters(), lr=1e-4, weight_decay=0.01), ckpt)
 
     def test_non_object_meta(self, saved):
         model, path = saved
         ckpt = load_checkpoint(path)
         ckpt.meta["optimizer"] = [1, 2]
         with pytest.raises(CheckpointError, match="optimizer"):
-            restore_optimizer(AdamW(model.parameters()), ckpt)
+            restore_optimizer(AdamW(model.parameters(), lr=1e-4, weight_decay=0.01), ckpt)
 
     def test_model_only_checkpoint(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "ck.ynck"
         save_checkpoint(path, model)
-        opt = AdamW(model.parameters())
+        opt = AdamW(model.parameters(), lr=1e-4, weight_decay=0.01)
         with pytest.raises(CheckpointError, match="no optimizer state"):
             restore_optimizer(opt, load_checkpoint(path))
         assert_untouched(opt)
@@ -512,7 +538,7 @@ class TestRestoreOptimizerValidation:
         ckpt = load_checkpoint(path)
         name = f"adamw.v:{len(list(model.parameters())) - 1}"
         del ckpt.arrays[name]
-        opt = AdamW(model.parameters())
+        opt = AdamW(model.parameters(), lr=1e-4, weight_decay=0.01)
         with pytest.raises(CheckpointError, match=f"^optimizer state incomplete: no {name}$"):
             restore_optimizer(opt, ckpt)
         assert_untouched(opt)
@@ -521,7 +547,7 @@ class TestRestoreOptimizerValidation:
         model, path = saved
         ckpt = load_checkpoint(path)
         ckpt.arrays["adamw.v:0"] = np.zeros(1, dtype=np.float32)
-        opt = AdamW(model.parameters())
+        opt = AdamW(model.parameters(), lr=1e-4, weight_decay=0.01)
         with pytest.raises(CheckpointError, match="shape"):
             restore_optimizer(opt, ckpt)
         assert_untouched(opt)

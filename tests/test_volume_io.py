@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ynetr.volume import (
+    IntensityConfig,
     LabelVolume,
     Volume3D,
     VvolError,
@@ -119,34 +120,37 @@ def test_roundtrip_property(nx, ny, nz, seed, as_label):
     assert back.spacing_mm == v.spacing_mm
 
 
+WINDOW = IntensityConfig(-175.0, 250.0)
+
+
 class TestNormalizeIntensity:
     def _vol(self, value):
         return Volume3D(np.full((2, 2, 2), value, dtype=np.float32), (1, 1, 1))
 
     def test_clamp_low(self):
-        out = normalize_intensity(self._vol(-1000.0), -175.0, 250.0)
+        out = normalize_intensity(self._vol(-1000.0), WINDOW)
         np.testing.assert_array_equal(out.voxels, 0.0)
 
     def test_clamp_high(self):
-        out = normalize_intensity(self._vol(250.0), -175.0, 250.0)
+        out = normalize_intensity(self._vol(250.0), WINDOW)
         np.testing.assert_array_equal(out.voxels, 1.0)
 
     def test_midpoint(self):
-        out = normalize_intensity(self._vol(37.5), -175.0, 250.0)
+        out = normalize_intensity(self._vol(37.5), WINDOW)
         np.testing.assert_allclose(out.voxels, 0.5, atol=1e-7)
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(11)
         vals = np.sort(rng.uniform(-2000, 2000, 64)).astype(np.float32)
         out = normalize_intensity(
-            Volume3D(vals.reshape(4, 4, 4), (1, 1, 1)), -175.0, 250.0
+            Volume3D(vals.reshape(4, 4, 4), (1, 1, 1)), WINDOW
         ).voxels.ravel()
         assert (np.diff(out) >= 0).all()
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
-            normalize_intensity(self._vol(0.0), 100.0, 100.0)
+        with pytest.raises(ValueError, match="lo < hi"):
+            IntensityConfig(100.0, 100.0)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.0"])
