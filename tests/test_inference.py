@@ -26,6 +26,12 @@ class TestTilePositions:
         with pytest.raises(ValueError):
             tile_positions(100, 128, 0.5)
 
+    def test_bad_overlap(self):
+        # tile_positions trusts its caller; the overlap bound is checked
+        # once, where a run's tiling overlap is configured
+        with pytest.raises(ValueError, match="overlap must be in"):
+            InferenceConfig(overlap=1.0)
+
     def test_coverage_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -145,8 +151,6 @@ class TestInferVolume:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             InferenceConfig(overlap=1.5)
-        with pytest.raises(ValueError, match="overlap must be in"):
-            InferenceConfig(overlap=1.0)
 
     @pytest.mark.parametrize("threshold", [1.0, 1.5, -0.1])
     def test_threshold_outside_unit_interval_is_rejected(self, threshold):
