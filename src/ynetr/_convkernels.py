@@ -35,10 +35,27 @@ to every output at once, where ``flat[:, d:d + n]`` is a contiguous slice
 of each row. The n = X*Yp*Zp columns cover whole rows of the padded
 grid, including junk columns with b >= Y or c >= Z whose windows wrap
 around into the next row. They are computed and left out of the result:
-the forward returns the (Cout, X, Y, Z) crop as a view, without a copy,
-and the bias add that follows it in ``nn.Conv3d`` writes a new
-contiguous array anyway. The zero tail of (k-1)*(Zp+1) columns
-keeps the last shifted slice inside the buffer.
+the forward returns the (Cout, X, Y, Z) crop as a view, without a copy.
+The zero tail of (k-1)*(Zp+1) columns keeps the last shifted slice
+inside the buffer.
+
+Where the output lives. The output rows, (Cout, n), are written over the
+first Cout rows of ``flat`` whenever k > 1 (so that ``flat`` is the
+pass's own padded copy, not a view of its input) and ``flat`` has at
+least Cout rows; otherwise they get a buffer of their own. Overwriting
+is safe because every shift is >= 0 and the blocks of output columns
+run in increasing order: block q0 reads only the columns >= q0 of
+``flat``, and writes only the columns [q0, q0 + m), after its GEMM has
+read the whole block into its own result. So a same-size conv holds one
+buffer per full-size map: a 16 -> 16 forward at 64^3 peaked at 24.9 MB
+by tracemalloc, against 42.7 MB with a separate output buffer. The k = 1
+head, whose ``flat`` is a view of its input, keeps its own output.
+``rows`` gives the whole rows under a crop, on which autograd adds the
+bias and runs the ReLU in place, junk columns included. At 16 channels
+on a 64^3 grid (medians of 41 calls, 2-core host) the bias add took
+0.8-0.9 ms there, against 3.5-3.9 ms in place on the cropped view and
+2.0-2.2 ms into a new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and
+3.2-3.5 ms.
 
 Backward. The input gradient of a same-size conv is the same-size conv
 of ``g`` with the flipped, channel-swapped weight:
@@ -50,6 +67,8 @@ The weight gradient of offset d is ``g_full @ flat[:, d:d + n].T``, where
 the wrap-around columns. Those zeros keep the junk windows out of
 ``gw``; without them ``gw`` is silently wrong. The padded ``g`` lies on
 the grid of ``x``, so ``g_full`` is a view of it, shifted by the pad.
+The backward computes ``gw`` first, so that ``gx`` can then overwrite
+the padded ``g``, which holds Cout rows for gx's Cin.
 
 Accumulation order follows from the shapes. The k**3 kernel offsets
 are split between the copied block and the GEMM output. Split a sends
@@ -201,10 +220,12 @@ def _column_blocks(flat, shifts, halo, n):
         yield q0, m, block.reshape(rows, -1)
 
 
-def _corr1(flat, grid, w):
+def _corr1(flat, grid, w, overwrite):
     """Valid stride-1 correlation of the flat padded volume with ``w``
     (Cout, Cin, k, k, k); returns (Cout, Xp-k+1, Yp-k+1, Zp-k+1), a view
-    that drops the wrap-around columns."""
+    that drops the wrap-around columns. With ``overwrite``, for a ``flat``
+    the caller owns and no longer reads, the output is written over its
+    first Cout rows when it has that many (see the module docstring)."""
     cout, cin, k = w.shape[:3]
     xp, yp, zp = grid
     ox, oy, oz = xp - k + 1, yp - k + 1, zp - k + 1
@@ -214,7 +235,10 @@ def _corr1(flat, grid, w):
     halo = outs[-1]
     # rows (output-side offset, o), columns (copied offset, c)
     wm = w.reshape(cout, cin, -1, k**a).transpose(3, 0, 2, 1).reshape(k**a * cout, -1)
-    y = np.empty((cout, n), dtype=np.float32)
+    if overwrite and cout <= len(flat):
+        y = flat[:cout, :n]
+    else:
+        y = np.empty((cout, n), dtype=np.float32)
     buf = None
     for q0, m, block in _column_blocks(flat, shifts, halo, n):
         yb = y[:, q0 : q0 + m]
@@ -257,20 +281,31 @@ def conv3d_forward(x, w, stride, pad):
     cin = w.shape[1]
     if x.shape[0] != cin:
         raise ValueError(f"conv3d expects {cin} input channels, got {x.shape[0]}")
-    return _corr1(*_flat_padded(x, pad, _same_size(w, stride, pad)), w)
+    k = _same_size(w, stride, pad)
+    return _corr1(*_flat_padded(x, pad, k), w, overwrite=k > 1)
+
+
+def rows(y):
+    """The whole rows of the buffer under a ``conv3d_forward`` output ``y``:
+    a (Cout, n) view, wrap-around columns included, whose rows are
+    contiguous, so that elementwise work in place runs over long rows
+    instead of the cropped view's short ones."""
+    cout, ox = y.shape[:2]
+    return y.base[:cout, : ox * y.strides[1] // y.itemsize]
 
 
 def conv3d_backward(x, w, g, stride, pad):
     """Gradients (gx, gw) of conv3d given upstream gradient ``g``."""
     k = _same_size(w, stride, pad)
     gflat, grid = _flat_padded(g, pad, k)
-    # contiguous: gradient layouts set the order of _unbroadcast's sums (see _accum)
-    gx = np.ascontiguousarray(_corr1(gflat, grid, _flip(w)))
     flat, _ = _flat_padded(x, pad, k)
     _, yp, zp = grid
     q = (pad * yp + pad) * zp + pad  # g_full: the padded g, shifted by the pad
     g_full = gflat[:, q : q + g.shape[1] * yp * zp]
-    return gx, np.ascontiguousarray(_weight_grad1(g_full, flat, grid, k))
+    gw = np.ascontiguousarray(_weight_grad1(g_full, flat, grid, k))
+    del flat, g_full  # the padded x goes before gx's pass, which may overwrite gflat
+    # contiguous: gradient layouts set the order of _unbroadcast's sums (see autograd._accum)
+    return np.ascontiguousarray(_corr1(gflat, grid, _flip(w), overwrite=k > 1)), gw
 
 
 def convt3d_forward(x, w, stride, pad):

@@ -13,15 +13,25 @@ closures save:
   indices only;
 * mul, div and matmul: the operand that the other side's gradient reads,
   and only when that side needs a gradient;
-* sqrt, softmax, log_softmax and relu their output (relu's mask is
-  ``out > 0``, which a following conv keeps anyway); gelu its input and
-  Phi(x);
+* sqrt, softmax and log_softmax their output; gelu its input and Phi(x);
 * conv3d (same-size: odd k, stride 1, padding k // 2) and
-  conv_transpose3d (an up-step: kernel == stride, no padding) the input
-  and the weight, whose shape fixes the stride and the padding.
+  conv_transpose3d (an up-step: kernel == stride, no padding) the input,
+  the weight, whose shape fixes the stride and the padding, and the bias
+  for its shape; a conv3d that applies the ReLU also its output (the
+  ReLU's mask is ``out > 0``, and a following conv keeps that output as
+  its input anyway).
 
-So a value that no closure reads, such as a conv output before its bias
-is added, is freed as soon as the caller drops its tensor.
+So a value that no closure reads, such as a stem's output once the two
+branches' pyramids are added, is freed as soon as the caller drops its
+tensor.
+
+Three ops write a value in place, each into an array that no closure
+reads and that only the op's caller holds: each conv adds its bias into
+the kernel's new output, conv3d runs its ReLU there too, and
+``Tensor.add_`` adds into its left operand (the decoder's skip adds).
+Each is the same IEEE operation on the same operands as the op it
+replaces, so values and gradients are bitwise those of separate ops, in
+the recorded and the ``no_grad`` pass alike.
 
 ``Tensor.backward()`` sorts the nodes reachable from the loss once and
 runs their closures in reverse topological order, adding each returned
@@ -260,8 +270,17 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        return self._add(other, None)
+
+    def add_(self, other):
+        """``self + other``, written into ``self``'s array, which no closure
+        may read (say, an up-step's new output) and which takes the sum's
+        shape; returns a new tensor over that array."""
+        return self._add(other, self.data)
+
+    def _add(self, other, into):
         other = _wrap(other)
-        out = Tensor(self.data + other.data)
+        out = Tensor(np.add(self.data, other.data, out=into))
         a_shape, b_shape = self.data.shape, other.data.shape
         need_a, need_b = self.requires_grad, other.requires_grad
 
@@ -380,14 +399,6 @@ class Tensor:
     def sqrt(self):
         val = np.sqrt(self.data)
         return Tensor(val)._record((self,), lambda g: (g * np.float32(0.5) / val,))
-
-    def relu(self):
-        # bitwise np.where(x > 0, x, 0) on every float32, without its branch
-        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
-        # fmax may return for x = -0.0 into 0.0
-        val = np.fmax(self.data, np.float32(0.0))
-        val += np.float32(0.0)
-        return Tensor(val)._record((self,), lambda g: (g * (val > 0),))
 
     def gelu(self):
         """Exact Gaussian-error-linear unit: x * Phi(x)."""
@@ -516,26 +527,64 @@ def layer_norm(x, weight, bias, axis=-1, eps=1e-5):
     return xhat * weight + bias
 
 
-def conv3d(x, w):
-    """Same-size 3-D convolution; ``x`` is (Cin, X, Y, Z), ``w`` is
-    (Cout, Cin, k, k, k) with odd k, so stride 1 and padding k // 2."""
-    x, w = _wrap(x), _wrap(w)
-    xd, wd = x.data, w.data
-    pad = wd.shape[2] // 2
-    out = Tensor(_ck.conv3d_forward(xd, wd, 1, pad))
-    return out._record((x, w), lambda g: _ck.conv3d_backward(xd, wd, g, 1, pad))
+def _bias_grad(g, b, need):
+    """The bias gradient of ``out + b.reshape(cout, 1, 1, 1)``, by the same
+    sums as the add's and the reshape's gradients."""
+    return _unbroadcast(g, (len(b), 1, 1, 1)).reshape(b.shape) if need else None
 
 
-def conv_transpose3d(x, w):
-    """Transposed 3-D convolution with kernel == stride s and no padding,
-    an s-fold up-step; ``w`` is (Cin, Cout, s, s, s).
+def conv3d(x, w, b, relu=False):
+    """Same-size 3-D convolution plus the bias ``b`` (Cout,), then the ReLU
+    if ``relu``; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k) with
+    odd k, so stride 1 and padding k // 2.
 
-    With conv3d's weight reinterpreted this way, this is the exact adjoint
-    of the stride-s conv3d without padding:
-    <conv(x, w), y> == <x, conv_transpose3d(y, w)>.
+    The bias add and the ReLU run in place over the whole rows of the
+    kernel's output buffer (``_convkernels.rows``), wrap-around columns
+    included; each value equals that of ``conv + b`` and ``.relu()`` as
+    separate ops, and so does each gradient.
     """
-    x, w = _wrap(x), _wrap(w)
-    xd, wd = x.data, w.data
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    xd, wd, bd = x.data, w.data, b.data
+    pad = wd.shape[2] // 2
+    y = _ck.conv3d_forward(xd, wd, 1, pad)
+    r = _ck.rows(y)
+    r += bd[:, None]
+    if relu:
+        # bitwise np.where(r > 0, r, 0) on every float32, without its branch
+        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
+        # fmax may return for r = -0.0 into 0.0
+        np.fmax(r, np.float32(0.0), out=r)
+        r += np.float32(0.0)
+    need_b = b.requires_grad
+    out = y if relu else None  # the ReLU's mask is out > 0
+
+    def bw(g):
+        if out is not None:
+            g = g * (out > 0)
+        gb = _bias_grad(g, bd, need_b)
+        return (*_ck.conv3d_backward(xd, wd, g, 1, pad), gb)
+
+    return Tensor(y)._record((x, w, b), bw)
+
+
+def conv_transpose3d(x, w, b):
+    """Transposed 3-D convolution with kernel == stride s and no padding,
+    an s-fold up-step, plus the bias ``b`` (Cout,), added in place into the
+    kernel's new output; ``w`` is (Cin, Cout, s, s, s).
+
+    With conv3d's weight reinterpreted this way and a zero bias, this is
+    the exact adjoint of the stride-s conv3d without padding:
+    <conv(x, w), y> == <x, conv_transpose3d(y, w, 0)>.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    xd, wd, bd = x.data, w.data, b.data
     s = wd.shape[2]
-    out = Tensor(_ck.convt3d_forward(xd, wd, s, 0))
-    return out._record((x, w), lambda g: _ck.convt3d_backward(xd, wd, g, s, 0))
+    y = _ck.convt3d_forward(xd, wd, s, 0)
+    y += bd.reshape(-1, 1, 1, 1)
+    need_b = b.requires_grad
+
+    def bw(g):
+        gb = _bias_grad(g, bd, need_b)
+        return (*_ck.convt3d_backward(xd, wd, g, s, 0), gb)
+
+    return Tensor(y)._record((x, w, b), bw)

@@ -199,11 +199,14 @@ def eval_cmd(pred_dir, gt_dir, out_dir):
             raise VvolError(f"no '*.pred.vvol' files found in {pred}")
         preds, gts = [], []
         for stem in stems:
-            preds.append(_read(pred / f"{stem}.pred.vvol", LabelVolume))
-            gt_path = gt / f"{stem}.label.vvol"
+            pred_path, gt_path = pred / f"{stem}.pred.vvol", gt / f"{stem}.label.vvol"
+            preds.append(_read(pred_path, LabelVolume))
             if not gt_path.exists():
                 raise VvolError(f"missing ground truth {gt_path}")
             gts.append(_read(gt_path, LabelVolume))
+            if preds[-1].shape != gts[-1].shape:
+                raise ValueError(f"volume {stem}: prediction {pred_path} has shape "
+                                 f"{preds[-1].shape}, ground truth {gt_path} {gts[-1].shape}")
         dices, mean, totals, counts = evaluate(preds, gts)
         with open(out / "report.csv", "w") as fh:
             fh.write("volume,dice,tp,fp,fn,tn\n")

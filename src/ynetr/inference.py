@@ -37,10 +37,12 @@ class TilingPlan:
 
 
 def tile_positions(dim: int, window: int, overlap: float):
-    """Sorted window starts covering [0, dim) with the requested overlap."""
+    """Sorted window starts covering [0, dim) with the requested overlap.
+    The stride is capped at the window, so that any ``overlap``, even a
+    negative one, leaves no voxel uncovered."""
     if window > dim:
         raise ValueError(f"window {window} exceeds dim {dim}; pad the volume first")
-    stride = max(1, round(window * (1.0 - overlap)))
+    stride = min(window, max(1, round(window * (1.0 - overlap))))
     starts = list(range(0, dim - window + 1, stride))
     if starts[-1] != dim - window:
         starts.append(dim - window)

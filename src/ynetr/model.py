@@ -161,7 +161,7 @@ class Stem(nn.Module):
         self.conv2 = nn.Conv3d(rng, cout, cout, 3)
 
     def forward(self, x):
-        return self.conv2(self.conv1(x).relu())
+        return self.conv2(self.conv1(x, relu=True))
 
 
 class TransformerBranch(nn.Module):
@@ -177,17 +177,18 @@ class TransformerBranch(nn.Module):
         self.stem = Stem(rng, ch[4])
 
     def forward(self, x):
-        """The pyramid levels, deepest first, full-resolution stem last."""
+        """The pyramid levels, deepest first, full-resolution stem last.
+        The stem runs first, while no encoder output is held."""
+        stem = self.stem(x)
         z_q, z_half, z_3q, z_full = self.encoder(x)
         grid = self.cfg.grid
-        levels = [
+        return [
             self.proj_deep(tokens_to_grid(z_full, grid)),
             self.proj_mid(tokens_to_grid(z_3q, grid)),
             self.proj_shallow(tokens_to_grid(z_half, grid)),
             self.proj_top(tokens_to_grid(z_q, grid)),
-            self.stem(x),
+            stem,
         ]
-        return levels
 
 
 def fuse_add(a: list, b: list) -> list:
@@ -218,12 +219,15 @@ class Decoder(nn.Module):
         self.head = nn.Conv3d(rng, ch[4], 2, 1, zero_init=cfg.zero_init_head)
 
     def forward(self, levels):
-        d = levels[0]
-        for up, conv, skip in zip(self.ups, self.convs, levels[1:4]):
-            d = up(d) + skip
-            d = conv(d).relu()
-        d = self.final_up(d) + levels[4]
-        d = self.final_conv(d).relu()
+        """Logits of the pyramid ``levels``, deepest first. Each skip is
+        added into its up-step's new output, and each level is dropped from
+        ``levels`` once used, so that a forward without a graph frees it."""
+        levels.reverse()
+        d = levels.pop()
+        for up, conv in zip(self.ups, self.convs):
+            d = conv(up(d).add_(levels.pop()), relu=True)
+        d = self.final_up(d).add_(levels.pop())
+        d = self.final_conv(d, relu=True)
         return self.head(d)
 
 

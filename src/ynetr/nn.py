@@ -119,11 +119,10 @@ class Conv3d(Module):
             w = fanin_uniform(rng, shape, cin * kernel**3)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
-        self.cout = cout
 
-    def forward(self, x):
-        out = conv3d(x, self.weight)
-        return out + self.bias.reshape(self.cout, 1, 1, 1)
+    def forward(self, x, relu=False):
+        """The conv plus bias, then the ReLU if ``relu``."""
+        return conv3d(x, self.weight, self.bias, relu)
 
 
 class ConvTranspose3d(Module):
@@ -133,8 +132,6 @@ class ConvTranspose3d(Module):
         w = fanin_uniform(rng, (cin, cout, 2, 2, 2), cin * 8)
         self.weight = Tensor.param(w)
         self.bias = Tensor.param(np.zeros(cout, dtype=np.float32))
-        self.cout = cout
 
     def forward(self, x):
-        out = conv_transpose3d(x, self.weight)
-        return out + self.bias.reshape(self.cout, 1, 1, 1)
+        return conv_transpose3d(x, self.weight, self.bias)

@@ -83,13 +83,16 @@ def prepare_case(name, volume: Volume3D, label: LabelVolume, window,
     """Normalize with the ``intensity`` window, pad to the sampling window,
     and split frequencies once.
 
-    A volume with NaN or inf voxels, or whose shape differs from the
-    label's, raises ValueError.
+    A volume with NaN or inf voxels, or whose shape or spacing differs
+    from the label's, raises ValueError.
     """
     if volume.shape != label.shape:
         raise ValueError(
             f"case {name}: volume shape {volume.shape} differs from label shape {label.shape}"
         )
+    if volume.spacing_mm != label.spacing_mm:
+        raise ValueError(f"case {name}: volume spacing {volume.spacing_mm} mm differs from "
+                         f"label spacing {label.spacing_mm} mm")
     check_finite(volume.voxels, f"case {name}")
     norm = normalize_intensity(volume, intensity)
     vox = pad_to_window(norm.voxels, window)

@@ -54,14 +54,6 @@ def check_op(build, arrays, h=FD_H):
     return worst
 
 
-def _away_from_kinks(arr, margin=0.05):
-    """Shift samples off relu/abs kinks so finite differences stay valid."""
-    arr = arr.copy()
-    small = np.abs(arr) < margin
-    arr[small] += np.sign(arr[small] + 1e-6) * margin
-    return arr
-
-
 def primitive_cases(rng):
     """(name, builder, input arrays) for every differentiable primitive."""
     r = lambda *s: rng.standard_normal(s).astype(np.float32)
@@ -86,7 +78,6 @@ def primitive_cases(rng):
         ("mean_all", lambda a: a.mean(), [r(3, 4)]),
         ("mean_axis", lambda a: a.mean(axis=-1), [r(2, 3, 4)]),
         ("sqrt", lambda a: a.sqrt(), [rp(3, 4)]),
-        ("relu", lambda a: a.relu(), [_away_from_kinks(r(4, 4))]),
         ("gelu", lambda a: a.gelu(), [r(4, 4)]),
         ("softmax", lambda a: a.softmax(axis=-1), [r(4, 5)]),
         ("softmax_axis0", lambda a: a.softmax(axis=0), [r(3, 4)]),
@@ -96,18 +87,27 @@ def primitive_cases(rng):
             lambda a, w, b: layer_norm(a, w, b, axis=-1),
             [r(4, 6), rp(6,), r(6,)],
         ),
-        ("conv3d", lambda x, w: conv3d(x, w), [r(2, 3, 3, 3), r(2, 2, 3, 3, 3)]),
-        ("conv3d_noncubic", lambda x, w: conv3d(x, w), [r(2, 5, 4, 3), r(3, 2, 3, 3, 3)]),
-        ("conv3d_k1", lambda x, w: conv3d(x, w), [r(3, 3, 4, 2), r(2, 3, 1, 1, 1)]),
+        ("conv3d", lambda x, w, b: conv3d(x, w, b), [r(2, 3, 3, 3), r(2, 2, 3, 3, 3), r(2)]),
+        (
+            "conv3d_noncubic",
+            lambda x, w, b: conv3d(x, w, b),
+            [r(2, 5, 4, 3), r(3, 2, 3, 3, 3), r(3)],
+        ),
+        ("conv3d_k1", lambda x, w, b: conv3d(x, w, b), [r(3, 3, 4, 2), r(2, 3, 1, 1, 1), r(2)]),
+        (
+            "conv3d_relu",
+            lambda x, w, b: conv3d(x, w, b, relu=True),
+            [r(2, 3, 3, 3), r(2, 2, 3, 3, 3), r(2)],
+        ),
         (
             "conv_transpose3d",
-            lambda x, w: conv_transpose3d(x, w),
-            [r(2, 2, 2, 2), r(2, 1, 2, 2, 2)],
+            lambda x, w, b: conv_transpose3d(x, w, b),
+            [r(2, 2, 2, 2), r(2, 1, 2, 2, 2), r(1)],
         ),
         (
             "conv_transpose3d_k3",
-            lambda x, w: conv_transpose3d(x, w),
-            [r(2, 2, 1, 2), r(2, 1, 3, 3, 3)],
+            lambda x, w, b: conv_transpose3d(x, w, b),
+            [r(2, 2, 1, 2), r(2, 1, 3, 3, 3), r(1)],
         ),
     ]
     return cases

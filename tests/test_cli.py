@@ -284,6 +284,24 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "io-error:" in res.output
 
+    def test_eval_shape_mismatch_names_the_volume_and_files_is_2(self, tmp_path, runner):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        for stem, pred_shape in (("a", (16, 16, 16)), ("b", (16, 16, 20))):
+            write_vvol(LabelVolume(np.zeros(pred_shape, dtype=np.uint8), (1, 1, 1)),
+                       pred_dir / f"{stem}.pred.vvol")
+            write_vvol(LabelVolume(np.zeros((16, 16, 16), dtype=np.uint8), (1, 1, 1)),
+                       gt_dir / f"{stem}.label.vvol")
+        res = runner.invoke(
+            cli, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "r")]
+        )
+        assert res.exit_code == 2, res.output
+        assert res.output.splitlines() == [
+            f"config-error: volume b: prediction {pred_dir / 'b.pred.vvol'} has shape "
+            f"(16, 16, 20), ground truth {gt_dir / 'b.label.vvol'} (16, 16, 16)"
+        ]
+
     # each file holds the kind its command reads there, except ``wrong``,
     # which holds the other kind
     @pytest.mark.parametrize(
@@ -347,6 +365,21 @@ class TestExitCodes:
         assert res.output.splitlines() == [
             f"config-error: case case_000: volume shape {vol_shape} differs from label shape "
             f"{lbl_shape}"
+        ]
+
+    def test_train_volume_and_label_spacings_differ_is_2(self, tmp_path, runner):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_vvol(Volume3D(np.zeros((16, 16, 16), dtype=np.float32), (1, 1, 1)),
+                   data / "case_000.vvol")
+        write_vvol(LabelVolume(np.zeros((16, 16, 16), dtype=np.uint8), (1, 1, 2.5)),
+                   data / "case_000.label.vvol")
+        res = runner.invoke(cli, ["train", "--config", str(_write_config(tmp_path)),
+                                  "--data", str(data), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2, res.output
+        assert res.output.splitlines() == [
+            "config-error: case case_000: volume spacing (1.0, 1.0, 1.0) mm differs from "
+            "label spacing (1.0, 1.0, 2.5) mm"
         ]
 
     def test_infer_nonfinite_volume_is_3(self, tmp_path, runner):

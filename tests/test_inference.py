@@ -46,6 +46,26 @@ class TestTilePositions:
             assert starts == sorted(set(starts))
             assert starts[-1] == dim - window
 
+    @pytest.mark.parametrize("overlap", [-3.0, -1.0, -0.5, -0.01, 0.0, 0.3, 0.5, 0.9, 0.99])
+    def test_every_overlap_covers_every_voxel(self, overlap):
+        # the stride is capped at the window: tile_positions(64, 16, -1.0)
+        # used to step by 32 and skip voxels 16-31
+        for window in (1, 3, 16, 17):
+            for dim in range(window, window + 70):
+                starts = tile_positions(dim, window, overlap)
+                covered = np.zeros(dim, dtype=int)
+                for s in starts:
+                    covered[s : s + window] += 1
+                assert (covered >= 1).all(), (dim, window, overlap)
+                assert starts == sorted(set(starts)) and starts[-1] == dim - window
+                if overlap >= 0.0:  # a valid overlap's stride needs no cap
+                    stride = max(1, round(window * (1.0 - overlap)))
+                    uncapped = list(range(0, dim - window + 1, stride))
+                    assert starts == sorted({*uncapped, dim - window})
+
+    def test_negative_overlap_steps_by_the_window(self):
+        assert tile_positions(64, 16, -1.0) == [0, 16, 32, 48]
+
     def test_interior_double_coverage_at_half_overlap(self):
         starts = tile_positions(256, 128, 0.5)
         covered = np.zeros(256, dtype=int)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -278,6 +279,29 @@ class TestForward:
         assert len(weights) > 0
         want = {(id(w), d): 1 for w in weights for d in ("forward", "backward")}
         assert dict(calls) == want
+
+
+class TestForwardMemory:
+    # by tracemalloc, a predict of tiny_config() peaked at 8.04 maps of the
+    # full-resolution stem output (8 x 32^3 float32) when each conv wrote
+    # into a buffer of its own and the bias, ReLU and skip adds each made a
+    # new array; the peak lies inside hf_branch.stem.conv2's kernel
+    COMPOSED_PEAK_MAPS = 8.04
+
+    def test_predict_peak_is_a_stem_map_below_the_composed_ops(self):
+        cfg = tiny_config(zero_init_head=False)
+        model = YNetr(cfg)
+        rng = np.random.default_rng(0)
+        lf, hf = (rng.standard_normal(cfg.input_dims, dtype=np.float32) for _ in range(2))
+        model.predict(lf, hf)
+        tracemalloc.start()
+        try:
+            model.predict(lf, hf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stem_map = cfg.decoder_channels[4] * np.prod(cfg.input_dims) * 4
+        assert peak / stem_map <= self.COMPOSED_PEAK_MAPS - 1.0
 
 
 class TestParameterCount:

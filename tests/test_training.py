@@ -130,6 +130,14 @@ class TestPrepareCase:
         with pytest.raises(ValueError, match=re.escape(want)):
             prepare_case("c", vol, lbl, WINDOW)
 
+    def test_rejects_spacing_mismatch(self):
+        vol = Volume3D(np.zeros(WINDOW, dtype=np.float32), (1, 1, 1))
+        lbl = LabelVolume(np.zeros(WINDOW, dtype=np.uint8), (1, 1, 2.5))
+        want = ("case c: volume spacing (1.0, 1.0, 1.0) mm differs from "
+                "label spacing (1.0, 1.0, 2.5) mm")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            prepare_case("c", vol, lbl, WINDOW)
+
     def test_window_matches_the_clip_formula_bitwise(self):
         lo, hi = -100.0, 200.0
         vol, lbl = generate_phantom(PhantomSpec(shape=WINDOW, tumor_count=(1, 1),
