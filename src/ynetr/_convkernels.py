@@ -49,13 +49,19 @@ run in increasing order: block q0 reads only the columns >= q0 of
 read the whole block into its own result. So a same-size conv holds one
 buffer per full-size map: a 16 -> 16 forward at 64^3 peaked at 24.9 MB
 by tracemalloc, against 42.7 MB with a separate output buffer. The k = 1
-head, whose ``flat`` is a view of its input, keeps its own output.
-``rows`` gives the whole rows under a crop, on which autograd adds the
-bias and runs the ReLU in place, junk columns included. At 16 channels
-on a 64^3 grid (medians of 41 calls, 2-core host) the bias add took
-0.8-0.9 ms there, against 3.5-3.9 ms in place on the cropped view and
-2.0-2.2 ms into a new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and
-3.2-3.5 ms.
+head, whose ``flat`` is a view of its input, keeps its own output. Its
+input is a crop, final_conv's output, so its GEMM runs over the whole
+rows under that crop (``_whole_rows``), junk columns included, and only
+its small (2, X, Y, Z) crop is copied out, into a contiguous buffer: the
+layout of the logits sets the order of the loss's sums. A MID head call
+peaked at 4.3 MB by tracemalloc, against 18.9 MB with a contiguous copy
+of its 16.8 MB input. Its backward still copies the input, so that the
+weight gradient sums over the real columns alone. ``rows`` gives the
+whole rows under a crop, on which autograd adds the bias and runs the
+ReLU in place, junk columns included. At 16 channels on a 64^3 grid
+(medians of 41 calls, 2-core host) the bias add took 0.8-0.9 ms there,
+against 3.5-3.9 ms in place on the cropped view and 2.0-2.2 ms into a
+new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and 3.2-3.5 ms.
 
 Backward. The input gradient of a same-size conv is the same-size conv
 of ``g`` with the flipped, channel-swapped weight:
@@ -178,6 +184,25 @@ def _flat_padded(x, pad, k):
     return flat, grid
 
 
+def _whole_rows(x):
+    """(flat, grid) of a k = 1 forward without a copy where it can be had:
+    when ``x`` (C, X, Y, Z) crops a grid (C, X, Yr, Zr) whose rows lie
+    whole inside the contiguous array it views, as a ``conv3d_forward``
+    output does, a (C, X*Yr*Zr) view of those rows and (X, Yr, Zr);
+    otherwise ``_flat_padded(x, 0, 1)``."""
+    c, X, Y, Z = x.shape
+    s0, s1, s2, s3 = x.strides
+    base = x.base
+    if (x.size and isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and s3 == x.itemsize and s2 >= Z * s3 and s2 % s3 == 0
+            and s1 >= Y * s2 and s1 % s2 == 0 and s0 >= X * s1):
+        start = x.ctypes.data - base.ctypes.data
+        if start >= 0 and start + (c - 1) * s0 + X * s1 <= base.nbytes:
+            grid = (X, s1 // s2, s2 // s3)
+            return np.lib.stride_tricks.as_strided(x, (c, math.prod(grid)), (s0, s3)), grid
+    return _flat_padded(x, 0, 1)
+
+
 # -- shifted GEMMs over the flat padded volume ------------------------------
 
 
@@ -282,7 +307,10 @@ def conv3d_forward(x, w, stride, pad):
     if x.shape[0] != cin:
         raise ValueError(f"conv3d expects {cin} input channels, got {x.shape[0]}")
     k = _same_size(w, stride, pad)
-    return _corr1(*_flat_padded(x, pad, k), w, overwrite=k > 1)
+    if k > 1:
+        return _corr1(*_flat_padded(x, pad, k), w, overwrite=True)
+    y = _corr1(*_whole_rows(x), w, overwrite=False)[:, :, : x.shape[2], : x.shape[3]]
+    return np.ascontiguousarray(y)  # the logits' layout sets the order of the loss's sums
 
 
 def rows(y):
@@ -291,6 +319,8 @@ def rows(y):
     contiguous, so that elementwise work in place runs over long rows
     instead of the cropped view's short ones."""
     cout, ox = y.shape[:2]
+    if y.flags.c_contiguous:  # a k = 1 output: no wrap-around columns
+        return y.reshape(cout, -1)
     return y.base[:cout, : ox * y.strides[1] // y.itemsize]
 
 

@@ -19,7 +19,9 @@ closures save:
   the weight, whose shape fixes the stride and the padding, and the bias
   for its shape; a conv3d that applies the ReLU also its output (the
   ReLU's mask is ``out > 0``, and a following conv keeps that output as
-  its input anyway).
+  its input anyway);
+* stem, two conv3d ops with a ReLU between them: its input, both weights
+  and both biases; the backward recomputes the middle map from them.
 
 So a value that no closure reads, such as a stem's output once the two
 branches' pyramids are added, is freed as soon as the caller drops its
@@ -35,11 +37,13 @@ the recorded and the ``no_grad`` pass alike.
 
 ``Tensor.backward()`` sorts the nodes reachable from the loss once and
 runs their closures in reverse topological order, adding each returned
-gradient into its parent sink. No gradient array is ever written in
-place, so a sink adopts the first gradient it receives as it comes, even
-a view of another sink's gradient (add, sub, reshape and permute pass on
-views of their own), and adds each later one into a new array laid out
-like the old one (see ``_accum``). Once a node's closure has run, the
+gradient into its parent sink. No gradient array is written in place
+once a closure has returned it (the stem writes its ReLU mask into the
+kernel's new gradient of its middle map, which it alone holds), so a
+sink adopts the first gradient it receives as it comes, even a view of
+another sink's gradient (add, sub, reshape and permute pass on views of
+their own), and adds each later one into a new array laid out like the
+old one (see ``_accum``). Once a node's closure has run, the
 node's gradient, closure and parent links are released, so the saved
 values and every intermediate gradient are freed during the pass, and a
 second ``backward()`` through the same graph raises ``ValueError``. The
@@ -533,6 +537,21 @@ def _bias_grad(g, b, need):
     return _unbroadcast(g, (len(b), 1, 1, 1)).reshape(b.shape) if need else None
 
 
+def _conv3d_data(xd, wd, bd, relu):
+    """The value of ``conv3d``: the kernel's output with the bias added,
+    and the ReLU run if ``relu``, in place over its whole rows."""
+    y = _ck.conv3d_forward(xd, wd, 1, wd.shape[2] // 2)
+    r = _ck.rows(y)
+    r += bd[:, None]
+    if relu:
+        # bitwise np.where(r > 0, r, 0) on every float32, without its branch
+        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
+        # fmax may return for r = -0.0 into 0.0
+        np.fmax(r, np.float32(0.0), out=r)
+        r += np.float32(0.0)
+    return y
+
+
 def conv3d(x, w, b, relu=False):
     """Same-size 3-D convolution plus the bias ``b`` (Cout,), then the ReLU
     if ``relu``; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k) with
@@ -546,15 +565,7 @@ def conv3d(x, w, b, relu=False):
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd, wd, bd = x.data, w.data, b.data
     pad = wd.shape[2] // 2
-    y = _ck.conv3d_forward(xd, wd, 1, pad)
-    r = _ck.rows(y)
-    r += bd[:, None]
-    if relu:
-        # bitwise np.where(r > 0, r, 0) on every float32, without its branch
-        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
-        # fmax may return for r = -0.0 into 0.0
-        np.fmax(r, np.float32(0.0), out=r)
-        r += np.float32(0.0)
+    y = _conv3d_data(xd, wd, bd, relu)
     need_b = b.requires_grad
     out = y if relu else None  # the ReLU's mask is out > 0
 
@@ -565,6 +576,32 @@ def conv3d(x, w, b, relu=False):
         return (*_ck.conv3d_backward(xd, wd, g, 1, pad), gb)
 
     return Tensor(y)._record((x, w, b), bw)
+
+
+def stem(x, w1, b1, w2, b2):
+    """``conv3d(conv3d(x, w1, b1, relu=True), w2, b2)`` as one op that keeps
+    only its inputs: the backward recomputes the middle map
+    h = relu(conv(x, w1) + b1) with the same kernel call instead of holding
+    it from the forward (gradient checkpointing, Chen et al., arXiv
+    1604.06174), then runs the composed ops' backward steps in their order.
+    Values and gradients are bitwise those of the two ops.
+    """
+    x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
+    xd, w1d, b1d, w2d, b2d = (t.data for t in (x, w1, b1, w2, b2))
+    y = _conv3d_data(_conv3d_data(xd, w1d, b1d, True), w2d, b2d, False)
+    pad1, pad2 = w1d.shape[2] // 2, w2d.shape[2] // 2
+    need_b1, need_b2 = b1.requires_grad, b2.requires_grad
+
+    def bw(g):
+        h = _conv3d_data(xd, w1d, b1d, True)
+        gb2 = _bias_grad(g, b2d, need_b2)
+        gh, gw2 = _ck.conv3d_backward(h, w2d, g, 1, pad2)
+        gh *= h > 0  # the ReLU's mask, written into the kernel's new gh
+        del h
+        gb1 = _bias_grad(gh, b1d, need_b1)
+        return (*_ck.conv3d_backward(xd, w1d, gh, 1, pad1), gb1, gw2, gb2)
+
+    return Tensor(y)._record((x, w1, b1, w2, b2), bw)
 
 
 def conv_transpose3d(x, w, b):

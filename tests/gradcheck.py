@@ -7,7 +7,7 @@ central differences taken through the same float32 forward path.
 
 import numpy as np
 
-from ynetr.autograd import Tensor, conv3d, conv_transpose3d, layer_norm
+from ynetr.autograd import Tensor, conv3d, conv_transpose3d, layer_norm, stem
 
 FD_H = 1e-3
 FD_RTOL = 1e-2
@@ -109,6 +109,7 @@ def primitive_cases(rng):
             lambda x, w, b: conv_transpose3d(x, w, b),
             [r(2, 2, 1, 2), r(2, 1, 3, 3, 3), r(1)],
         ),
+        ("stem", stem, [r(1, 3, 3, 2), r(2, 1, 3, 3, 3), r(2), r(2, 2, 3, 3, 3), r(2)]),
     ]
     return cases
 

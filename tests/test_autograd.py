@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from ynetr.autograd import (
     conv_transpose3d,
     layer_norm,
     no_grad,
+    stem,
 )
 from ynetr.model import ModelConfig
 
@@ -500,6 +502,95 @@ class TestInPlaceConvBitwise:
         assert at.grad.tobytes() == bt.grad.tobytes() == g.tobytes()
 
 
+def _head_cases():
+    """(channels, grid) of the k = 1 head of the tiny, MID and ENCODER models."""
+    cases = {(cfg.decoder_channels[4], cfg.input_dims): name
+             for name, cfg in (("tiny", TINY), ("mid", MID), ("encoder", ENCODER))}
+    return [pytest.param(*key, id=name) for key, name in cases.items()]
+
+
+class TestHeadReadsWholeRows:
+    """The k = 1 head runs its GEMM over the whole rows under a conv
+    output, wrap-around columns included, and copies out the crop: every
+    byte equals that of the head over a contiguous copy of its input."""
+
+    @pytest.mark.parametrize("c, grid", _head_cases())
+    def test_equals_the_head_over_a_copy(self, c, grid):
+        rng = np.random.default_rng(c + grid[0])
+        x = rng.standard_normal((c, *grid), dtype=np.float32)
+        w = rng.standard_normal((c, c, 3, 3, 3), dtype=np.float32) / np.float32(c * 27)
+        head = rng.standard_normal((2, c, 1, 1, 1), dtype=np.float32)
+        y = ck.conv3d_forward(x, w, 1, 1)  # decoder.final_conv's output, a crop
+        flat, _ = ck._whole_rows(y)
+        assert not y.flags.c_contiguous and np.shares_memory(flat, y)
+        tracemalloc.start()
+        try:
+            got = ck.conv3d_forward(y, head, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the GEMM's output over the whole rows and the crop: no copy of y
+        assert peak <= 2 * ck.rows(y)[:2].nbytes + 2**12
+        assert got.flags.c_contiguous and ck.rows(got).shape == (2, np.prod(grid))
+        assert got.tobytes() == ck.conv3d_forward(np.ascontiguousarray(y), head, 1, 0).tobytes()
+
+    @pytest.mark.parametrize("crop", [np.s_[:, :, 1:5, 2:6], np.s_[:, :, :, ::2], np.s_[::-1, :, :, :3]],
+                             ids=["rows-past-the-end", "strided-z", "reversed-channels"])
+    def test_other_views_are_copied(self, crop):
+        # a view whose whole rows would leave its array, or that is not a
+        # crop of contiguous rows, is copied as before
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 5, 6, 7), dtype=np.float32)[crop]
+        flat, grid = ck._whole_rows(x)
+        assert not np.shares_memory(flat, x) and grid == x.shape[1:]
+        head = rng.standard_normal((2, 3, 1, 1, 1), dtype=np.float32)
+        assert (ck.conv3d_forward(x, head, 1, 0).tobytes()
+                == ck.conv3d_forward(np.ascontiguousarray(x), head, 1, 0).tobytes())
+
+
+def composed_stem(x, w1, b1, w2, b2):
+    """The stem as the two conv3d ops ``autograd.stem`` stands for."""
+    return conv3d(conv3d(x, w1, b1, relu=True), w2, b2)
+
+
+class TestStemBitwise:
+    """``autograd.stem`` keeps no middle map and recomputes it in the
+    backward; its value and all five gradients must equal those of the two
+    conv3d ops byte for byte. 1 -> 4 -> 4 runs splits a = 1 and a = 2, and
+    1 -> 16 -> 16 a = 0 and a = 2; the larger grid spans several column
+    blocks."""
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "no-x-grad"])
+    @pytest.mark.parametrize("cout, grid", [(4, (7, 6, 5)), (16, (7, 6, 5)), (16, (20, 18, 17))])
+    def test_equals_the_composed_convs(self, cout, grid, x_grad):
+        rng = np.random.default_rng(cout + grid[0])
+        x = rng.standard_normal((1, *grid), dtype=np.float32)
+        w1 = rng.standard_normal((cout, 1, 3, 3, 3), dtype=np.float32) / np.float32(27)
+        w2 = rng.standard_normal((cout, cout, 3, 3, 3), dtype=np.float32) / np.float32(cout * 27)
+        b1, b2 = (rng.standard_normal(cout, dtype=np.float32) for _ in range(2))
+        g = rng.standard_normal((cout, *grid), dtype=np.float32)
+
+        def run(op):
+            ts = [Tensor(x, requires_grad=x_grad)]
+            ts += [Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)]
+            out = op(*ts)
+            (out * Tensor(g)).sum().backward()
+            return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in ts]
+
+        got = run(stem)
+        assert (got[1] is None) != x_grad
+        assert got == run(composed_stem)
+
+    def test_closure_keeps_only_the_inputs(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(s, dtype=np.float32)
+                  for s in ((1, 6, 5, 4), (4, 1, 3, 3, 3), (4,), (4, 4, 3, 3, 3), (4,))]
+        out = stem(*(Tensor(a, requires_grad=True) for a in arrays))
+        cells = out._node.backward.__closure__
+        saved = [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted(id(a) for a in saved) == sorted(id(a) for a in arrays)
+
+
 class TestBackwardBasics:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4), requires_grad=True)
@@ -716,8 +807,9 @@ class TestGraphRelease:
         alive = [r() for r in outputs if r() is not None]
         assert [a.shape for a in alive if id(a) not in read] == []
         # per branch, stem.conv2, proj_deep and the last up-step of each of
-        # the three other projections feed only the fusing adds
-        assert len(outputs) - len(alive) == 2 * 5
+        # the three other projections feed only the fusing adds, and the
+        # stem's conv1 output dies inside the stem op, which recomputes it
+        assert len(outputs) - len(alive) == 2 * 6
 
     def test_intermediate_gradients_die_in_backward(self, monkeypatch):
         grads = []

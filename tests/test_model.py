@@ -252,9 +252,10 @@ class TestForward:
         ]
         assert silent == [], f"parameters with zero gradient: {silent[:10]}"
 
-    def test_one_kernel_call_per_conv_pass(self, monkeypatch):
-        # the benchmark attributes each public kernel call to the module that
-        # owns ``w``; a kernel calling another public kernel would count twice
+    @staticmethod
+    def _count_kernel_calls(monkeypatch, run):
+        """Kernel calls per (id(w), "forward" / "backward") while ``run(model)``
+        runs, and the model's conv weights."""
         import ynetr._convkernels as ck
 
         calls = Counter()
@@ -270,15 +271,35 @@ class TestForward:
             monkeypatch.setattr(ck, name, counted(getattr(ck, name), name.rsplit("_", 1)[1]))
         model = YNetr(tiny_config(zero_init_head=False, embed_dim=32,
                                   decoder_channels=(16, 16, 8, 8, 4)))
+        run(model)
+        weights = {n: p.data for n, p in model.named_parameters() if p.data.ndim == 5}
+        assert len(weights) > 0
+        return dict(calls), weights
+
+    def test_one_kernel_call_per_conv_pass(self, monkeypatch):
+        # the benchmark attributes each public kernel call to the module that
+        # owns ``w``; a kernel calling another public kernel would count twice.
+        # Each stem's conv1 runs its forward once more, in the backward, where
+        # the stem recomputes the map it did not keep
         rng = np.random.default_rng(13)
         lf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         hf = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
         labels = (rng.random((32, 32, 32)) < 0.2).astype(np.float32)
-        segmentation_loss(LossConfig(alpha=0.5), labels, model(lf, hf))[0].backward()
-        weights = [p.data for p in model.parameters() if p.data.ndim == 5]
-        assert len(weights) > 0
-        want = {(id(w), d): 1 for w in weights for d in ("forward", "backward")}
-        assert dict(calls) == want
+
+        def step(model):
+            segmentation_loss(LossConfig(alpha=0.5), labels, model(lf, hf))[0].backward()
+
+        calls, weights = self._count_kernel_calls(monkeypatch, step)
+        want = {(id(w), d): 1 for w in weights.values() for d in ("forward", "backward")}
+        for name in ("lf_branch.stem.conv1.weight", "hf_branch.stem.conv1.weight"):
+            want[id(weights[name]), "forward"] = 2
+        assert calls == want
+
+    def test_one_forward_call_per_conv_in_predict(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        lf, hf = (rng.standard_normal((32, 32, 32), dtype=np.float32) for _ in range(2))
+        calls, weights = self._count_kernel_calls(monkeypatch, lambda model: model.predict(lf, hf))
+        assert calls == {(id(w), "forward"): 1 for w in weights.values()}
 
 
 class TestForwardMemory:
@@ -302,6 +323,40 @@ class TestForwardMemory:
             tracemalloc.stop()
         stem_map = cfg.decoder_channels[4] * np.prod(cfg.input_dims) * 4
         assert peak / stem_map <= self.COMPOSED_PEAK_MAPS - 1.0
+
+
+class TestTrainingMemory:
+    # by tracemalloc, a recorded Dice-CE step of tiny_config() held 7.97 maps
+    # of the full-resolution stem output (8 x 32^3 float32) after the
+    # forward, and its backward peaked at 17.58 maps, when each stem kept its
+    # conv1 output (8 x 32 x 34 x 34 float32, 1.13 maps) for conv2's weight
+    # gradient and the ReLU's mask; the peak lay inside lf_branch.stem.conv1's
+    # backward, the last conv of the pass
+    KEPT_HELD_MAPS = 7.97
+    KEPT_PEAK_MAPS = 17.58
+
+    def test_stems_keep_no_middle_map(self):
+        cfg = tiny_config(zero_init_head=False)
+        model = YNetr(cfg)
+        rng = np.random.default_rng(0)
+        lf, hf = (Tensor(rng.standard_normal((1, *cfg.input_dims), dtype=np.float32))
+                  for _ in range(2))
+        labels = (rng.random(cfg.input_dims) < 0.2).astype(np.float32)
+        stem_map = cfg.decoder_channels[4] * np.prod(cfg.input_dims) * 4
+        segmentation_loss(LossConfig(), labels, model(lf, hf))[0].backward()
+        for p in model.parameters():
+            p.grad = None
+        tracemalloc.start()
+        try:
+            total = segmentation_loss(LossConfig(), labels, model(lf, hf))[0]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held / stem_map <= self.KEPT_HELD_MAPS - 2.0
+        assert peak / stem_map <= self.KEPT_PEAK_MAPS - 2.0
 
 
 class TestParameterCount:
