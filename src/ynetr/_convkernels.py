@@ -74,7 +74,11 @@ the wrap-around columns. Those zeros keep the junk windows out of
 ``gw``; without them ``gw`` is silently wrong. The padded ``g`` lies on
 the grid of ``x``, so ``g_full`` is a view of it, shifted by the pad.
 The backward computes ``gw`` first, so that ``gx`` can then overwrite
-the padded ``g``, which holds Cout rows for gx's Cin.
+the padded ``g``, which holds Cout rows for gx's Cin. It pads ``x`` and
+drops it, then pads ``g`` and drops it, and drops the padded ``x`` before
+gx's pass. Where the call holds the only reference to ``x`` or ``g``, as
+autograd's conv closures arrange on CPython 3.11 and later, each is freed
+there, and at most one of them lives next to the two padded copies.
 
 Accumulation order follows from the shapes. The k**3 kernel offsets
 are split between the copied block and the GEMM output. Split a sends
@@ -327,11 +331,13 @@ def rows(y):
 def conv3d_backward(x, w, g, stride, pad):
     """Gradients (gx, gw) of conv3d given upstream gradient ``g``."""
     k = _same_size(w, stride, pad)
-    gflat, grid = _flat_padded(g, pad, k)
-    flat, _ = _flat_padded(x, pad, k)
+    flat, grid = _flat_padded(x, pad, k)
+    del x  # each input is dropped once padded (see the module docstring)
+    gflat, _ = _flat_padded(g, pad, k)
     _, yp, zp = grid
     q = (pad * yp + pad) * zp + pad  # g_full: the padded g, shifted by the pad
     g_full = gflat[:, q : q + g.shape[1] * yp * zp]
+    del g
     gw = np.ascontiguousarray(_weight_grad1(g_full, flat, grid, k))
     del flat, g_full  # the padded x goes before gx's pass, which may overwrite gflat
     # contiguous: gradient layouts set the order of _unbroadcast's sums (see autograd._accum)

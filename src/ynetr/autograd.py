@@ -27,6 +27,23 @@ So a value that no closure reads, such as a stem's output once the two
 branches' pyramids are added, is freed as soon as the caller drops its
 tensor.
 
+The backward frees each full-size array at its last read. conv3d and
+stem keep their saved input, and a ReLU conv its output, in a list that
+their backward pops. A ReLU conv builds its mask from the popped output,
+so the output goes before ``g * mask`` is formed; the stem takes its mask
+from the recomputed map before conv2's backward. Each kernel call
+``_convkernels.conv3d_backward(x, w, g, ...)`` gets its x and g as call
+temporaries: the saved input or the stem's recomputed map, and the
+gradient, masked after a ReLU, each popped from a one-element list into
+the call. The kernel drops each once it has padded it. ``backward()``
+likewise clears a node's gradient before it calls the closure with it.
+This rests on CPython 3.11 and later, where a Python function takes over
+its call arguments and the caller keeps no reference, so the callee's is
+the pass's only one. CPython 3.10 keeps the arguments until the call
+returns, as does any wrapper around a kernel (such as the bench's
+tracer), and there only the ReLU output goes early. No value depends on
+when an array is freed.
+
 Three ops write a value in place, each into an array that no closure
 reads and that only the op's caller holds: each conv adds its bias into
 the kernel's new output, conv3d runs its ReLU there too, and
@@ -43,12 +60,13 @@ kernel's new gradient of its middle map, which it alone holds), so a
 sink adopts the first gradient it receives as it comes, even a view of
 another sink's gradient (add, sub, reshape and permute pass on views of
 their own), and adds each later one into a new array laid out like the
-old one (see ``_accum``). Once a node's closure has run, the
-node's gradient, closure and parent links are released, so the saved
-values and every intermediate gradient are freed during the pass, and a
-second ``backward()`` through the same graph raises ``ValueError``. The
-loss and the leaves keep their gradients, which may be views of one
-another or of a released node's gradient.
+old one (see ``_accum``). A node's gradient is cleared as its closure
+is called, and once the closure has run, its closure and parent links
+are released, so the saved values and every intermediate gradient are
+freed during the pass, and a second ``backward()`` through the same
+graph raises ``ValueError``. The loss and the leaves keep their
+gradients, which may be views of one another or of a released node's
+gradient.
 
 All math is numpy alone; values stay float32 throughout so test
 tolerances are meaningful for the precision actually used. GELU is the
@@ -266,9 +284,10 @@ class Tensor:
         self.grad = root.grad = np.ones_like(self.data)
         for node in reversed(tape):
             if isinstance(node, _Node):
-                for parent, g in zip(node.parents, node.backward(node.grad)):
+                for parent, g in zip(node.parents, node.backward(_take_grad(node))):
                     if parent is not None:
                         _accum(parent, g)
+                del g  # the last gradient returned goes now, unless a sink adopted it
                 _release(node)
 
     # -- arithmetic -------------------------------------------------------
@@ -468,10 +487,19 @@ def _accum(sink, g):
         sink.grad = np.add(sink.grad, g, out=np.empty_like(sink.grad))
 
 
+def _take_grad(node):
+    """The node's gradient, cleared on the node first, so that the closure
+    it is passed to as a call argument holds the only reference the pass
+    keeps (see the module docstring)."""
+    g, node.grad = node.grad, None
+    return g
+
+
 def _release(node):
-    """Drop what a node holds once its closure has run: its gradient, the
-    values its closure saved, and its links to its parents."""
-    node.grad = node.backward = None
+    """Drop what a node holds once its closure has run: the values its
+    closure saved and its links to its parents (its gradient went to the
+    closure, see ``_take_grad``)."""
+    node.backward = None
     node.parents = ()
 
 
@@ -567,13 +595,14 @@ def conv3d(x, w, b, relu=False):
     pad = wd.shape[2] // 2
     y = _conv3d_data(xd, wd, bd, relu)
     need_b = b.requires_grad
-    out = y if relu else None  # the ReLU's mask is out > 0
+    saved = [xd, y] if relu else [xd]  # popped by the backward, the output first
 
     def bw(g):
-        if out is not None:
-            g = g * (out > 0)
+        if relu:  # the mask is out > 0; the output goes before g * mask is formed
+            g = g * (saved.pop() > 0)
         gb = _bias_grad(g, bd, need_b)
-        return (*_ck.conv3d_backward(xd, wd, g, 1, pad), gb)
+        g = [g]  # popped into the kernel call, which then holds the only reference
+        return (*_ck.conv3d_backward(saved.pop(), wd, g.pop(), 1, pad), gb)
 
     return Tensor(y)._record((x, w, b), bw)
 
@@ -591,15 +620,19 @@ def stem(x, w1, b1, w2, b2):
     y = _conv3d_data(_conv3d_data(xd, w1d, b1d, True), w2d, b2d, False)
     pad1, pad2 = w1d.shape[2] // 2, w2d.shape[2] // 2
     need_b1, need_b2 = b1.requires_grad, b2.requires_grad
+    saved = [xd]  # popped by conv1's backward
 
     def bw(g):
-        h = _conv3d_data(xd, w1d, b1d, True)
+        h = [_conv3d_data(saved[0], w1d, b1d, True)]
+        mask = h[0] > 0  # the ReLU's, taken before h goes to conv2's backward
         gb2 = _bias_grad(g, b2d, need_b2)
-        gh, gw2 = _ck.conv3d_backward(h, w2d, g, 1, pad2)
-        gh *= h > 0  # the ReLU's mask, written into the kernel's new gh
-        del h
+        g = [g]
+        gh, gw2 = _ck.conv3d_backward(h.pop(), w2d, g.pop(), 1, pad2)
+        gh *= mask  # written into the kernel's new gh
+        del mask
         gb1 = _bias_grad(gh, b1d, need_b1)
-        return (*_ck.conv3d_backward(xd, w1d, gh, 1, pad1), gb1, gw2, gb2)
+        gh = [gh]
+        return (*_ck.conv3d_backward(saved.pop(), w1d, gh.pop(), 1, pad1), gb1, gw2, gb2)
 
     return Tensor(y)._record((x, w1, b1, w2, b2), bw)
 

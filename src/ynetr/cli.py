@@ -5,7 +5,8 @@ into its output directory; re-running from that echo reproduces the
 outputs bitwise. Failures exit nonzero with a one-line machine-parsable
 ``<class>-error:`` message (config=2, io=3, numeric=4). A ``.vvol`` file
 of the wrong kind (a label where a volume belongs, or the reverse) is an
-io-error.
+io-error. Running out of memory, as a phantom or model shape too large
+for the host does, is a config-error.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def _reporting():
     except (TrainingDiverged, FloatingPointError) as exc:
         click.echo(f"numeric-error: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        click.echo(f"config-error: {str(exc) or 'out of memory'}", err=True)
+        sys.exit(EXIT_CONFIG)
 
 
 def _read(path, cls):

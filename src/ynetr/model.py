@@ -164,6 +164,17 @@ class Stem(nn.Module):
     conv1's output buffer, whose rows span the padded grid, per branch:
     16 x 64 x 66 x 66 float32 (17.8 MB) on the 64^3 grid, and about 554 MB
     at 64 channels on 128^3.
+
+    The backward takes the ReLU's mask from the recomputed map before
+    conv2's backward, and that kernel call frees the map once it has padded
+    it. A recorded step's backward peak now lies here. In a MID step by
+    tracemalloc (CPython 3.11), the first stem's conv2 backward peaks at
+    116.9 MiB, where the map, its padded copy, the mask and the upstream
+    gradient, which the other stem still reads, coexist. decoder.final_conv's
+    backward, the peak before the backward freed each map at its last read,
+    reaches 101.1 MiB. Two levers remain, each needing a kernel argument:
+    skip conv1's unused input gradient, and write conv1's output straight
+    into conv2's padded layout.
     """
 
     def __init__(self, rng, cout):

@@ -424,6 +424,25 @@ class TestExitCodes:
         assert "gradient" in lines[0] and "step 1" in lines[0]
         assert not (tmp_path / "r" / "checkpoint.ynck").exists()
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 512. GiB for an array with shape (4096, 4096, 4096) "
+         "and data type float32",
+         "config-error: Unable to allocate 512. GiB for an array with shape "
+         "(4096, 4096, 4096) and data type float32"),
+        ("", "config-error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_2(self, tmp_path, runner, monkeypatch, message, line):
+        # a stand-in for a shape too large for the host: a real allocation
+        # that size may be granted lazily and then end the process
+        def too_large(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "generate_phantom", too_large)
+        cfg = _write_config(tmp_path)
+        res = runner.invoke(cli, ["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [line]
+
     def test_wrong_typed_config_value_is_2(self, tmp_path, runner):
         bad = dict(TOY_CONFIG, train={"epochs": "3"})
         cfg = _write_config(tmp_path, bad)
