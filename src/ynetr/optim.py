@@ -40,10 +40,34 @@ parallel; chunks are disjoint and no element depends on another, so the
 result does not depend on how the threads are scheduled. The check phase
 runs on the same workers, which each store a chunk's self-dot in that
 chunk's slot of a list.
+
+Before the workers start, the step stops OpenBLAS's helper threads with
+the library's own ``blas_thread_shutdown_``. After a threaded GEMM the
+helper keeps spinning on a core, and the step begins right after the
+backward's last GEMM, so the helper would take a core from the two
+workers for the whole step. Measured on a 2-core host with 2 BLAS
+threads, medians over steps 5-14 of the bench's ``train_encoder`` model
+(47M parameters): with the helper spinning, the check phase took 22-25
+ms, the update 169-173 ms and the whole step 466-493 ms; with it
+stopped, 13-14, 124-127 and 399-406 ms, every bit of the result the
+same. Setting one BLAS thread around the step does not stop the helper
+(update 170 ms), and one BLAS thread for the whole run gives an update
+of 133 ms but slows the forward and backward as much (step 475 ms).
+The stop takes about 0.03 ms, and the next BLAS call that uses more than
+one thread starts the helper again, about 0.05 ms slower than usual; the
+check phase's chunk self-dots do not. The function is looked up once per
+process, at the first step, in each OpenBLAS library that
+``/proc/self/maps`` names (numpy's, and scipy's where scipy is loaded).
+Where there is none (another BLAS, or not Linux) the step stops nothing,
+and with one BLAS thread there is no helper to stop. No other thread may
+be inside a BLAS call while a step runs; ``train`` and the bench call it
+from their one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import queue
@@ -74,6 +98,26 @@ def _executor():
             n = os.cpu_count() or 1
         _pool = (os.getpid(), n, ThreadPoolExecutor(n, "adamw") if n > 1 else None)
     return _pool[1], _pool[2]
+
+
+@functools.cache
+def _blas_thread_shutdowns():
+    """``blas_thread_shutdown_`` of each OpenBLAS library this process has
+    mapped; none where there is none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:  # not Linux
+        return ()
+    stops = []
+    for path in paths:
+        try:
+            stop = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
+        except OSError:
+            continue
+        if stop is not None:
+            stops.append(stop)
+    return tuple(stops)
 
 
 def _flat_data(p):
@@ -159,6 +203,9 @@ class AdamW:
             p.grad = None
 
     def step(self):
+        """One AdamW update of every parameter from its ``grad``. No other
+        thread may be inside a BLAS call while it runs: it stops OpenBLAS's
+        helper threads under any such call (see the module docstring)."""
         # every parameter is checked before the first one is touched
         chunks = []
         for p, m, v in zip(self.params, self.m, self.v):
@@ -173,6 +220,9 @@ class AdamW:
             for i in range(0, p.size, _CHUNK):
                 j = min(i + _CHUNK, p.size)
                 chunks.append((p[i:j], _ZEROS[: j - i] if g is None else g[i:j], m[i:j], v[i:j]))
+        if _executor()[1] is not None:
+            for stop in _blas_thread_shutdowns():
+                stop()
         dots = [0.0] * len(chunks)
         _run(_self_dots, [(i, chunk[1]) for i, chunk in enumerate(chunks)], dots)
         norm = math.sqrt(sum(dots))

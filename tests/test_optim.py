@@ -1,5 +1,8 @@
+import ctypes
+import functools
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -183,4 +186,90 @@ def test_step_independent_of_worker_count(monkeypatch, workers):
                 ref.step()
     finally:
         sys.setswitchinterval(switch)
+    assert _state_bytes(params, opt) == _state_bytes(ref_params, ref)
+
+
+# -- OpenBLAS's helper threads are stopped before the step -------------------
+
+
+def _live_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _stop_every_openblas_helper():
+    """Stop the helpers of each mapped OpenBLAS, found apart from
+    ``ynetr.optim``; False where there is no such library."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return False
+    stops = [getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None) for path in paths]
+    for stop in filter(None, stops):
+        stop()
+    return any(stops)
+
+
+def _big_gemm():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((512, 512)).astype(np.float32)
+    b = rng.standard_normal((512, 384)).astype(np.float32)
+    return a @ b
+
+
+def test_step_leaves_no_blas_helper_alive(monkeypatch):
+    params, _ = _twin_params(12)
+    with ThreadPoolExecutor(2) as pool:
+        barrier = threading.Barrier(2)
+        for started in [pool.submit(barrier.wait) for _ in range(2)]:
+            started.result()  # both workers alive before any count
+        monkeypatch.setattr(optim, "_pool", (os.getpid(), 2, pool))
+        if not _stop_every_openblas_helper():
+            pytest.skip("needs Linux and an OpenBLAS that exports blas_thread_shutdown_")
+        without_helpers = _live_threads()
+        _big_gemm()
+        if _live_threads() == without_helpers:
+            pytest.skip("one BLAS thread: there is no helper to stop")
+        AdamW(params, lr=1e-3, weight_decay=0.01).step()
+        assert _live_threads() == without_helpers
+
+
+def test_gemm_after_the_stop_is_bitwise_equal():
+    before = _big_gemm()
+    for stop in optim._blas_thread_shutdowns():
+        stop()
+    assert _big_gemm().tobytes() == before.tobytes()
+
+
+def _no_maps(*args, **kwargs):
+    raise OSError("no /proc/self/maps")
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("patch", [
+    ("open", _no_maps),  # not Linux
+    ("CDLL", _no_library),  # the mapped file cannot be opened
+    ("CDLL", lambda path: object()),  # a library without the symbol
+])
+def test_step_without_the_shutdown_equals_the_per_tensor_formula(monkeypatch, patch):
+    name, fake = patch
+    monkeypatch.setattr(optim if name == "open" else optim.ctypes, name, fake, raising=False)
+    lookup = functools.cache(optim._blas_thread_shutdowns.__wrapped__)
+    monkeypatch.setattr(optim, "_blas_thread_shutdowns", lookup)
+    params, ref_params = _twin_params(13)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(optim, "_pool", (os.getpid(), 2, pool))
+        opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+        ref = ReferenceAdamW(ref_params, lr=1e-3, weight_decay=0.01)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            for p, q in zip(params, ref_params):
+                g = rng.standard_normal(p.shape).astype(np.float32)
+                p.grad, q.grad = g, g.copy()
+            opt.step()
+            ref.step()
+    assert lookup() == ()
     assert _state_bytes(params, opt) == _state_bytes(ref_params, ref)
