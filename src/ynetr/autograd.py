@@ -9,8 +9,8 @@ gradient), the tensor itself. No node or closure holds a tensor, so a
 value lives only as long as its tensor or a closure that reads it. The
 closures save:
 
-* add, sub, neg, reshape, permute, indexing, sum and mean: shapes or
-  indices only;
+* add, sub, neg, reshape, permute, indexing, sum (over every element)
+  and mean (over the last axis): shapes or indices only;
 * mul, div and matmul: the operand that the other side's gradient reads,
   and only when that side needs a gradient;
 * sqrt, softmax and log_softmax their output; gelu its input and Phi(x);
@@ -378,15 +378,11 @@ class Tensor:
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         src = self.data.shape
         out = Tensor(self.data.reshape(shape))
         return out._record((self,), lambda g: (g.reshape(src),))
 
     def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         out = Tensor(self.data.transpose(axes))
         return out._record((self,), lambda g: (g.transpose(inv),))
@@ -404,18 +400,18 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32))
+    def sum(self):
+        """The sum of every element."""
+        out = Tensor(self.data.sum(dtype=np.float32))
         src_shape = self.data.shape
-        return out._record((self,), lambda g: (_spread(g, src_shape, axis, keepdims),))
+        return out._record((self,), lambda g: (_spread(g, src_shape),))
 
-    def mean(self, axis=None, keepdims=False):
-        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32))
+    def mean(self):
+        """The mean over the last axis, kept with length 1."""
+        out = Tensor(self.data.mean(axis=-1, keepdims=True, dtype=np.float32))
         src_shape = self.data.shape
-        n = self.data.size if axis is None else _axis_count(src_shape, axis)
-        return out._record(
-            (self,), lambda g: (_spread(g, src_shape, axis, keepdims) / np.float32(n),)
-        )
+        n = np.float32(src_shape[-1])
+        return out._record((self,), lambda g: (_spread(g, src_shape) / n,))
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -503,20 +499,8 @@ def _release(node):
     node.parents = ()
 
 
-def _axis_count(shape, axis):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return int(np.prod([shape[a] for a in axis]))
-
-
-def _spread(g, shape, axis, keepdims):
-    """Broadcast a reduction gradient back to the source shape."""
-    if axis is None:
-        return np.broadcast_to(g, shape).astype(np.float32, copy=True)
-    if not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        g = np.expand_dims(g, axes)
+def _spread(g, shape):
+    """Broadcast a reduction gradient back to the source shape, as a new array."""
     return np.broadcast_to(g, shape).astype(np.float32, copy=True)
 
 
@@ -548,13 +532,13 @@ def _build_tape(root):
 # -- multi-tensor and structured ops -------------------------------------
 
 
-def layer_norm(x, weight, bias, axis=-1, eps=1e-5):
-    """Normalize ``x`` along ``axis`` to zero mean / unit variance, then
-    apply the learned affine map. Built from primitives so the gradient
-    comes from the graph."""
-    mu = x.mean(axis=axis, keepdims=True)
+def layer_norm(x, weight, bias, eps=1e-5):
+    """Normalize ``x`` along its last axis to zero mean / unit variance,
+    then apply the learned affine map. Built from primitives so the
+    gradient comes from the graph."""
+    mu = x.mean()
     centered = x - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean()
     xhat = centered / (var + eps).sqrt()
     return xhat * weight + bias
 

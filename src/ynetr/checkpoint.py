@@ -1,4 +1,6 @@
-"""Checkpoint files: text manifest plus raw little-endian float32 payload.
+"""Checkpoint files, in the file layout that ``volume.py`` describes: the
+magic line ``ynetr-checkpoint 1``, the manifest as the header lines, then
+the raw little-endian float32 payload.
 
 The manifest's meta line is one JSON object that holds what only the
 checkpoint knows:
@@ -18,8 +20,8 @@ exact. A top-level meta key other than these is ignored.
 
 Each tensor moves once each way. ``save_checkpoint`` writes every array's
 own buffer, with no intermediate bytes object. ``load_checkpoint`` checks
-the payload length against the manifest, then reads each tensor's bytes
-straight into the C-contiguous float32 array that keeps it. Restoring
+each tensor's length against what is left of the file, then reads its
+bytes straight into the C-contiguous float32 array that keeps it. Restoring
 draws nothing and copies nothing: ``restore_model`` builds the model with
 placeholder weights and ``restore_optimizer`` replaces the moments, both
 adopting the loaded arrays. A ``Checkpoint`` therefore shares its arrays
@@ -40,6 +42,7 @@ import numpy as np
 from .config import ConfigError, build_config
 from .model import ModelConfig, YNetr
 from .optim import AdamW
+from .volume import read_header, write_layout
 
 MAGIC = "ynetr-checkpoint 1"
 
@@ -65,15 +68,11 @@ def save_checkpoint(path, model: YNetr, optimizer: AdamW | None = None, extra: d
         "optimizer": None if optimizer is None else {"t": optimizer.t},
         "extra": extra or {},
     }
-    lines = [MAGIC, "meta " + json.dumps(meta, sort_keys=True)]
+    lines = ["meta " + json.dumps(meta, sort_keys=True)]
     for name, arr in entries:
         shape = " ".join(str(n) for n in arr.shape)
         lines.append(f"tensor {name} {arr.ndim} {shape} {arr.nbytes}")
-    lines.append("end")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+    write_layout(path, MAGIC, lines, (np.ascontiguousarray(a, dtype="<f4") for _, a in entries))
 
 
 def _tensor_entry(line):
@@ -90,13 +89,9 @@ def _tensor_entry(line):
     return name, shape, nbytes
 
 
-def _parse_manifest(text: bytes):
+def _parse_manifest(lines):
     """(meta, model config, tensor directory) of the manifest lines between
     magic and ``end``."""
-    try:
-        lines = text.decode("ascii").split("\n")
-    except UnicodeDecodeError:
-        raise CheckpointError("manifest is not ASCII text") from None
     meta, directory = None, []
     for line in lines:
         if line.startswith("meta "):
@@ -122,17 +117,9 @@ def _parse_manifest(text: bytes):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; malformed content raises CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
-        if fh.readline() != MAGIC.encode() + b"\n":
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        lines = []
-        for line in iter(fh.readline, b""):
-            if line == b"end\n":
-                break
-            lines.append(line)
-        else:
-            raise CheckpointError(f"{path}: manifest not terminated")
+        lines = read_header(fh, MAGIC, CheckpointError)
         try:
-            meta, model_cfg, directory = _parse_manifest(b"".join(lines)[:-1])
+            meta, model_cfg, directory = _parse_manifest(lines)
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         pos, size = fh.tell(), os.fstat(fh.fileno()).st_size

@@ -115,21 +115,27 @@ def wavelet(input_path, out_dir):
         click.echo(f"wrote {stem}.lf.vvol and {stem}.hf.vvol to {out}")
 
 
-def _load_dataset(data_dir):
+def _load_cases(data_dir, cfg):
+    """The prepared training case of each label in ``data_dir`` and its
+    volume. Every label's volume is checked to exist before the first
+    read; then each case is read and prepared before the next is read, so
+    only one raw volume and label are alive at a time."""
     data = Path(data_dir)
     stems = sorted(
         p.name[: -len(".label.vvol")] for p in data.glob("*.label.vvol")
     )
     if not stems:
         raise VvolError(f"no '*.label.vvol' files found in {data}")
-    pairs = []
     for stem in stems:
         vol_path = data / f"{stem}.vvol"
         if not vol_path.exists():
             raise VvolError(f"label {stem} has no matching volume {vol_path}")
-        vol = _read(vol_path, Volume3D)
-        pairs.append((stem, vol, _read(data / f"{stem}.label.vvol", LabelVolume)))
-    return pairs
+    return [
+        prepare_case(stem, _read(data / f"{stem}.vvol", Volume3D),
+                     _read(data / f"{stem}.label.vvol", LabelVolume),
+                     cfg.sampler.window, cfg.intensity)
+        for stem in stems
+    ]
 
 
 @cli.command("train")
@@ -143,10 +149,7 @@ def train_cmd(config_path, data_dir, out_dir):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_config_echo(cfg, out)
-        cases = [
-            prepare_case(stem, vol, lbl, cfg.sampler.window, cfg.intensity)
-            for stem, vol, lbl in _load_dataset(data_dir)
-        ]
+        cases = _load_cases(data_dir, cfg)
         model = YNetr(cfg.model)
         ckpt_path = out / "checkpoint.ynck"
         extra = {

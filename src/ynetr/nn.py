@@ -105,7 +105,7 @@ class LayerNorm(Module):
         self.bias = Tensor.param(np.zeros(dim, dtype=np.float32))
 
     def forward(self, x):
-        return layer_norm(x, self.weight, self.bias, axis=-1)
+        return layer_norm(x, self.weight, self.bias)
 
 
 class Conv3d(Module):

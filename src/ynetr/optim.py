@@ -55,9 +55,11 @@ same. Setting one BLAS thread around the step does not stop the helper
 of 133 ms but slows the forward and backward as much (step 475 ms).
 The stop takes about 0.03 ms, and the next BLAS call that uses more than
 one thread starts the helper again, about 0.05 ms slower than usual; the
-check phase's chunk self-dots do not. The function is looked up once per
-process, at the first step, in each OpenBLAS library that
-``/proc/self/maps`` names (numpy's, and scipy's where scipy is loaded).
+check phase's chunk self-dots do not. Each step looks the function up
+in each OpenBLAS library that ``/proc/self/maps`` names (numpy's, and
+scipy's where scipy is loaded), so a library mapped after the first step
+has its helper stopped too. A lookup takes about 0.2 ms with one library
+mapped, against about 0.3 s for a step of the bench's ``train_encoder``.
 Where there is none (another BLAS, or not Linux) the step stops nothing,
 and with one BLAS thread there is no helper to stop. No other thread may
 be inside a BLAS call while a step runs; ``train`` and the bench call it
@@ -67,7 +69,6 @@ from their one thread.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
 import queue
@@ -100,7 +101,6 @@ def _executor():
     return _pool[1], _pool[2]
 
 
-@functools.cache
 def _blas_thread_shutdowns():
     """``blas_thread_shutdown_`` of each OpenBLAS library this process has
     mapped; none where there is none."""

@@ -1,15 +1,35 @@
-"""3D scalar volumes, binary label volumes, the ``.vvol`` file format,
-and the HU intensity window that maps a CT volume onto [0, 1].
+"""3D scalar volumes, binary label volumes, the file layout that ``.vvol``
+and checkpoint files share, the ``.vvol`` format, and the HU intensity
+window that maps a CT volume onto [0, 1].
 
-A ``.vvol`` file is a plain-text header followed by a raw little-endian
-32-bit payload in x-fastest order. The format is deliberately minimal so
-that write/read roundtrips are bitwise exact and testable without any
-clinical-imaging dependency.
+Both file formats (checkpoints in ``checkpoint.py``) are laid out alike:
+
+* a magic line, the format's name and version (``vvol 1``,
+  ``ynetr-checkpoint 1``);
+* ASCII header lines, each ended by ``\n`` alone, up to a line ``end``;
+* a raw little-endian payload: the buffers of the arrays the header
+  lists, in order, with nothing between them.
+
+``write_layout`` writes it and ``read_header`` reads it up to the
+payload. The magic line is read with a bounded ``readline``, so a file of
+another kind is refused after a few bytes, however large it is. Each
+reader then checks the payload length that the header implies against
+the file's size before it allocates, and reads the payload straight into
+the arrays that keep it; so a file read must be a regular file.
+
+A ``.vvol`` header holds ``kind`` (``volume`` or ``label``), ``shape nx
+ny nz``, ``spacing`` (three floats in mm), ``elem`` (``f32`` or ``i32``)
+and ``byteorder little``. Its payload is the voxels in x-fastest order:
+the (nz, ny, nx) C-order array whose transpose is the (nx, ny, nz)
+volume. The format is deliberately minimal so that write/read
+roundtrips are bitwise exact and testable without any clinical-imaging
+dependency.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,88 +97,89 @@ def _check_geometry(shape, spacing):
         raise ValueError(f"spacing must be finite and positive along every axis, got {spacing}")
 
 
+def write_layout(path, magic, lines, buffers):
+    """Write ``magic``, the header ``lines`` and ``end``, each as one line,
+    then each of ``buffers`` (C-contiguous arrays) as it lies in memory."""
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{line}\n" for line in (magic, *lines, "end")).encode("ascii"))
+        for buf in buffers:
+            fh.write(buf)
+
+
+def read_header(fh, magic, error):
+    """The header lines between the ``magic`` line and ``end`` of the open
+    binary file ``fh``, without their ``\n``, leaving ``fh`` at the
+    payload. A file that does not start with ``magic``, a header line
+    that is not ASCII, or a header with no ``end`` raises ``error``."""
+    if fh.readline(len(magic) + 1) != f"{magic}\n".encode():
+        raise error(f"{fh.name}: not a {magic.split()[0]} file")
+    lines = []
+    for line in iter(fh.readline, b""):
+        if line == b"end\n":
+            return lines
+        if not line.isascii():
+            raise error(f"{fh.name}: header is not ASCII text")
+        lines.append(line[:-1].decode())
+    raise error(f"{fh.name}: header not terminated by 'end'")
+
+
 def write_vvol(volume, path):
     """Write a Volume3D or LabelVolume to ``path`` in .vvol format."""
     if isinstance(volume, Volume3D):
         kind, elem, data = "volume", "f32", volume.voxels
-        payload = data.astype("<f4", copy=False)
     elif isinstance(volume, LabelVolume):
-        kind, elem = "label", "i32"
-        payload = volume.labels.astype("<i4")
+        kind, elem, data = "label", "i32", volume.labels
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
-    nx, ny, nz = payload.shape
     sx, sy, sz = volume.spacing_mm
-    header = (
-        f"{VVOL_MAGIC}\n"
-        f"kind {kind}\n"
-        f"shape {nx} {ny} {nz}\n"
-        f"spacing {sx!r} {sy!r} {sz!r}\n"
-        f"elem {elem}\n"
-        f"byteorder little\n"
-        f"end\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        # x-fastest: Fortran raveling of the (nx, ny, nz) array
-        fh.write(payload.ravel(order="F").tobytes())
+    header = [f"kind {kind}", "shape {} {} {}".format(*data.shape),
+              f"spacing {sx!r} {sy!r} {sz!r}", f"elem {elem}", "byteorder little"]
+    # x-fastest: the C-order transpose of the (nx, ny, nz) array, one copy
+    write_layout(path, VVOL_MAGIC, header, [np.ascontiguousarray(data.T, _ELEM_KINDS[elem])])
 
 
 def read_vvol(path):
     """Read a .vvol file, returning Volume3D or LabelVolume per its header."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0 or raw[:nl].decode("ascii", "replace") != VVOL_MAGIC:
-        raise VvolError(f"{path}: not a vvol file")
-    fields = {}
-    pos = nl + 1
-    while True:
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise VvolError(f"{path}: header not terminated by 'end'")
-        line = raw[pos:nl].decode("ascii", "replace")
-        pos = nl + 1
-        if line == "end":
-            break
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise VvolError(f"{path}: malformed header line {line!r}")
-        fields[parts[0]] = parts[1]
-    try:
-        kind = fields["kind"]
-        nx, ny, nz = (int(t) for t in fields["shape"].split())
-        spacing = tuple(float(t) for t in fields["spacing"].split())
-        elem = fields["elem"]
-        order = fields["byteorder"]
-    except (KeyError, ValueError) as exc:
-        raise VvolError(f"{path}: malformed header ({exc})") from exc
-    if min(nx, ny, nz) < 1:
-        raise VvolError(f"{path}: shape dims must be positive, got {(nx, ny, nz)}")
-    if elem not in _ELEM_KINDS:
-        raise VvolError(f"{path}: unknown element kind {elem!r}")
-    if order != "little":
-        raise VvolError(f"{path}: unsupported byte order {order!r}")
-    dtype = _ELEM_KINDS[elem]
-    expected = nx * ny * nz * dtype.itemsize
-    body = raw[pos:]
-    if len(body) != expected:
-        raise VvolError(
-            f"{path}: payload length mismatch, expected {expected} bytes got {len(body)}"
-        )
-    arr = np.frombuffer(body, dtype=dtype).reshape((nx, ny, nz), order="F")
-    if kind == "volume":
-        if elem != "f32":
+        fields = {}
+        for line in read_header(fh, VVOL_MAGIC, VvolError):
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise VvolError(f"{path}: malformed header line {line!r}")
+            fields[parts[0]] = parts[1]
+        try:
+            kind = fields["kind"]
+            nx, ny, nz = (int(t) for t in fields["shape"].split())
+            spacing = tuple(float(t) for t in fields["spacing"].split())
+            elem = fields["elem"]
+            order = fields["byteorder"]
+        except (KeyError, ValueError) as exc:
+            raise VvolError(f"{path}: malformed header ({exc})") from exc
+        if min(nx, ny, nz) < 1:
+            raise VvolError(f"{path}: shape dims must be positive, got {(nx, ny, nz)}")
+        if elem not in _ELEM_KINDS:
+            raise VvolError(f"{path}: unknown element kind {elem!r}")
+        if order != "little":
+            raise VvolError(f"{path}: unsupported byte order {order!r}")
+        if kind not in ("volume", "label"):
+            raise VvolError(f"{path}: unknown kind {kind!r}")
+        if kind == "volume" and elem != "f32":
             raise VvolError(f"{path}: volume payload must be f32, got {elem}")
-        cls = Volume3D
-    elif kind == "label":
-        cls = LabelVolume
-    else:
-        raise VvolError(f"{path}: unknown kind {kind!r}")
+        dtype = _ELEM_KINDS[elem]
+        expected = nx * ny * nz * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise VvolError(
+                f"{path}: payload length mismatch, expected {expected} bytes got {size}"
+            )
+        arr = np.empty((nz, ny, nx), dtype)
+        if fh.readinto(arr) != expected:
+            raise VvolError(f"{path}: file shrank while reading the payload")
     try:
-        if cls is Volume3D:
+        if kind == "volume":
             check_finite(arr)
-        return cls(arr, spacing)
+            return Volume3D(arr.T, spacing)
+        return LabelVolume(arr.T, spacing)
     except ValueError as exc:  # non-finite voxels, bad spacing or label values
         raise VvolError(f"{path}: {exc}") from exc
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import ynetr.cli as cli_module
 from ynetr.autograd import Tensor, _build_tape
 from ynetr.checkpoint import save_checkpoint
 from ynetr.cli import cli
+from ynetr.config import load_run_config
 from ynetr.metrics import confusion
 from ynetr.model import ModelConfig, YNetr
 from ynetr.volume import LabelVolume, Volume3D, read_vvol, write_vvol
@@ -134,6 +136,43 @@ def test_full_pipeline(tmp_path, runner):
     assert set(metrics) == {"mean_dice", "per_volume", "confusion"}
     assert 0.0 <= metrics["mean_dice"] <= 1.0
     assert (rep / "report.csv").read_text().startswith("volume,dice,tp,fp,fn,tn")
+
+
+def _write_cases(data, count, shape=(12, 12, 12)):
+    data.mkdir()
+    for i in range(count):
+        write_vvol(Volume3D(np.zeros(shape, dtype=np.float32), (1, 1, 1)), data / f"c{i}.vvol")
+        write_vvol(LabelVolume(np.zeros(shape, dtype=np.uint8), (1, 1, 1)),
+                   data / f"c{i}.label.vvol")
+
+
+def test_train_reads_each_case_after_the_last_is_prepared(tmp_path, monkeypatch):
+    # 12^3 cases in a 16^3 window: a prepared case is padded, so it keeps no raw array
+    _write_cases(tmp_path / "data", 3)
+    real_read, real_prepare = cli_module.read_vvol, cli_module.prepare_case
+    events, raw = [], []  # raw: (case, weak reference to a raw object or array it read)
+
+    def read(path):
+        case = path.name.split(".")[0]
+        assert all(ref() is None for c, ref in raw if c != case), f"reading {path.name}"
+        events.append(("read", path.name))
+        vol = real_read(path)
+        arr = vol.voxels if isinstance(vol, Volume3D) else vol.labels
+        raw.extend([(case, weakref.ref(vol)), (case, weakref.ref(arr))])
+        return vol
+
+    def prepare(name, *args):
+        events.append(("prepare", name))
+        return real_prepare(name, *args)
+
+    monkeypatch.setattr(cli_module, "read_vvol", read)
+    monkeypatch.setattr(cli_module, "prepare_case", prepare)
+    cases = cli_module._load_cases(tmp_path / "data", load_run_config(_write_config(tmp_path)))
+    assert [c.name for c in cases] == ["c0", "c1", "c2"]
+    assert events == [
+        e for i in range(3)
+        for e in (("read", f"c{i}.vvol"), ("read", f"c{i}.label.vvol"), ("prepare", f"c{i}"))
+    ]
 
 
 def test_sampler_fallbacks_take_one_stderr_line(tmp_path, runner):
@@ -271,6 +310,21 @@ class TestExitCodes:
         res = runner.invoke(cli, ["wavelet", str(tmp_path / "missing.vvol")])
         assert res.exit_code == 3
         assert "io-error:" in res.output
+
+    def test_train_label_without_volume_is_3_before_any_read(self, tmp_path, runner,
+                                                             monkeypatch):
+        data = tmp_path / "data"
+        _write_cases(data, 2)
+        (data / "c1.vvol").unlink()
+        reads = []
+        monkeypatch.setattr(cli_module, "read_vvol", lambda path: reads.append(path))
+        res = runner.invoke(cli, ["train", "--config", str(_write_config(tmp_path)),
+                                  "--data", str(data), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [
+            f"io-error: label c1 has no matching volume {data / 'c1.vvol'}"
+        ]
+        assert reads == []
 
     def test_eval_missing_gt_is_3(self, tmp_path, runner):
         pred_dir = tmp_path / "pred"

@@ -1,9 +1,12 @@
 import ctypes
-import functools
+import importlib.util
+import json
 import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +237,60 @@ def test_step_leaves_no_blas_helper_alive(monkeypatch):
         assert _live_threads() == without_helpers
 
 
+# numpy GEMM, first step, then scipy's own OpenBLAS mapped and run threaded,
+# then a second step; prints the live thread count after each stage, and
+# how many mapped OpenBLAS libraries export the stop, found apart from optim
+_LATE_LIBRARY_PROBE = """
+import ctypes, json, os, threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+import ynetr.optim as optim
+from ynetr.autograd import Tensor
+
+def live():
+    return len(os.listdir("/proc/self/task"))
+
+def step(opt):
+    opt.params[0].grad = np.ones(opt.params[0].data.shape, np.float32)
+    opt.step()
+
+pool = ThreadPoolExecutor(2)
+barrier = threading.Barrier(2)
+for started in [pool.submit(barrier.wait) for _ in range(2)]:
+    started.result()
+optim._pool = (os.getpid(), 2, pool)
+opt = optim.AdamW([Tensor(np.zeros(1000, np.float32), requires_grad=True)], 1e-3, 0.01)
+a = np.ones((512, 512), np.float32)
+a @ a
+step(opt)
+counts = [live()]
+from scipy.linalg import blas
+blas.sgemm(1.0, a, a)
+counts.append(live())
+step(opt)
+counts.append(live())
+with open("/proc/self/maps") as maps:
+    paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+stops = sum(hasattr(ctypes.CDLL(path), "blas_thread_shutdown_") for path in paths)
+print(json.dumps({"counts": counts, "stops": stops}))
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None or not os.path.isdir("/proc/self"),
+                    reason="needs scipy and Linux")
+def test_step_stops_the_helper_of_a_library_mapped_after_the_first_step():
+    env = dict(os.environ, PYTHONPATH=str(Path(optim.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _LATE_LIBRARY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    probe = json.loads(res.stdout)
+    if not probe["stops"]:
+        pytest.skip("needs an OpenBLAS that exports blas_thread_shutdown_")
+    after_first, after_sgemm, after_second = probe["counts"]
+    if after_sgemm == after_first:
+        pytest.skip("one BLAS thread: there is no helper to stop")
+    assert after_second == after_first
+
+
 def test_gemm_after_the_stop_is_bitwise_equal():
     before = _big_gemm()
     for stop in optim._blas_thread_shutdowns():
@@ -257,8 +314,6 @@ def _no_library(path):
 def test_step_without_the_shutdown_equals_the_per_tensor_formula(monkeypatch, patch):
     name, fake = patch
     monkeypatch.setattr(optim if name == "open" else optim.ctypes, name, fake, raising=False)
-    lookup = functools.cache(optim._blas_thread_shutdowns.__wrapped__)
-    monkeypatch.setattr(optim, "_blas_thread_shutdowns", lookup)
     params, ref_params = _twin_params(13)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(optim, "_pool", (os.getpid(), 2, pool))
@@ -271,5 +326,5 @@ def test_step_without_the_shutdown_equals_the_per_tensor_formula(monkeypatch, pa
                 p.grad, q.grad = g, g.copy()
             opt.step()
             ref.step()
-    assert lookup() == ()
+    assert optim._blas_thread_shutdowns() == ()
     assert _state_bytes(params, opt) == _state_bytes(ref_params, ref)
