@@ -51,14 +51,14 @@ buffer per full-size map: a 16 -> 16 forward at 64^3 peaked at 24.9 MB
 by tracemalloc, against 42.7 MB with a separate output buffer. The k = 1
 head, whose ``flat`` is a view of its input, keeps its own output. Its
 input is a crop, final_conv's output, so its GEMM runs over the whole
-rows under that crop (``_whole_rows``), junk columns included, and only
+rows under that crop (``whole_rows``), junk columns included, and only
 its small (2, X, Y, Z) crop is copied out, into a contiguous buffer: the
 layout of the logits sets the order of the loss's sums. A MID head call
 peaked at 4.3 MB by tracemalloc, against 18.9 MB with a contiguous copy
 of its 16.8 MB input. Its backward still copies the input, so that the
-weight gradient sums over the real columns alone. ``rows`` gives the
-whole rows under a crop, on which autograd adds the bias and runs the
-ReLU in place, junk columns included. At 16 channels on a 64^3 grid
+weight gradient sums over the real columns alone. autograd adds the
+bias and runs the ReLU in place on the ``whole_rows`` of every conv3d
+output, junk columns included. At 16 channels on a 64^3 grid
 (medians of 41 calls, 2-core host) the bias add took 0.8-0.9 ms there,
 against 3.5-3.9 ms in place on the cropped view and 2.0-2.2 ms into a
 new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and 3.2-3.5 ms.
@@ -77,8 +77,8 @@ The backward computes ``gw`` first, so that ``gx`` can then overwrite
 the padded ``g``, which holds Cout rows for gx's Cin. It pads ``x`` and
 drops it, then pads ``g`` and drops it, and drops the padded ``x`` before
 gx's pass. Where the call holds the only reference to ``x`` or ``g``, as
-autograd's conv closures arrange on CPython 3.11 and later, each is freed
-there, and at most one of them lives next to the two padded copies.
+autograd's conv closures arrange, each is freed there, and at most one
+of them lives next to the two padded copies.
 
 Accumulation order follows from the shapes. The k**3 kernel offsets
 are split between the copied block and the GEMM output. Split a sends
@@ -188,12 +188,12 @@ def _flat_padded(x, pad, k):
     return flat, grid
 
 
-def _whole_rows(x):
-    """(flat, grid) of a k = 1 forward without a copy where it can be had:
-    when ``x`` (C, X, Y, Z) crops a grid (C, X, Yr, Zr) whose rows lie
-    whole inside the contiguous array it views, as a ``conv3d_forward``
-    output does, a (C, X*Yr*Zr) view of those rows and (X, Yr, Zr);
-    otherwise ``_flat_padded(x, 0, 1)``."""
+def whole_rows(x):
+    """The whole rows under ``x`` as (flat, grid), without a copy where it
+    can be had: when ``x`` (C, X, Y, Z) crops a grid (C, X, Yr, Zr) whose
+    rows lie whole inside the contiguous array it views, as a
+    ``conv3d_forward`` output does, a (C, X*Yr*Zr) view of those rows and
+    (X, Yr, Zr); otherwise ``_flat_padded(x, 0, 1)``."""
     c, X, Y, Z = x.shape
     s0, s1, s2, s3 = x.strides
     base = x.base
@@ -313,19 +313,8 @@ def conv3d_forward(x, w, stride, pad):
     k = _same_size(w, stride, pad)
     if k > 1:
         return _corr1(*_flat_padded(x, pad, k), w, overwrite=True)
-    y = _corr1(*_whole_rows(x), w, overwrite=False)[:, :, : x.shape[2], : x.shape[3]]
+    y = _corr1(*whole_rows(x), w, overwrite=False)[:, :, : x.shape[2], : x.shape[3]]
     return np.ascontiguousarray(y)  # the logits' layout sets the order of the loss's sums
-
-
-def rows(y):
-    """The whole rows of the buffer under a ``conv3d_forward`` output ``y``:
-    a (Cout, n) view, wrap-around columns included, whose rows are
-    contiguous, so that elementwise work in place runs over long rows
-    instead of the cropped view's short ones."""
-    cout, ox = y.shape[:2]
-    if y.flags.c_contiguous:  # a k = 1 output: no wrap-around columns
-        return y.reshape(cout, -1)
-    return y.base[:cout, : ox * y.strides[1] // y.itemsize]
 
 
 def conv3d_backward(x, w, g, stride, pad):

@@ -11,8 +11,9 @@ closures save:
 
 * add, sub, neg, reshape, permute, indexing, sum (over every element)
   and mean (over the last axis): shapes or indices only;
-* mul, div and matmul: the operand that the other side's gradient reads,
-  and only when that side needs a gradient;
+* mul, div and matmul: the operands that the gradients of the sides
+  that need one read; each side's reads the other operand, and div's
+  right side its own as well;
 * sqrt, softmax and log_softmax their output; gelu its input and Phi(x);
 * conv3d (same-size: odd k, stride 1, padding k // 2) and
   conv_transpose3d (an up-step: kernel == stride, no padding) the input,
@@ -39,10 +40,10 @@ the call. The kernel drops each once it has padded it. ``backward()``
 likewise clears a node's gradient before it calls the closure with it.
 This rests on CPython 3.11 and later, where a Python function takes over
 its call arguments and the caller keeps no reference, so the callee's is
-the pass's only one. CPython 3.10 keeps the arguments until the call
-returns, as does any wrapper around a kernel (such as the bench's
-tracer), and there only the ReLU output goes early. No value depends on
-when an array is freed.
+the pass's only one. A wrapper around a kernel that keeps its arguments
+until the call returns (such as the bench's tracer) keeps them alive,
+and there only the ReLU output goes early. No value depends on when an
+array is freed.
 
 Three ops write a value in place, each into an array that no closure
 reads and that only the op's caller holds: each conv adds its bias into
@@ -303,27 +304,12 @@ class Tensor:
 
     def _add(self, other, into):
         other = _wrap(other)
-        out = Tensor(np.add(self.data, other.data, out=into))
-        a_shape, b_shape = self.data.shape, other.data.shape
-        need_a, need_b = self.requires_grad, other.requires_grad
-
-        def bw(g):
-            return (_unbroadcast(g, a_shape) if need_a else None,
-                    _unbroadcast(g, b_shape) if need_b else None)
-
-        return out._record((self, other), bw)
+        return _binary(self, other, np.add(self.data, other.data, out=into),
+                       lambda g: g, lambda g: g)
 
     def __sub__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data - other.data)
-        a_shape, b_shape = self.data.shape, other.data.shape
-        need_a, need_b = self.requires_grad, other.requires_grad
-
-        def bw(g):
-            return (_unbroadcast(g, a_shape) if need_a else None,
-                    _unbroadcast(-g, b_shape) if need_b else None)
-
-        return out._record((self, other), bw)
+        return _binary(self, other, self.data - other.data, lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return _wrap(other) - self
@@ -333,47 +319,23 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data * other.data)
-        a_shape, b_shape = self.data.shape, other.data.shape
-        a = self.data if other.requires_grad else None
-        b = other.data if self.requires_grad else None
-
-        def bw(g):
-            return (None if b is None else _unbroadcast(g * b, a_shape),
-                    None if a is None else _unbroadcast(g * a, b_shape))
-
-        return out._record((self, other), bw)
+        a, b = self.data, other.data
+        return _binary(self, other, a * b, lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data / other.data)
-        a_shape, b_shape = self.data.shape, other.data.shape
-        need_a = self.requires_grad
-        a = self.data if other.requires_grad else None
-        b = other.data  # read by both sides' gradients
-
-        def bw(g):
-            return (_unbroadcast(g / b, a_shape) if need_a else None,
-                    None if a is None else _unbroadcast(-g * a / (b * b), b_shape))
-
-        return out._record((self, other), bw)
+        a, b = self.data, other.data
+        return _binary(self, other, a / b, lambda g: g / b, lambda g: -g * a / (b * b))
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
-        out = Tensor(self.data @ other.data)
-        a_shape, b_shape = self.data.shape, other.data.shape
-        a = self.data if other.requires_grad else None
-        b = other.data if self.requires_grad else None
-
-        def bw(g):
-            return (None if b is None else _unbroadcast(g @ b.swapaxes(-1, -2), a_shape),
-                    None if a is None else _unbroadcast(a.swapaxes(-1, -2) @ g, b_shape))
-
-        return out._record((self, other), bw)
+        a, b = self.data, other.data
+        return _binary(self, other, a @ b, lambda g: g @ b.swapaxes(-1, -2),
+                       lambda g: a.swapaxes(-1, -2) @ g)
 
     # -- shape ops ---------------------------------------------------------
 
@@ -453,6 +415,23 @@ class Tensor:
             return (g - soft * g.sum(axis=axis, keepdims=True),)
 
         return Tensor(val)._record((self,), bw)
+
+
+def _binary(a, b, value, grad_a, grad_b):
+    """``value``, the output of an op on tensors ``a`` and ``b``, recorded:
+    ``grad_a(g)`` and ``grad_b(g)`` map its gradient to each side's, which
+    is then summed down to that side's shape. Each is kept only when its
+    side needs a gradient, so the closure keeps only the operands that the
+    needed sides read."""
+    a_shape, b_shape = a.data.shape, b.data.shape
+    grad_a = grad_a if a.requires_grad else None
+    grad_b = grad_b if b.requires_grad else None
+
+    def bw(g):
+        return (None if grad_a is None else _unbroadcast(grad_a(g), a_shape),
+                None if grad_b is None else _unbroadcast(grad_b(g), b_shape))
+
+    return Tensor(value)._record((a, b), bw)
 
 
 def _wrap(x):
@@ -553,7 +532,7 @@ def _conv3d_data(xd, wd, bd, relu):
     """The value of ``conv3d``: the kernel's output with the bias added,
     and the ReLU run if ``relu``, in place over its whole rows."""
     y = _ck.conv3d_forward(xd, wd, 1, wd.shape[2] // 2)
-    r = _ck.rows(y)
+    r = _ck.whole_rows(y)[0]
     r += bd[:, None]
     if relu:
         # bitwise np.where(r > 0, r, 0) on every float32, without its branch
@@ -564,19 +543,27 @@ def _conv3d_data(xd, wd, bd, relu):
     return y
 
 
+def _conv_grads(xs, w, gs, b, need_b):
+    """(gx, gw, gb) of ``conv3d`` with weight ``w`` and bias ``b``, from its
+    input and its output's gradient, each the one element of its list,
+    popped into the kernel call (see the module docstring); gb is None
+    unless ``need_b``."""
+    gb = _bias_grad(gs[0], b, need_b)
+    return (*_ck.conv3d_backward(xs.pop(), w, gs.pop(), 1, w.shape[2] // 2), gb)
+
+
 def conv3d(x, w, b, relu=False):
     """Same-size 3-D convolution plus the bias ``b`` (Cout,), then the ReLU
     if ``relu``; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k) with
     odd k, so stride 1 and padding k // 2.
 
     The bias add and the ReLU run in place over the whole rows of the
-    kernel's output buffer (``_convkernels.rows``), wrap-around columns
-    included; each value equals that of ``conv + b`` and ``.relu()`` as
-    separate ops, and so does each gradient.
+    kernel's output buffer (``_convkernels.whole_rows``), wrap-around
+    columns included; each value equals that of ``conv + b`` and
+    ``.relu()`` as separate ops, and so does each gradient.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd, wd, bd = x.data, w.data, b.data
-    pad = wd.shape[2] // 2
     y = _conv3d_data(xd, wd, bd, relu)
     need_b = b.requires_grad
     saved = [xd, y] if relu else [xd]  # popped by the backward, the output first
@@ -584,9 +571,8 @@ def conv3d(x, w, b, relu=False):
     def bw(g):
         if relu:  # the mask is out > 0; the output goes before g * mask is formed
             g = g * (saved.pop() > 0)
-        gb = _bias_grad(g, bd, need_b)
         g = [g]  # popped into the kernel call, which then holds the only reference
-        return (*_ck.conv3d_backward(saved.pop(), wd, g.pop(), 1, pad), gb)
+        return _conv_grads(saved, wd, g, bd, need_b)
 
     return Tensor(y)._record((x, w, b), bw)
 
@@ -602,21 +588,18 @@ def stem(x, w1, b1, w2, b2):
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     xd, w1d, b1d, w2d, b2d = (t.data for t in (x, w1, b1, w2, b2))
     y = _conv3d_data(_conv3d_data(xd, w1d, b1d, True), w2d, b2d, False)
-    pad1, pad2 = w1d.shape[2] // 2, w2d.shape[2] // 2
     need_b1, need_b2 = b1.requires_grad, b2.requires_grad
     saved = [xd]  # popped by conv1's backward
 
     def bw(g):
         h = [_conv3d_data(saved[0], w1d, b1d, True)]
         mask = h[0] > 0  # the ReLU's, taken before h goes to conv2's backward
-        gb2 = _bias_grad(g, b2d, need_b2)
         g = [g]
-        gh, gw2 = _ck.conv3d_backward(h.pop(), w2d, g.pop(), 1, pad2)
+        gh, gw2, gb2 = _conv_grads(h, w2d, g, b2d, need_b2)
         gh *= mask  # written into the kernel's new gh
         del mask
-        gb1 = _bias_grad(gh, b1d, need_b1)
         gh = [gh]
-        return (*_ck.conv3d_backward(saved.pop(), w1d, gh.pop(), 1, pad1), gb1, gw2, gb2)
+        return (*_conv_grads(saved, w1d, gh, b1d, need_b1), gw2, gb2)
 
     return Tensor(y)._record((x, w1, b1, w2, b2), bw)
 

@@ -214,12 +214,9 @@ class TransformerBranch(nn.Module):
 
 
 def fuse_add(a: list, b: list) -> list:
-    """Merge two pyramids (lists of levels) by elementwise addition, scale by scale."""
-    if len(a) != len(b):
-        raise ValueError("pyramids have different level counts")
-    for la, lb in zip(a, b):
-        if la.shape != lb.shape:
-            raise ValueError(f"pyramid level shapes differ: {la.shape} vs {lb.shape}")
+    """Merge two pyramids (lists of levels) by elementwise addition, scale by
+    scale; both come from branches built from one config, so their levels
+    match."""
     return [la + lb for la, lb in zip(a, b)]
 
 

@@ -11,11 +11,14 @@ Both file formats (checkpoints in ``checkpoint.py``) are laid out alike:
   lists, in order, with nothing between them.
 
 ``write_layout`` writes it and ``read_header`` reads it up to the
-payload. The magic line is read with a bounded ``readline``, so a file of
-another kind is refused after a few bytes, however large it is. Each
-reader then checks the payload length that the header implies against
-the file's size before it allocates, and reads the payload straight into
-the arrays that keep it; so a file read must be a regular file.
+payload. Every line is read with a bounded ``readline``: the magic line,
+so that a file of another kind is refused after a few bytes, however
+large it is, and the lines after it under one bound of 512 KiB in all,
+so that a header is refused once it has read that much without an
+``end``. Each reader then checks the payload length that the header
+implies against the file's size before it allocates, and reads the
+payload straight into the arrays that keep it; so a file read must be a
+regular file.
 
 A ``.vvol`` header holds ``kind`` (``volume`` or ``label``), ``shape nx
 ny nz``, ``spacing`` (three floats in mm), ``elem`` (``f32`` or ``i32``)
@@ -35,6 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 VVOL_MAGIC = "vvol 1"
+
+# bound on the header lines after the magic line, over 10 times the
+# largest header written (a checkpoint manifest, under 45 KiB); a bounded
+# readline holds up to twice the bound, its read chunks and their join
+_HEADER_BYTES = 512 << 10
 
 # element kinds understood by the reader; payload is always 32-bit
 _ELEM_KINDS = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
@@ -78,10 +86,14 @@ class LabelVolume:
     spacing_mm: tuple[float, float, float]
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.labels)
-        if not np.isin(arr, (0, 1)).all():
+        arr = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN casts to some integer, refused below
+            labels = arr.astype(np.uint8, order="C")
+        # one cast, checked against its input: a value other than 0 and 1
+        # casts to a different one (256, -1, 0.5, NaN) or stays above 1
+        if not (np.array_equal(labels, arr) and labels.max(initial=0) <= 1):
             raise ValueError("label volume may only contain 0 and 1")
-        self.labels = arr.astype(np.uint8)
+        self.labels = labels
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
         _check_geometry(self.labels.shape, self.spacing_mm)
 
@@ -110,16 +122,18 @@ def read_header(fh, magic, error):
     """The header lines between the ``magic`` line and ``end`` of the open
     binary file ``fh``, without their ``\n``, leaving ``fh`` at the
     payload. A file that does not start with ``magic``, a header line
-    that is not ASCII, or a header with no ``end`` raises ``error``."""
+    that is not ASCII, or a header with no ``end`` within _HEADER_BYTES
+    raises ``error``."""
     if fh.readline(len(magic) + 1) != f"{magic}\n".encode():
         raise error(f"{fh.name}: not a {magic.split()[0]} file")
-    lines = []
-    for line in iter(fh.readline, b""):
+    lines, left = [], _HEADER_BYTES
+    while (line := fh.readline(left)).endswith(b"\n"):
         if line == b"end\n":
             return lines
         if not line.isascii():
             raise error(f"{fh.name}: header is not ASCII text")
         lines.append(line[:-1].decode())
+        left -= len(line)
     raise error(f"{fh.name}: header not terminated by 'end'")
 
 

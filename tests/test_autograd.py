@@ -1,4 +1,4 @@
-import sys
+import operator
 import tracemalloc
 import weakref
 
@@ -28,11 +28,17 @@ def ensure_grads(params):
 
 
 def saved_arrays(closure):
-    """The arrays a backward closure reads: those in its cells, and those in
-    the lists of saved arrays that it pops from."""
-    cells = [c.cell_contents for c in closure.__closure__ or ()]
-    found = [a for v in cells for a in (v if isinstance(v, list) else [v])]
-    return [a for a in found if isinstance(a, np.ndarray)]
+    """The arrays a backward closure reads: those in its cells, those in the
+    lists of saved arrays that it pops from, and those of the closures in
+    its cells (such as the gradient functions of a binary op)."""
+    found = []
+    for cell in closure.__closure__ or ():
+        v = cell.cell_contents
+        if callable(v) and getattr(v, "__closure__", None):
+            found += saved_arrays(v)
+        else:
+            found += [a for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    return found
 
 
 def conv(x, w):
@@ -529,7 +535,7 @@ class TestHeadReadsWholeRows:
         w = rng.standard_normal((c, c, 3, 3, 3), dtype=np.float32) / np.float32(c * 27)
         head = rng.standard_normal((2, c, 1, 1, 1), dtype=np.float32)
         y = ck.conv3d_forward(x, w, 1, 1)  # decoder.final_conv's output, a crop
-        flat, _ = ck._whole_rows(y)
+        flat, _ = ck.whole_rows(y)
         assert not y.flags.c_contiguous and np.shares_memory(flat, y)
         tracemalloc.start()
         try:
@@ -538,8 +544,8 @@ class TestHeadReadsWholeRows:
         finally:
             tracemalloc.stop()
         # the GEMM's output over the whole rows and the crop: no copy of y
-        assert peak <= 2 * ck.rows(y)[:2].nbytes + 2**12
-        assert got.flags.c_contiguous and ck.rows(got).shape == (2, np.prod(grid))
+        assert peak <= 2 * flat[:2].nbytes + 2**12
+        assert got.flags.c_contiguous and ck.whole_rows(got)[0].shape == (2, np.prod(grid))
         assert got.tobytes() == ck.conv3d_forward(np.ascontiguousarray(y), head, 1, 0).tobytes()
 
     @pytest.mark.parametrize("crop", [np.s_[:, :, 1:5, 2:6], np.s_[:, :, :, ::2], np.s_[::-1, :, :, :3]],
@@ -549,7 +555,7 @@ class TestHeadReadsWholeRows:
         # crop of contiguous rows, is copied as before
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 5, 6, 7), dtype=np.float32)[crop]
-        flat, grid = ck._whole_rows(x)
+        flat, grid = ck.whole_rows(x)
         assert not np.shares_memory(flat, x) and grid == x.shape[1:]
         head = rng.standard_normal((2, 3, 1, 1, 1), dtype=np.float32)
         assert (ck.conv3d_forward(x, head, 1, 0).tobytes()
@@ -784,6 +790,37 @@ class TestOwnedGradients:
         np.testing.assert_array_equal(first, np.arange(12).reshape(4, 3).T)
 
 
+# each binary op and the operands that its two sides' gradients read
+BINARY_READS = {
+    "+": (operator.add, (), ()),
+    "-": (operator.sub, (), ()),
+    "*": (operator.mul, ("b",), ("a",)),
+    "/": (operator.truediv, ("b",), ("a", "b")),
+    "@": (operator.matmul, ("b",), ("a",)),
+}
+
+
+class TestBinaryOpsKeepWhatTheirSidesRead:
+    @pytest.mark.parametrize("need_a, need_b", [(True, True), (True, False), (False, True),
+                                                (False, False)])
+    @pytest.mark.parametrize("op", list(BINARY_READS))
+    def test_closure_keeps_the_operands_its_needed_sides_read(self, op, need_a, need_b):
+        fn, reads_a, reads_b = BINARY_READS[op]
+        rng = np.random.default_rng(0)
+        arrays = {"a": rng.standard_normal((3, 4), dtype=np.float32),
+                  "b": rng.standard_normal((4, 5) if op == "@" else (1, 4), dtype=np.float32)}
+        out = fn(Tensor(arrays["a"], requires_grad=need_a), Tensor(arrays["b"], requires_grad=need_b))
+        if not (need_a or need_b):
+            assert out._node is None
+            return
+        want = {id(arrays[n]) for n in (reads_a if need_a else ()) + (reads_b if need_b else ())}
+        assert {id(a) for a in saved_arrays(out._node.backward)} == want
+        grads = out._node.backward(np.ones(out.shape, np.float32))
+        assert [g is not None for g in grads] == [need_a, need_b]
+        assert [g.shape for g in grads if g is not None] == [
+            arrays[n].shape for n, need in (("a", need_a), ("b", need_b)) if need]
+
+
 class TestGraphRelease:
     """The graph holds no values: a value lives while its tensor or a
     closure that reads it does, and backward() frees each intermediate
@@ -851,8 +888,8 @@ class TestGraphRelease:
 
     def test_callers_that_hold_the_arguments_change_no_bit(self, monkeypatch):
         # a wrapper that keeps the kernel's arguments until it returns, as the
-        # bench's tracer does and as CPython before 3.11 does for every call,
-        # keeps the early frees from freeing anything; no value may change
+        # bench's tracer does, keeps the early frees from freeing anything; no
+        # value may change
         def run():
             total, logits, params = tiny_model_step()
             total.backward()
@@ -908,8 +945,6 @@ class TestGraphRelease:
         loss.backward()
         assert alive == [False]
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before 3.11 CPython keeps a call's arguments until the callee returns"))
     @pytest.mark.parametrize("op", ["conv3d", "relu", "stem"])
     def test_closures_hand_x_and_g_to_the_kernel(self, monkeypatch, op):
         # the x and g of every conv3d_backward call, the arrays it pads, are
@@ -939,8 +974,6 @@ class TestGraphRelease:
         loss.backward()
         assert alive == [[False, False]] * (2 if op == "stem" else 1)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before 3.11 CPython keeps a call's arguments until the callee returns"))
     def test_conv_backward_pads_and_drops_x_before_g(self):
         # called with x and g as temporaries, the kernel holds the only
         # references and frees x once padded, before it pads g: at 8 x 64^3

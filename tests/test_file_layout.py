@@ -1,6 +1,7 @@
 """The layout that ``.vvol`` and checkpoint files share: the bytes of both
 formats are pinned, a file of another kind is refused after a few bytes,
-and a volume is read without a copy of the whole file."""
+a header with no end after 512 KiB, and a volume or a label is read
+without a copy of the whole file."""
 
 import hashlib
 import tracemalloc
@@ -70,6 +71,43 @@ def test_large_file_of_another_kind_is_refused_after_a_few_bytes(tmp_path, load,
     exc, peak = _peak(load, path)
     assert isinstance(exc, error) and str(exc) == f"{path}: {message}"
     assert peak < 1 << 20, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("load, error, magic", [
+    (read_vvol, VvolError, b"vvol 1\n"),
+    (load_checkpoint, CheckpointError, b"ynetr-checkpoint 1\n"),
+], ids=["vvol", "checkpoint"])
+def test_header_without_a_newline_is_refused_at_the_cap(tmp_path, load, error, magic):
+    path = tmp_path / "endless"
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.truncate(len(magic) + (32 << 20))  # then 32 MiB of zeros, with no newline
+    exc, peak = _peak(load, path)
+    assert isinstance(exc, error) and str(exc) == f"{path}: header not terminated by 'end'"
+    assert peak < 2 << 20, f"peak {peak} B"
+
+
+def test_read_label_holds_little_more_than_its_payload(tmp_path):
+    # the i32 payload, its uint8 cast and the check of that cast: a
+    # 128 x 128 x 96 label peaked at 34.5 MiB with an isin check on an
+    # int32 copy, 5.75 times its 6 MiB payload
+    labels = np.random.default_rng(4).random((128, 128, 96)) < 0.1
+    path = tmp_path / "case.label.vvol"
+    write_vvol(LabelVolume(labels, (1, 1, 1)), path)
+    back, peak = _peak(read_vvol, path)
+    assert back.labels.tobytes() == labels.astype(np.uint8).tobytes()
+    payload = 4 * labels.size
+    assert peak <= 1.6 * payload, f"peak {peak / payload:.2f}x the payload"
+
+
+@pytest.mark.parametrize("value", [256, -1, 0.5, np.nan])
+def test_label_values_other_than_0_and_1_are_refused(value):
+    labels = np.zeros((3, 4, 5), np.float64)
+    labels[1, 2, 3] = value
+    with pytest.raises(ValueError, match="label volume may only contain 0 and 1"):
+        LabelVolume(labels, (1, 1, 1))
+    with pytest.raises(ValueError, match="label volume may only contain 0 and 1"):
+        LabelVolume(labels.T, (1, 1, 1))
 
 
 def test_read_vvol_holds_the_volume_at_most_twice(tmp_path):

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -373,9 +372,6 @@ class TestTrainingMemory:
         assert held <= self.KEPT_HELD_MAPS - 2.0
         assert peak <= self.KEPT_PEAK_MAPS - 2.0
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before 3.11 CPython keeps a call's arguments until the callee returns, "
-        "so a closure cannot hand its arrays to the conv kernel to free"))
     def test_backward_frees_each_map_at_its_last_read(self):
         _, peak = self._step_maps()
         bound = (self.HELD_TO_RETURN_PEAK_MAPS + self.FREED_AT_LAST_READ_PEAK_MAPS) / 2
