@@ -48,7 +48,9 @@ array is freed.
 Three ops write a value in place, each into an array that no closure
 reads and that only the op's caller holds: each conv adds its bias into
 the kernel's new output, conv3d runs its ReLU there too, and
-``Tensor.add_`` adds into its left operand (the decoder's skip adds).
+``Tensor.add_`` adds into its left operand: the decoder adds each of its
+three lower skips into its up-step's new output, and its last up-step
+into the fused stem level, an add's new output (see ``Decoder.forward``).
 Each is the same IEEE operation on the same operands as the op it
 replaces, so values and gradients are bitwise those of separate ops, in
 the recorded and the ``no_grad`` pass alike.
@@ -133,6 +135,24 @@ def keep_freed_heap():
       54k-59k minor page faults and 0.47-0.55 s of system time per volume,
       7.6-8.7 s wall. With them: 7.5k faults and 0.09 s on the first
       volume, under 10 faults and 0.02 s on each later one, 7.5-7.7 s.
+
+    So the heap keeps what each step frees, and a run's RSS high-water
+    mark follows the heap's size, not the live peak. glibc's ``mallinfo2``
+    between steps 10 and 20 of the bench's ``train_mid`` (seed 1), whose
+    parameters, gradients and AdamW moments take 58.0 MiB each:
+
+    * with the stems' backward run last, the arena was 347.2 MiB: 257.5
+      in use and 89.8 freed but kept;
+    * with it run first (see ``model.Decoder.forward``), 339.1 MiB: 257.5
+      and 81.6;
+    * with ``train``'s optimizer also built after the first backward,
+      333.0 MiB: 257.5 and 75.5.
+
+    A step's live peak is about 199.5 MiB in use before its forward (no
+    gradients) plus tracemalloc's peak of the step, 114.9 and 102.4 MiB
+    in the first two cases. The arena exceeds it by 31-37 MiB of freed
+    blocks that the peak's arrays did not fit into, so a live peak lower
+    by 12.5 MiB gave an arena lower by 8.1 MiB.
     """
     if platform.libc_ver()[0] != "glibc":
         return

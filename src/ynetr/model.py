@@ -167,14 +167,18 @@ class Stem(nn.Module):
 
     The backward takes the ReLU's mask from the recomputed map before
     conv2's backward, and that kernel call frees the map once it has padded
-    it. A recorded step's backward peak now lies here. In a MID step by
-    tracemalloc (CPython 3.11), the first stem's conv2 backward peaks at
-    116.9 MiB, where the map, its padded copy, the mask and the upstream
-    gradient, which the other stem still reads, coexist. decoder.final_conv's
-    backward, the peak before the backward freed each map at its last read,
-    reaches 101.1 MiB. Two levers remain, each needing a kernel argument:
-    skip conv1's unused input gradient, and write conv1's output straight
-    into conv2's padded layout.
+    it. A recorded step's backward peak lies here, where the map, its padded
+    copy, the mask and the upstream gradient, which the other stem still
+    reads, coexist. The decoder adds its last up-step into the fused stem
+    level (see ``Decoder.forward``), so both stems' backward runs right
+    after decoder.final_conv's, while the graph still holds the forward's
+    saved values but before any gradient of final_up, the lower decoder,
+    the projections or the encoders exists. In a MID step by tracemalloc
+    (CPython 3.11), each stem's backward peaks at 102.4 MiB (114.9 MiB when
+    the stems ran last, after every encoder gradient), decoder.final_conv's
+    at 99.3 MiB and the forward at 101.0 MiB. Two levers remain, each
+    needing a kernel argument: skip conv1's unused input gradient, and
+    write conv1's output straight into conv2's padded layout.
     """
 
     def __init__(self, rng, cout):
@@ -238,14 +242,27 @@ class Decoder(nn.Module):
         self.head = nn.Conv3d(rng, ch[4], 2, 1, zero_init=cfg.zero_init_head)
 
     def forward(self, levels):
-        """Logits of the pyramid ``levels``, deepest first. Each skip is
-        added into its up-step's new output, and each level is dropped from
-        ``levels`` once used, so that a forward without a graph frees it."""
+        """Logits of the pyramid ``levels``, deepest first. Each level is
+        dropped from ``levels`` once used, so that a forward without a graph
+        frees it.
+
+        The three lower skips are added into their up-step's new output.
+        The last up-step is added into the fused stem level's array instead,
+        which gives the same sum bitwise (IEEE addition commutes) but makes
+        that level the add's left operand. The backward's depth-first tape
+        (``autograd._build_tape``) then runs both stems' backward, the
+        step's largest, right after final_conv's, before any gradient of
+        final_up, the lower decoder, the projections or the encoders exists
+        (see ``Stem``). The lower skip adds keep their order: swapped the
+        same way, they run each level's projection first, the taps'
+        gradients reach the encoder's token sequence in another order, and
+        since float addition does not associate, the encoder's gradients
+        change in their last bits."""
         levels.reverse()
         d = levels.pop()
         for up, conv in zip(self.ups, self.convs):
             d = conv(up(d).add_(levels.pop()), relu=True)
-        d = self.final_up(d).add_(levels.pop())
+        d = levels.pop().add_(self.final_up(d))
         d = self.final_conv(d, relu=True)
         return self.head(d)
 

@@ -198,10 +198,6 @@ class AdamW:
         self.m = [np.zeros(p.data.shape, dtype=np.float32) for p in self.params]
         self.v = [np.zeros(p.data.shape, dtype=np.float32) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
     def step(self):
         """One AdamW update of every parameter from its ``grad``. No other
         thread may be inside a BLAS call while it runs: it stops OpenBLAS's

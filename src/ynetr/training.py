@@ -139,21 +139,23 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
     optimizer returned by one call, or restored from its checkpoint,
     continues where that run stopped.
 
+    Without an ``optimizer``, the one it makes is built after the first
+    step's backward, so that its moments take heap space the backward has
+    freed instead of lying under it (see ``keep_freed_heap``).
+
     Windows drawn in place of one the case cannot supply are counted per
     case and reason and summed up in one warning when ``train`` returns.
     """
     if not cases:
         raise ValueError("training needs at least one case")
     keep_freed_heap()
-    if optimizer is None:
-        optimizer = AdamW(
-            model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay
-        )
+    params = model.parameters()
     history = []
     fallbacks = Counter()
-    for step in range(optimizer.t + 1, cfg.total_steps + 1):
+    for step in range((0 if optimizer is None else optimizer.t) + 1, cfg.total_steps + 1):
         rng = step_rng(cfg.seed, step)
-        optimizer.zero_grad()
+        for p in params:
+            p.grad = None
         case = cases[int(rng.integers(len(cases)))]
         sample, fallback = _draw(case, step % 2 == 1, rng, sampler_cfg)
         if fallback is not None:
@@ -166,6 +168,8 @@ def train(model, cases, cfg: TrainConfig, sampler_cfg: SamplerConfig,
         total.backward()
         # free the logits before the next forward; backward() freed the graph
         del logits, total, d, c
+        if optimizer is None:
+            optimizer = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
         try:
             optimizer.step()
         except FloatingPointError as exc:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -338,9 +339,13 @@ class TestTrainingMemory:
     # while each closure and conv3d_backward held their arrays to the end of
     # the call; freeing each at its last read took it to 14.39 maps, still
     # inside a stem's backward, where the recomputed map and its padded copy
-    # coexist
+    # coexist with every decoder, projection and encoder gradient, since the
+    # stems' backward ran last. With the final up-step added into the fused
+    # stem level, the stems' backward runs right after decoder.final_conv's,
+    # before any of those gradients exists, and the peak is 9.04 maps
     HELD_TO_RETURN_PEAK_MAPS = 15.28
     FREED_AT_LAST_READ_PEAK_MAPS = 14.39
+    STEMS_FIRST_PEAK_MAPS = 9.04
 
     @staticmethod
     def _step_maps():
@@ -353,6 +358,11 @@ class TestTrainingMemory:
                   for _ in range(2))
         labels = (rng.random(cfg.input_dims) < 0.2).astype(np.float32)
         stem_map = cfg.decoder_channels[4] * np.prod(cfg.input_dims) * 4
+        # a full collection empties CPython's free lists, and the first step
+        # refills them, so the traced step takes its small objects from them
+        # in every run; without it, a full collection made shortly before by
+        # whatever ran earlier in the process added up to 0.15 maps to held
+        gc.collect()
         segmentation_loss(LossConfig(), labels, model(lf, hf))[0].backward()
         for p in model.parameters():
             p.grad = None
@@ -376,6 +386,35 @@ class TestTrainingMemory:
         _, peak = self._step_maps()
         bound = (self.HELD_TO_RETURN_PEAK_MAPS + self.FREED_AT_LAST_READ_PEAK_MAPS) / 2
         assert peak <= bound
+
+    def test_stems_backward_runs_before_other_gradients_exist(self):
+        _, peak = self._step_maps()
+        assert peak <= (self.FREED_AT_LAST_READ_PEAK_MAPS + self.STEMS_FIRST_PEAK_MAPS) / 2
+
+    def test_stems_backward_comes_before_the_final_up_step(self, monkeypatch):
+        import ynetr._convkernels as ck
+
+        cfg = tiny_config(zero_init_head=False)
+        model = YNetr(cfg)
+        names = {id(p.data): n.rsplit(".", 1)[0] for n, p in model.named_parameters()}
+        order = []
+
+        def recorded(fn):
+            def call(x, w, *rest):
+                order.append(names[id(w)])
+                return fn(x, w, *rest)
+
+            return call
+
+        for name in ("conv3d_backward", "convt3d_backward"):
+            monkeypatch.setattr(ck, name, recorded(getattr(ck, name)))
+        rng = np.random.default_rng(0)
+        lf, hf = (Tensor(rng.standard_normal((1, *cfg.input_dims), dtype=np.float32))
+                  for _ in range(2))
+        labels = (rng.random(cfg.input_dims) < 0.2).astype(np.float32)
+        segmentation_loss(LossConfig(), labels, model(lf, hf))[0].backward()
+        stems = [order.index(f"{b}.stem.conv2") for b in ("lf_branch", "hf_branch")]
+        assert max(stems) < order.index("decoder.final_up")
 
 
 class TestParameterCount:

@@ -1,0 +1,84 @@
+"""Print SHA-256 prefixes of seeded ynetr outputs, to show that two trees
+(or two BLAS thread counts) compute the same bits.
+
+    python3 tools/step_digest.py
+    OPENBLAS_NUM_THREADS=1 python3 tools/step_digest.py
+
+It imports ``ynetr`` from the ``src/`` next to this directory, so that run
+in two checkouts it compares their sources. Each line is ``<name>
+<first 16 hex digits of a SHA-256>`` over the shapes and bytes of:
+
+* ``mid.step``: a recorded Dice-CE step of the mid model (64^3 window,
+  embed 192, depth 12, 12 heads, decoder (128, 128, 64, 32, 16), drawn
+  head) on standard-normal inputs: its logits, its loss and the gradient
+  of every parameter, in parameter order;
+* ``mid.adamw``: every parameter after one AdamW step (lr 1e-4, weight
+  decay 0.01) from those gradients;
+* ``mid.predict``: a ``predict`` of the stepped model on new inputs;
+* ``tiny.infer``: ``infer_volume`` (overlap 0.5) of a 32^3 phantom with a
+  16^3-window model: the probabilities and the mask.
+
+Outputs that differ in any bit give another line; equal lines on two runs
+mean equal outputs. It uses the standard library, numpy and ynetr alone.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+import ynetr  # noqa: E402
+
+MID = {"input_dims": (64, 64, 64), "embed_dim": 192, "depth": 12, "num_heads": 12,
+       "decoder_channels": (128, 128, 64, 32, 16)}
+TINY = {"input_dims": (16, 16, 16), "embed_dim": 32, "num_heads": 4,
+        "decoder_channels": (16, 16, 8, 8, 4)}
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def mid_runs():
+    model = ynetr.YNetr(ynetr.ModelConfig(init_seed=1, zero_init_head=False, **MID))
+    params = model.parameters()
+    rng = np.random.default_rng(5)
+    lf, hf = (rng.standard_normal((1, *MID["input_dims"]), dtype=np.float32) for _ in range(2))
+    labels = (rng.random(MID["input_dims"]) < 0.1).astype(np.float32)
+    logits = model(ynetr.Tensor(lf), ynetr.Tensor(hf))
+    total = ynetr.segmentation_loss(ynetr.LossConfig(), labels, logits)[0]
+    total.backward()
+    yield "mid.step", digest([logits.data, total.data] + [p.grad for p in params])
+    del logits, total
+    ynetr.AdamW(params, lr=1e-4, weight_decay=0.01).step()
+    yield "mid.adamw", digest([p.data for p in params])
+    lf, hf = (rng.standard_normal(MID["input_dims"], dtype=np.float32) for _ in range(2))
+    yield "mid.predict", digest([model.predict(lf, hf)])
+
+
+def tiny_infer():
+    vol, _ = ynetr.generate_phantom(ynetr.PhantomSpec(
+        shape=(32, 32, 32), tumor_count=(1, 1), tumor_volume_cm3=(0.3, 1.0), seed=7))
+    model = ynetr.YNetr(ynetr.ModelConfig(init_seed=2, zero_init_head=False, **TINY))
+    prob, mask = ynetr.infer_volume(model.predict, ynetr.normalize_intensity(vol),
+                                    TINY["input_dims"], ynetr.InferenceConfig(overlap=0.5))
+    return "tiny.infer", digest([prob.voxels, mask.labels])
+
+
+def main():
+    for name, value in [*mid_runs(), tiny_infer()]:
+        print(f"{name}  {value}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
