@@ -190,6 +190,21 @@ def infer(ckpt_path, out_dir, inputs):
             click.echo(f"{stem}: foreground voxels {int(mask.labels.sum())}")
 
 
+def _label_pairs(pred, gt, stems):
+    """Each stem's prediction and ground-truth label arrays, read and
+    checked one pair at a time."""
+    for stem in stems:
+        pred_path, gt_path = pred / f"{stem}.pred.vvol", gt / f"{stem}.label.vvol"
+        p = _read(pred_path, LabelVolume)
+        if not gt_path.exists():
+            raise VvolError(f"missing ground truth {gt_path}")
+        g = _read(gt_path, LabelVolume)
+        if p.shape != g.shape:
+            raise ValueError(f"volume {stem}: prediction {pred_path} has shape "
+                             f"{p.shape}, ground truth {gt_path} {g.shape}")
+        yield p.labels, g.labels
+
+
 @cli.command("eval")
 @click.option("--pred", "pred_dir", required=True, type=click.Path())
 @click.option("--gt", "gt_dir", required=True, type=click.Path())
@@ -204,17 +219,7 @@ def eval_cmd(pred_dir, gt_dir, out_dir):
         stems = sorted(p.name[: -len(".pred.vvol")] for p in pred.glob("*.pred.vvol"))
         if not stems:
             raise VvolError(f"no '*.pred.vvol' files found in {pred}")
-        preds, gts = [], []
-        for stem in stems:
-            pred_path, gt_path = pred / f"{stem}.pred.vvol", gt / f"{stem}.label.vvol"
-            preds.append(_read(pred_path, LabelVolume))
-            if not gt_path.exists():
-                raise VvolError(f"missing ground truth {gt_path}")
-            gts.append(_read(gt_path, LabelVolume))
-            if preds[-1].shape != gts[-1].shape:
-                raise ValueError(f"volume {stem}: prediction {pred_path} has shape "
-                                 f"{preds[-1].shape}, ground truth {gt_path} {gts[-1].shape}")
-        dices, mean, totals, counts = evaluate(preds, gts)
+        dices, mean, totals, counts = evaluate(_label_pairs(pred, gt, stems))
         with open(out / "report.csv", "w") as fh:
             fh.write("volume,dice,tp,fp,fn,tn\n")
             for stem, d, c in zip(stems, dices, counts):

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume
-
 
 @dataclass
 class ConfusionCounts:
@@ -22,17 +20,16 @@ class ConfusionCounts:
         )
 
 
-def _mask(x):
-    if isinstance(x, LabelVolume):
-        return x.labels.astype(bool)
-    return np.asarray(x).astype(bool)
-
-
 def confusion(pred, gt) -> ConfusionCounts:
-    """Voxelwise four-way classification of a predicted mask against truth."""
-    p, g = _mask(pred), _mask(gt)
+    """Voxelwise four-way classification of a predicted mask array against
+    a truth array."""
+    p, g = np.asarray(pred), np.asarray(gt)
+    if p.dtype == object or g.dtype == object:  # a volume object would count as one voxel
+        raise TypeError(f"masks must be arrays, got {type(pred).__name__} and "
+                        f"{type(gt).__name__}")
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
+    p, g = p.astype(bool), g.astype(bool)
     tp = int(np.count_nonzero(p & g))
     fp = int(np.count_nonzero(p & ~g))
     fn = int(np.count_nonzero(~p & g))
@@ -48,12 +45,12 @@ def dice_coefficient(c: ConfusionCounts) -> float:
     return 2.0 * c.tp / denom
 
 
-def evaluate(preds, gts):
+def evaluate(pairs):
     """Per-volume Dice scores, their mean, pooled confusion totals, and the
-    per-volume confusion counts."""
-    if len(preds) != len(gts):
-        raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
-    counts = [confusion(p, g) for p, g in zip(preds, gts)]
+    per-volume confusion counts, over an iterable of (pred, gt) mask pairs;
+    pairs are scored as they are drawn, so a generator need not hold them
+    all at once."""
+    counts = [confusion(p, g) for p, g in pairs]
     dices = [dice_coefficient(c) for c in counts]
     totals = sum(counts, ConfusionCounts(0, 0, 0, 0))
     mean = float(np.mean(dices)) if dices else 0.0

@@ -16,6 +16,10 @@ by up to ``BOUNDARY_NOISE`` (8%) of the radius. The liver ellipsoid is
 derived from the shape: centred in the volume with semi-axes 0.42 times
 each edge, so it always fits.
 
+The geometry is evaluated on open grids (``np.ogrid``, ``np.ix_``): each
+axis's coordinates stay one-dimensional and broadcast against the
+others, so no dense coordinate volume is ever built.
+
 Defaults put half the tumor mass below ~8 cm^3 on a 3-25 cm^3 range
 (log-uniform sampling), mimicking the size statistics of small-lesion
 liver CT cohorts.
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume, Volume3D, voxel_volume_cm3
+from .volume import LabelVolume, Volume3D
 
 SPACING_MM = (1.0, 1.0, 1.0)
-_VOXEL_CM3 = voxel_volume_cm3(SPACING_MM)
+_VOXEL_CM3 = math.prod(SPACING_MM) / 1000.0
 BACKGROUND_HU = -70.0
 LIVER_HU = 60.0
 TUMOR_OFFSET_HU = -35.0
@@ -94,16 +98,11 @@ def _smooth_field(rng, shape, amplitude):
     """
     coarse = np.zeros((5, 5, 5))
     coarse[:4, :4, :4] = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
-    cells, weights = [], []
-    for axis, n in enumerate(shape):
-        at = [1, 1, 1]
-        at[axis] = n
-        c = np.linspace(0, 3, n)
-        i = np.floor(c)
-        w0 = 1.0 - (c - i)
-        cells.append(i.astype(np.intp).reshape(at))
-        weights.append((w0.reshape(at), (1.0 - w0).reshape(at)))
-    (ix, iy, iz), (wx, wy, wz) = cells, weights
+    coords = [np.linspace(0, 3, n) for n in shape]
+    cells = [np.floor(c) for c in coords]
+    ix, iy, iz = np.ix_(*(i.astype(np.intp) for i in cells))
+    w0s = np.ix_(*(1.0 - (c - i) for c, i in zip(coords, cells)))
+    wx, wy, wz = ((w0, 1.0 - w0) for w0 in w0s)
     field = 0.0
     for dx, dy, dz in itertools.product((0, 1), repeat=3):
         v = coarse[ix + dx, iy + dy, iz + dz]
@@ -125,10 +124,8 @@ def _dilate6(mask):
 
 def _radial_field(center, semi_vox, p, bbox):
     """Superellipsoid radial distance over a bounding box of voxel coords."""
-    slabs = [np.arange(b0, b1, dtype=np.float64) for b0, b1 in bbox]
-    dx, dy, dz = np.meshgrid(*slabs, indexing="ij")
-    coords = (dx - center[0], dy - center[1], dz - center[2])
-    return sum(np.abs(c / s) ** p for c, s in zip(coords, semi_vox)) ** (1.0 / p)
+    grid = np.ogrid[tuple(slice(b0, b1) for b0, b1 in bbox)]
+    return sum(np.abs((g - c) / s) ** p for g, c, s in zip(grid, center, semi_vox)) ** (1.0 / p)
 
 
 def generate_phantom(spec: PhantomSpec):
@@ -136,18 +133,9 @@ def generate_phantom(spec: PhantomSpec):
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.shape
 
-    xs, ys, zs = np.meshgrid(
-        np.arange(nx, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nz, dtype=np.float64),
-        indexing="ij",
-    )
     lc, ls = spec.liver_center, spec.liver_semi_axes
-    liver = (
-        ((xs - lc[0]) / ls[0]) ** 2
-        + ((ys - lc[1]) / ls[1]) ** 2
-        + ((zs - lc[2]) / ls[2]) ** 2
-    ) <= 1.0
+    grid = np.ogrid[:nx, :ny, :nz]
+    liver = sum(((g - c) / s) ** 2 for g, c, s in zip(grid, lc, ls)) <= 1.0
 
     volume = np.full(spec.shape, BACKGROUND_HU, dtype=np.float32)
     volume[liver] = LIVER_HU

@@ -225,10 +225,4 @@ def normalize_intensity(v: Volume3D, window: IntensityConfig = IntensityConfig()
     lo32 = np.float32(window.lo)
     span = np.float32(window.hi) - lo32
     out = (np.clip(v.voxels, window.lo, window.hi) - lo32) / span
-    return Volume3D(out.astype(np.float32), v.spacing_mm)
-
-
-def voxel_volume_cm3(spacing_mm) -> float:
-    """Physical volume of a single voxel in cubic centimeters."""
-    sx, sy, sz = spacing_mm
-    return sx * sy * sz / 1000.0
+    return Volume3D(out, v.spacing_mm)

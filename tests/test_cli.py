@@ -297,6 +297,34 @@ def test_eval_takes_one_confusion_pass_per_volume(tmp_path, runner, monkeypatch)
     assert [row.split(",", 2)[2] for row in rows] == want
 
 
+
+def test_eval_reads_one_pair_at_a_time(tmp_path, runner, monkeypatch):
+    # each pair is read, checked and scored before the next is read, so when
+    # a read returns only the new volume and the previous pair are alive
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    rng = np.random.default_rng(2)
+    for i in range(6):
+        pred, gt = (rng.random((2, 8, 8, 8)) < 0.3).astype(np.uint8)
+        write_vvol(LabelVolume(gt, (1, 1, 1)), gt_dir / f"case_{i}.label.vvol")
+        write_vvol(LabelVolume(pred, (1, 1, 1)), pred_dir / f"case_{i}.pred.vvol")
+    refs, alive = [], []
+    read = cli_module._read
+
+    def tracking(path, cls):
+        vol = read(path, cls)
+        refs.append(weakref.ref(vol))
+        alive.append(sum(r() is not None for r in refs))
+        return vol
+
+    monkeypatch.setattr(cli_module, "_read", tracking)
+    res = runner.invoke(
+        cli, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "r")]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(alive) == 12 and max(alive) <= 3, alive
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, runner):
         bad = dict(TOY_CONFIG)

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -6,15 +7,19 @@ import pytest
 from scipy import ndimage
 
 from ynetr.phantom import (
+    BACKGROUND_HU,
     BOUNDARY_NOISE,
+    LIVER_HU,
+    TEXTURE_SIGMA_HU,
     TUMOR_OFFSET_HU,
     PhantomError,
     PhantomSpec,
     _dilate6,
+    _radial_field,
     _smooth_field,
     generate_phantom,
 )
-from ynetr.volume import LabelVolume, voxel_volume_cm3
+from ynetr.volume import LabelVolume
 
 
 def component_volumes_cm3(label: LabelVolume):
@@ -27,7 +32,7 @@ def component_volumes_cm3(label: LabelVolume):
     if n == 0:
         return []
     counts = np.bincount(comp.ravel(), minlength=n + 1)
-    vox = voxel_volume_cm3(label.spacing_mm)
+    vox = math.prod(label.spacing_mm) / 1000.0
     return [(i, float(counts[i]) * vox) for i in range(1, n + 1)]
 
 
@@ -224,3 +229,41 @@ class TestScipyOracles:
             one = np.zeros(shape, bool)
             one[(0,) * 3] = True
             np.testing.assert_array_equal(_dilate6(one), ndimage.binary_dilation(one, cross))
+
+
+class TestDenseGridOracles:
+    """The open-grid geometry against dense ``meshgrid`` coordinate volumes,
+    bitwise."""
+
+    def test_tumorless_phantom_matches_dense_liver(self):
+        for seed, shape in enumerate([(33, 47, 29), (17, 9, 40), (1, 5, 2), (7, 1, 3)]):
+            spec = PhantomSpec(shape=shape, tumor_count=(0, 0), seed=seed)
+            vol, lbl = generate_phantom(spec)
+            xs, ys, zs = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape),
+                                     indexing="ij")
+            lc, ls = spec.liver_center, spec.liver_semi_axes
+            liver = (((xs - lc[0]) / ls[0]) ** 2 + ((ys - lc[1]) / ls[1]) ** 2
+                     + ((zs - lc[2]) / ls[2]) ** 2) <= 1.0
+            want = np.full(shape, BACKGROUND_HU, dtype=np.float32)
+            want[liver] = LIVER_HU
+            rng = np.random.default_rng(seed)
+            want += rng.normal(0.0, TEXTURE_SIGMA_HU, size=shape).astype(np.float32)
+            assert vol.voxels.tobytes() == want.tobytes(), shape
+            assert lbl.labels.tobytes() == bytes(math.prod(shape)), shape
+
+    def test_radial_field_matches_dense_form(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            b0 = rng.integers(0, 60, size=3)
+            b1 = b0 + rng.integers(1, 30, size=3)
+            center = b0 + rng.uniform(0.0, 1.0, size=3) * (b1 - b0)
+            semi_vox = rng.uniform(1.0, 15.0, size=3)
+            p = float(rng.uniform(1.6, 3.0))
+            bbox = list(zip(b0, b1))
+            xs, ys, zs = np.meshgrid(*(np.arange(a, b, dtype=np.float64) for a, b in bbox),
+                                     indexing="ij")
+            coords = (xs - center[0], ys - center[1], zs - center[2])
+            want = sum(np.abs(c / s) ** p for c, s in zip(coords, semi_vox)) ** (1.0 / p)
+            got = _radial_field(center, semi_vox, p, bbox)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), bbox

@@ -16,7 +16,9 @@ in two checkouts it compares their sources. Each line is ``<name>
   decay 0.01) from those gradients;
 * ``mid.predict``: a ``predict`` of the stepped model on new inputs;
 * ``tiny.infer``: ``infer_volume`` (overlap 0.5) of a 32^3 phantom with a
-  16^3-window model: the probabilities and the mask.
+  16^3-window model: the probabilities and the mask;
+* ``phantom``: the voxels and labels of ``generate_phantom`` at the
+  bench's 128x128x96 for seeds 1-3 and at an odd 33x47x29 shape.
 
 Outputs that differ in any bit give another line; equal lines on two runs
 mean equal outputs. It uses the standard library, numpy and ynetr alone.
@@ -75,8 +77,18 @@ def tiny_infer():
     return "tiny.infer", digest([prob.voxels, mask.labels])
 
 
+def phantoms():
+    specs = [ynetr.PhantomSpec(shape=(128, 128, 96), seed=s) for s in (1, 2, 3)]
+    specs.append(ynetr.PhantomSpec(shape=(33, 47, 29), tumor_volume_cm3=(0.3, 1.0), seed=4))
+    arrays = []
+    for spec in specs:
+        vol, lbl = ynetr.generate_phantom(spec)
+        arrays += [vol.voxels, lbl.labels]
+    return "phantom", digest(arrays)
+
+
 def main():
-    for name, value in [*mid_runs(), tiny_infer()]:
+    for name, value in [*mid_runs(), tiny_infer(), phantoms()]:
         print(f"{name}  {value}", flush=True)
 
 
