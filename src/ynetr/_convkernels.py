@@ -11,7 +11,9 @@ arXiv 2103.10497). conv3d is same-size: odd k, stride 1, padding k // 2
 (the 3x3x3 convs and the 1x1x1 head). conv_transpose3d is a
 non-overlapping up-step: kernel == stride s, padding 0 (the 2x2x2,
 stride-2 up-steps). Each kernel keeps its ``stride`` and ``pad``
-arguments and rejects any other value.
+arguments and rejects any other value, but for one: conv3d's forward
+also takes padding 0 with odd k > 1, for an input that is padded
+already (see "Padded input" below).
 
 conv3d. No kernel unrolls its input into an im2col matrix or scatters
 through a col2im loop. Every pass, forward and backward, is a valid
@@ -63,6 +65,25 @@ output, junk columns included. At 16 channels on a 64^3 grid
 against 3.5-3.9 ms in place on the cropped view and 2.0-2.2 ms into a
 new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and 3.2-3.5 ms.
 
+Padded input. A buffer of the output's own (k > 1 and more output
+channels than input rows, as in the stem's 1 -> 16 conv1) is laid out as
+the flat padded input of a next same-size k-conv on the same grid: a
+zero head of (p*Yp + p)*Zp + p columns, the n output columns, and a zero
+tail as long as the head, which ends where the flat layout's tail does.
+Output voxel (a, b, c) then sits at padded voxel
+(a + p, b + p, c + p), and each wrap-around column at a padding voxel.
+``padded_input`` zeroes those columns, after the bias and the ReLU have
+run over them, and returns the buffer's (C, Xp, Yp, Zp) grid.
+``conv3d_forward(x, w, 1, 0)`` runs the valid correlation of such an
+input. When ``x`` lies in whole rows of its contiguous array, each
+followed by the zero tail, ``flat`` is a view of them, and the output
+is written over them as above: the call consumes ``x``. Any other ``x``
+is copied first. The call keeps the kernel's arguments, whose
+(x, w, stride, pad) fix its FLOPs, (Xp-k+1)*(Yp-k+1)*(Zp-k+1) outputs at
+padding 0. So ``autograd.stem`` holds one full-resolution buffer for
+both its convs, and conv2 pads no copy of conv1's map. The backward
+serves the same-size form alone.
+
 Backward. The input gradient of a same-size conv is the same-size conv
 of ``g`` with the flipped, channel-swapped weight:
 
@@ -112,18 +133,27 @@ view of all n columns and nothing is copied.
 
 conv_transpose3d. With kernel == stride s and no padding, input voxel
 (a, b, c) alone writes the output block of s**3 voxels from
-(a*s, b*s, c*s) on. So the forward is one GEMM,
-``w.reshape(Cin, -1).T @ x.reshape(Cin, -1)``, whose rows are
-(o, rx, ry, rz), and a depth-to-space copy that puts row (o, r) of
-column (a, b, c) at voxel (a*s + rx, b*s + ry, c*s + rz) of channel o.
-The copy runs one offset r at a time: the rows of offset r, a
-contiguous (Cout, X, Y, Z) block of every channel, go to the strided
-slice ``out[:, :, rx, :, ry, :, rz]`` of the output viewed as
-(Cout, X, s, Y, s, Z, s). A single 7-D transposed copy reads the GEMM
-result X*Y*Z elements apart along the output's fastest axis: at
-32 -> 16 channels on a 32^3 grid the whole call took 14-26 ms that way
-against 8-14 ms per offset, with about 2 ms in the GEMM. The backward
-is the space-to-depth copy ``gs`` of ``g`` into the GEMM's
+(a*s, b*s, c*s) on. So the forward is, per offset r = (rx, ry, rz), one
+GEMM ``w[:, :, rx, ry, rz].T @ x.reshape(Cin, -1)`` into a (Cout, X*Y*Z)
+buffer that the offsets share, and a copy of it to the strided slice
+``out[:, :, rx, :, ry, :, rz]`` of the output viewed as
+(Cout, X, s, Y, s, Z, s). Next to the output lies one offset's product,
+1/s**3 of it, not the (Cout*s**3, X*Y*Z) product of all offsets at
+once, ``w.reshape(Cin, -1).T @ x.reshape(Cin, -1)``. The GEMMs read an
+offset-major contiguous copy of the weight, (s**3, Cin, Cout), so each
+is a transposed product, as the single GEMM was. On every up-step of the
+tiny, MID, ENCODER and paper-default models, a one-voxel grid (N = 1,
+the 16^3 window) included, the output equals the single GEMM's and its
+depth-to-space copy bitwise. With a (Cout, Cin) copy instead, a
+non-transposed product, up-steps of the tiny model (N = 1) and of the
+ENCODER model differed in the last bits (by up to 1.1e-6). Other shapes
+may differ even with the transposed copy, where BLAS picks another
+kernel for the smaller product: Cout = 1, or 768 -> 16 channels on a
+4^3 grid. A single 7-D transposed copy reads the product X*Y*Z elements
+apart along the output's fastest axis: at 32 -> 16 channels on a 32^3
+grid the whole call took 14-26 ms that way against 8-14 ms per offset,
+with about 2 ms in the GEMM. The backward
+is the space-to-depth copy ``gs`` of ``g`` into the single GEMM's
 (Cout*s**3, X*Y*Z) layout and two GEMMs: gx = w.reshape(Cin, -1) @ gs
 and gw = x.reshape(Cin, -1) @ gs.T.
 
@@ -188,23 +218,59 @@ def _flat_padded(x, pad, k):
     return flat, grid
 
 
+def _rows(x, k):
+    """The whole rows under ``x`` (C, X, Y, Z) followed by the zero tail of
+    a k-kernel, as a view (flat, grid) with grid = (X, Yr, Zr), when ``x``
+    crops a grid (C, X, Yr, Zr) whose rows and tails lie whole inside the
+    contiguous array it views; otherwise None."""
+    c, X, Y, Z = x.shape
+    s0, s1, s2, s3 = x.strides
+    base = x.base
+    if (x.size and isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and s3 == x.itemsize and s2 >= Z * s3 and s2 % s3 == 0
+            and s1 >= Y * s2 and s1 % s2 == 0):
+        grid = (X, s1 // s2, s2 // s3)
+        cols = math.prod(grid) + (k - 1) * (grid[2] + 1)
+        start = x.ctypes.data - base.ctypes.data
+        if s0 >= cols * s3 and start >= 0 and start + (c - 1) * s0 + cols * s3 <= base.nbytes:
+            return np.lib.stride_tricks.as_strided(x, (c, cols), (s0, s3)), grid
+    return None
+
+
 def whole_rows(x):
     """The whole rows under ``x`` as (flat, grid), without a copy where it
     can be had: when ``x`` (C, X, Y, Z) crops a grid (C, X, Yr, Zr) whose
     rows lie whole inside the contiguous array it views, as a
     ``conv3d_forward`` output does, a (C, X*Yr*Zr) view of those rows and
     (X, Yr, Zr); otherwise ``_flat_padded(x, 0, 1)``."""
-    c, X, Y, Z = x.shape
-    s0, s1, s2, s3 = x.strides
-    base = x.base
-    if (x.size and isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and s3 == x.itemsize and s2 >= Z * s3 and s2 % s3 == 0
-            and s1 >= Y * s2 and s1 % s2 == 0 and s0 >= X * s1):
-        start = x.ctypes.data - base.ctypes.data
-        if start >= 0 and start + (c - 1) * s0 + X * s1 <= base.nbytes:
-            grid = (X, s1 // s2, s2 // s3)
-            return np.lib.stride_tricks.as_strided(x, (c, math.prod(grid)), (s0, s3)), grid
-    return _flat_padded(x, 0, 1)
+    return _rows(x, 1) or _flat_padded(x, 0, 1)
+
+
+def padded_input(y, k):
+    """``y`` (C, X, Y, Z) zero-padded by k // 2 voxels per side, as the
+    (C, Xp, Yp, Zp) view of a flat padded layout, zero tail included, that
+    ``conv3d_forward(.., w, 1, 0)`` reads and overwrites in place. Where a
+    same-size k-conv gave ``y`` a buffer of its own, that buffer is already
+    laid out so (see the module docstring): y's wrap-around columns are
+    zeroed and the buffer is returned. Otherwise ``y`` is copied into a new
+    one."""
+    c, X, Y, Z = y.shape
+    p = k // 2
+    grid = (X + 2 * p, Y + 2 * p, Z + 2 * p)
+    _, yp, zp = grid
+    n = math.prod(grid)
+    head = (p * yp + p) * zp + p
+    buf = y.base
+    if (isinstance(buf, np.ndarray) and buf.flags.c_contiguous
+            and buf.shape == (c, n + (k - 1) * (zp + 1))
+            and y.strides == (buf.strides[0], 4 * yp * zp, 4 * zp, 4)
+            and y.ctypes.data == buf.ctypes.data + 4 * head):
+        rows = buf[:, head : head + X * yp * zp].reshape(c, X, yp, zp)
+        rows[:, :, Y:] = 0
+        rows[:, :, :Y, Z:] = 0
+    else:
+        buf, _ = _flat_padded(y, p, k)
+    return buf[:, :n].reshape(c, *grid)
 
 
 # -- shifted GEMMs over the flat padded volume ------------------------------
@@ -254,7 +320,9 @@ def _corr1(flat, grid, w, overwrite):
     (Cout, Cin, k, k, k); returns (Cout, Xp-k+1, Yp-k+1, Zp-k+1), a view
     that drops the wrap-around columns. With ``overwrite``, for a ``flat``
     the caller owns and no longer reads, the output is written over its
-    first Cout rows when it has that many (see the module docstring)."""
+    first Cout rows when it has that many; otherwise it gets a buffer of
+    its own, laid out as the padded input of a next same-size conv (see
+    the module docstring)."""
     cout, cin, k = w.shape[:3]
     xp, yp, zp = grid
     ox, oy, oz = xp - k + 1, yp - k + 1, zp - k + 1
@@ -266,8 +334,13 @@ def _corr1(flat, grid, w, overwrite):
     wm = w.reshape(cout, cin, -1, k**a).transpose(3, 0, 2, 1).reshape(k**a * cout, -1)
     if overwrite and cout <= len(flat):
         y = flat[:cout, :n]
-    else:
-        y = np.empty((cout, n), dtype=np.float32)
+    else:  # laid out as the padded input of a next same-size conv
+        p = k // 2
+        head = (p * yp + p) * zp + p
+        y = np.empty((cout, n + 2 * head), dtype=np.float32)
+        y[:, :head] = 0
+        y[:, head + n :] = 0
+        y = y[:, head : head + n]
     buf = None
     for q0, m, block in _column_blocks(flat, shifts, halo, n):
         yb = y[:, q0 : q0 + m]
@@ -310,6 +383,11 @@ def conv3d_forward(x, w, stride, pad):
     cin = w.shape[1]
     if x.shape[0] != cin:
         raise ValueError(f"conv3d expects {cin} input channels, got {x.shape[0]}")
+    k = w.shape[2]
+    if (stride, pad) == (1, 0) and k % 2 and k > 1:  # x is padded already
+        _, X, Y, Z = x.shape
+        y = _corr1(*(_rows(x, k) or _flat_padded(x, 0, k)), w, overwrite=True)
+        return y[:, :, : Y - k + 1, : Z - k + 1]
     k = _same_size(w, stride, pad)
     if k > 1:
         return _corr1(*_flat_padded(x, pad, k), w, overwrite=True)
@@ -339,11 +417,14 @@ def convt3d_forward(x, w, stride, pad):
         raise ValueError(f"conv_transpose3d expects {cin} input channels, got {x.shape[0]}")
     s = _up_step(w, stride, pad)
     _, X, Y, Z = x.shape
-    y = w.reshape(cin, -1).T @ x.reshape(cin, -1)  # rows (o, rx, ry, rz)
-    y = y.reshape(cout, s, s, s, X, Y, Z)
+    x = x.reshape(cin, -1)
+    # offset-major: wr[r] is (Cin, Cout), contiguous (see the module docstring)
+    wr = np.ascontiguousarray(w.reshape(cin, cout, -1).transpose(2, 0, 1))
+    y = np.empty((cout, X * Y * Z), dtype=np.float32)
     out = np.empty((cout, X, s, Y, s, Z, s), dtype=np.float32)
-    for rx, ry, rz in _offsets(s):
-        out[:, :, rx, :, ry, :, rz] = y[:, rx, ry, rz]
+    for wo, (rx, ry, rz) in zip(wr, _offsets(s)):
+        np.matmul(wo.T, x, out=y)
+        out[:, :, rx, :, ry, :, rz] = y.reshape(cout, X, Y, Z)
     return out.reshape(cout, X * s, Y * s, Z * s)
 
 

@@ -24,8 +24,8 @@ closures save:
 * stem, two conv3d ops with a ReLU between them: its input, both weights
   and both biases; the backward recomputes the middle map from them.
 
-So a value that no closure reads, such as a stem's output once the two
-branches' pyramids are added, is freed as soon as the caller drops its
+So a value that no closure reads, such as the hf stem's output once it
+is added into the lf pyramid, is freed as soon as the caller drops its
 tensor.
 
 The backward frees each full-size array at its last read. conv3d and
@@ -45,15 +45,26 @@ until the call returns (such as the bench's tracer) keeps them alive,
 and there only the ReLU output goes early. No value depends on when an
 array is freed.
 
-Three ops write a value in place, each into an array that no closure
-reads and that only the op's caller holds: each conv adds its bias into
-the kernel's new output, conv3d runs its ReLU there too, and
-``Tensor.add_`` adds into its left operand: the decoder adds each of its
-three lower skips into its up-step's new output, and its last up-step
-into the fused stem level, an add's new output (see ``Decoder.forward``).
-Each is the same IEEE operation on the same operands as the op it
-replaces, so values and gradients are bitwise those of separate ops, in
-the recorded and the ``no_grad`` pass alike.
+These ops write a value in place, each into an array that no closure
+reads and that only the op's caller holds:
+
+* each conv adds its bias into the kernel's new output, and conv3d runs
+  its ReLU there too;
+* stem zeroes the wrap-around columns of conv1's new output, and conv2
+  writes its output over conv1's (see ``_convkernels.padded_input``);
+* ``Tensor.add_`` adds into its left operand: ``model.fuse_add`` adds
+  the hf pyramid into the lf pyramid's levels, and the decoder adds each
+  of its three lower skips into its up-step's new output;
+* ``Tensor.radd_`` adds into its right operand, and the left operand
+  keeps its place in the graph: the decoder adds the fused stem level
+  into final_up's new output (see ``Decoder.forward``).
+
+An in-place add runs over the operands' whole rows when both lie in rows
+of one grid, as two conv outputs of one shape do: numpy adds into a
+cropped 4-D view through a temporary of the whole map. Each is the same
+IEEE operation on the same operands as the op it replaces, so values and
+gradients are bitwise those of separate ops, in the recorded and the
+``no_grad`` pass alike.
 
 ``Tensor.backward()`` sorts the nodes reachable from the loss once and
 runs their closures in reverse topological order, adding each returned
@@ -319,13 +330,23 @@ class Tensor:
     def add_(self, other):
         """``self + other``, written into ``self``'s array, which no closure
         may read (say, an up-step's new output) and which takes the sum's
-        shape; returns a new tensor over that array."""
+        shape; returns a new tensor over that array. Where both arrays crop
+        whole rows of one grid, those rows are written whole (see
+        ``_add_into``), so the buffer around ``self``'s crop must hold no
+        other value, as a conv output's holds only wrap-around columns."""
         return self._add(other, self.data)
+
+    def radd_(self, other):
+        """``other + self``, written into ``self``'s array as by ``add_``;
+        ``other`` stays the left operand. Returns a new tensor over that
+        array."""
+        return _wrap(other)._add(self, self.data)
 
     def _add(self, other, into):
         other = _wrap(other)
-        return _binary(self, other, np.add(self.data, other.data, out=into),
-                       lambda g: g, lambda g: g)
+        a, b = self.data, other.data
+        value = np.add(a, b) if into is None else _add_into(a, b, into)
+        return _binary(self, other, value, lambda g: g, lambda g: g)
 
     def __sub__(self, other):
         other = _wrap(other)
@@ -454,6 +475,20 @@ def _binary(a, b, value, grad_a, grad_b):
     return Tensor(value)._record((a, b), bw)
 
 
+def _add_into(a, b, out):
+    """``np.add(a, b, out=out)`` for ``out`` one of ``a`` and ``b``; over
+    their whole rows (``_convkernels.whole_rows``), wrap-around columns
+    included, when both are maps of one shape that lie in rows of one
+    grid, as the two branches' conv outputs do. numpy adds into a cropped
+    4-D view through a temporary of the whole map."""
+    if a.ndim == 4 and a.shape == b.shape:
+        (ra, ga), (rb, gb) = _ck.whole_rows(a), _ck.whole_rows(b)
+        if ga == gb and np.may_share_memory(ra, a) and np.may_share_memory(rb, b):
+            np.add(ra, rb, out=ra if out is a else rb)
+            return out
+    return np.add(a, b, out=out)
+
+
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -549,9 +584,13 @@ def _bias_grad(g, b, need):
 
 
 def _conv3d_data(xd, wd, bd, relu):
-    """The value of ``conv3d``: the kernel's output with the bias added,
-    and the ReLU run if ``relu``, in place over its whole rows."""
-    y = _ck.conv3d_forward(xd, wd, 1, wd.shape[2] // 2)
+    """The value of ``conv3d``."""
+    return _bias_relu(_ck.conv3d_forward(xd, wd, 1, wd.shape[2] // 2), bd, relu)
+
+
+def _bias_relu(y, bd, relu):
+    """``y``, a conv3d kernel's new output, with the bias added and the
+    ReLU run if ``relu``, in place over its whole rows."""
     r = _ck.whole_rows(y)[0]
     r += bd[:, None]
     if relu:
@@ -603,11 +642,16 @@ def stem(x, w1, b1, w2, b2):
     h = relu(conv(x, w1) + b1) with the same kernel call instead of holding
     it from the forward (gradient checkpointing, Chen et al., arXiv
     1604.06174), then runs the composed ops' backward steps in their order.
-    Values and gradients are bitwise those of the two ops.
+    Values and gradients are bitwise those of the two ops. In the forward,
+    conv1's output buffer is conv2's padded input, and conv2 writes its
+    output over it (see ``_convkernels.padded_input``), so the op holds one
+    full-resolution map.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     xd, w1d, b1d, w2d, b2d = (t.data for t in (x, w1, b1, w2, b2))
-    y = _conv3d_data(_conv3d_data(xd, w1d, b1d, True), w2d, b2d, False)
+    # conv1's output buffer is conv2's padded input, which conv2 overwrites
+    h = _ck.padded_input(_conv3d_data(xd, w1d, b1d, True), w2d.shape[2])
+    y = _bias_relu(_ck.conv3d_forward(h, w2d, 1, 0), b2d, False)
     need_b1, need_b2 = b1.requires_grad, b2.requires_grad
     saved = [xd]  # popped by conv1's backward
 

@@ -169,16 +169,23 @@ class Stem(nn.Module):
     conv2's backward, and that kernel call frees the map once it has padded
     it. A recorded step's backward peak lies here, where the map, its padded
     copy, the mask and the upstream gradient, which the other stem still
-    reads, coexist. The decoder adds its last up-step into the fused stem
-    level (see ``Decoder.forward``), so both stems' backward runs right
-    after decoder.final_conv's, while the graph still holds the forward's
-    saved values but before any gradient of final_up, the lower decoder,
-    the projections or the encoders exists. In a MID step by tracemalloc
+    reads, coexist. The fused stem level is the left operand of the
+    decoder's last add (see ``Decoder.forward``), so both stems' backward
+    runs right after decoder.final_conv's, while the graph still holds the
+    forward's saved values but before any gradient of final_up, the lower
+    decoder, the projections or the encoders exists. In a MID step by tracemalloc
     (CPython 3.11), each stem's backward peaks at 102.4 MiB (114.9 MiB when
     the stems ran last, after every encoder gradient), decoder.final_conv's
-    at 99.3 MiB and the forward at 101.0 MiB. Two levers remain, each
-    needing a kernel argument: skip conv1's unused input gradient, and
-    write conv1's output straight into conv2's padded layout.
+    at 99.3 MiB and the forward at 101.0 MiB.
+
+    In the forward, conv1 writes its output straight into conv2's padded
+    layout, and conv2 writes its output over that buffer (see
+    ``_convkernels.padded_input``), so a branch holds one full-resolution
+    map at a time. A MID ``predict`` peaked at 63.7 MiB by tracemalloc
+    inside the hf stem when conv2 padded a copy of conv1's map next to the
+    whole lf pyramid; with this, the fusing adds in place and the per-offset
+    up-steps, the whole predict peaks at 47.2 MiB. One lever remains, which
+    needs a kernel argument: skip conv1's unused input gradient.
     """
 
     def __init__(self, rng, cout):
@@ -220,8 +227,15 @@ class TransformerBranch(nn.Module):
 def fuse_add(a: list, b: list) -> list:
     """Merge two pyramids (lists of levels) by elementwise addition, scale by
     scale; both come from branches built from one config, so their levels
-    match."""
-    return [la + lb for la, lb in zip(a, b)]
+    match. Each level of ``b`` is added into ``a``'s array (``Tensor.add_``),
+    which no closure reads, and the fused levels are new tensors over those
+    arrays. The stem and proj_deep levels are conv outputs cropped from
+    their padded rows, and the add runs over those whole rows: numpy adds
+    into a cropped 4-D view through a temporary of the whole map (16.0 MiB
+    for a 16 x 64^3 crop). A MID ``predict`` peaked at 67.3 MiB by
+    tracemalloc here when the adds made new arrays, where both stems'
+    outputs and their sum coexisted."""
+    return [la.add_(lb) for la, lb in zip(a, b)]
 
 
 class Decoder(nn.Module):
@@ -246,12 +260,13 @@ class Decoder(nn.Module):
         dropped from ``levels`` once used, so that a forward without a graph
         frees it.
 
-        The three lower skips are added into their up-step's new output.
-        The last up-step is added into the fused stem level's array instead,
-        which gives the same sum bitwise (IEEE addition commutes) but makes
-        that level the add's left operand. The backward's depth-first tape
-        (``autograd._build_tape``) then runs both stems' backward, the
-        step's largest, right after final_conv's, before any gradient of
+        The three lower skips are added into their up-step's new output,
+        and so is the fused stem level into final_up's (``Tensor.radd_``):
+        that output is contiguous, and the cropped stem level is not (see
+        ``fuse_add``). The stem level stays the last add's left operand, so
+        the backward's depth-first tape (``autograd._build_tape``) runs both
+        stems' backward, the step's largest, right after final_conv's,
+        before any gradient of
         final_up, the lower decoder, the projections or the encoders exists
         (see ``Stem``). The lower skip adds keep their order: swapped the
         same way, they run each level's projection first, the taps'
@@ -262,7 +277,7 @@ class Decoder(nn.Module):
         d = levels.pop()
         for up, conv in zip(self.ups, self.convs):
             d = conv(up(d).add_(levels.pop()), relu=True)
-        d = levels.pop().add_(self.final_up(d))
+        d = self.final_up(d).radd_(levels.pop())
         d = self.final_conv(d, relu=True)
         return self.head(d)
 

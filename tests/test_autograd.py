@@ -95,7 +95,7 @@ def convt3d_oracle(x, w, stride, pad):
 
 def convt3d_depth_to_space(x, w):
     """The up-step as one GEMM and one 7-D transposed depth-to-space copy,
-    the bitwise oracle of the kernel's copy one offset at a time."""
+    the bitwise oracle of the kernel's GEMM and copy one offset at a time."""
     cin, cout, s = w.shape[:3]
     _, X, Y, Z = x.shape
     y = w.reshape(cin, -1).T @ x.reshape(cin, -1)
@@ -320,6 +320,20 @@ class TestForwardValues:
         assert got.flags.c_contiguous
         assert got.tobytes() == convt3d_depth_to_space(x, w).tobytes()
 
+    def test_conv_transpose_holds_one_offset_of_its_product(self):
+        # one GEMM per offset: next to the output lie one offset's (Cout, N)
+        # product and the offset-major weight, not the whole (Cout*8, N)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((16, 16, 16, 16), dtype=np.float32)
+        w = rng.standard_normal((16, 16, 2, 2, 2), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = ck.convt3d_forward(x, w, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + out.nbytes // 8 + w.nbytes + 2**12
+
     def test_conv_shape_errors(self):
         x = Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="channels"):
@@ -348,6 +362,9 @@ class TestForwardValues:
             w = np.zeros((2, 3, k, k, k), dtype=np.float32)
             out = convt3d_oracle(x, w, stride, pad).astype(np.float32)
         args = (x, w, out, stride, pad) if kernel.endswith("backward") else (x, w, stride, pad)
+        if (kernel, stride, pad) == ("conv3d_forward", 1, 0):  # an input padded already
+            np.testing.assert_allclose(ck.conv3d_forward(*args), out)
+            return
         with pytest.raises(ValueError, match=REJECTED):
             getattr(ck, kernel)(*args)
 
@@ -376,14 +393,19 @@ class TestConvBackwardOracles:
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_conv_grads_match_loop_oracle(self, k, pad, stride, cin, cout):
-        # same-size convs (odd k, stride 1, pad k // 2) match the oracle;
-        # both kernels reject every other (k, stride, pad)
+        # same-size convs (odd k, stride 1, pad k // 2) match the oracle, and
+        # so does the forward of an input padded already (odd k, stride 1,
+        # pad 0); both kernels reject every other (k, stride, pad)
         rng = np.random.default_rng(100 + 9 * k + 3 * pad + stride + cout)
         x = rng.standard_normal((cin, 5, 4, 6)).astype(np.float32)
         w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
         if (k % 2, stride, pad) != (1, 1, k // 2):
-            with pytest.raises(ValueError, match="conv3d"):
-                ck.conv3d_forward(x, w, stride, pad)
+            if (k % 2, stride, pad) == (1, 1, 0):
+                np.testing.assert_allclose(ck.conv3d_forward(x, w, 1, 0), conv3d_oracle(x, w, 1, 0),
+                                           rtol=1e-5, atol=1e-5)
+            else:
+                with pytest.raises(ValueError, match="conv3d"):
+                    ck.conv3d_forward(x, w, stride, pad)
             with pytest.raises(ValueError, match="conv3d"):
                 ck.conv3d_backward(x, w, x, stride, pad)
             return
@@ -560,6 +582,42 @@ class TestHeadReadsWholeRows:
         head = rng.standard_normal((2, 3, 1, 1, 1), dtype=np.float32)
         assert (ck.conv3d_forward(x, head, 1, 0).tobytes()
                 == ck.conv3d_forward(np.ascontiguousarray(x), head, 1, 0).tobytes())
+
+
+class TestPaddedInputInPlace:
+    """A same-size conv's own output buffer is laid out as the padded input
+    of the next same-size conv, and ``conv3d_forward(.., 1, 0)`` reads such
+    an input in place and writes its output over it."""
+
+    def test_valid_conv_reads_and_overwrites_the_padded_buffer(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((1, 64, 64, 64), dtype=np.float32)
+        w1 = rng.standard_normal((8, 1, 3, 3, 3), dtype=np.float32)
+        w2 = rng.standard_normal((8, 8, 3, 3, 3), dtype=np.float32)
+        h = ck.conv3d_forward(x, w1, 1, 1)  # 1 -> 8: a buffer of its own
+        want = ck.conv3d_forward(np.ascontiguousarray(h), w2, 1, 1)
+        hp = ck.padded_input(h, 3)
+        assert np.shares_memory(hp, h)
+        assert hp.tobytes() == np.pad(h, ((0, 0),) + ((1, 1),) * 3).tobytes()
+        tracemalloc.start()
+        try:
+            got = ck.conv3d_forward(hp, w2, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, hp.base)
+        assert peak < hp.base.nbytes / 2  # column blocks only, no padded copy
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_inputs_are_copied(self):
+        rng = np.random.default_rng(10)
+        h = rng.standard_normal((3, 5, 4, 6), dtype=np.float32)
+        hp = ck.padded_input(h, 3)
+        assert not np.shares_memory(hp, h)
+        assert hp.tobytes() == np.pad(h, ((0, 0),) + ((1, 1),) * 3).tobytes()
+        w = rng.standard_normal((2, 3, 3, 3, 3), dtype=np.float32)
+        got = ck.conv3d_forward(np.ascontiguousarray(hp), w, 1, 0)
+        assert got.tobytes() == ck.conv3d_forward(h, w, 1, 1).tobytes()
 
 
 def composed_stem(x, w1, b1, w2, b2):
@@ -849,12 +907,13 @@ class TestGraphRelease:
                 read |= {id(a) for a in saved_arrays(node.backward)}
         alive = [r() for r in outputs if r() is not None]
         assert [a.shape for a in alive if id(a) not in read] == []
-        # per branch, stem.conv2, proj_deep and the last up-step of each of
-        # the three other projections feed only the fusing adds, and the
-        # stem's conv1 output dies inside the stem op, which recomputes it;
-        # the decoder's final_up output is added into the fused stem level's
-        # array, so it too feeds only an add
-        assert len(outputs) - len(alive) == 2 * 6 + 1
+        # each stem's conv1 output dies inside the stem op, which recomputes
+        # it; the five levels of the hf pyramid (stem.conv2, proj_deep and
+        # the last up-step of each other projection) are added into the lf
+        # pyramid's arrays, and those feed only decoder adds, except the
+        # fused proj_deep level, which decoder.ups.0 reads; the decoder's
+        # last add goes into final_up's output, final_conv's input
+        assert len(outputs) - len(alive) == 2 + 5 + 4
 
     def test_intermediate_gradients_die_in_backward(self, monkeypatch):
         grads = []

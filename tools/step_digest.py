@@ -15,6 +15,9 @@ in two checkouts it compares their sources. Each line is ``<name>
 * ``mid.adamw``: every parameter after one AdamW step (lr 1e-4, weight
   decay 0.01) from those gradients;
 * ``mid.predict``: a ``predict`` of the stepped model on new inputs;
+* ``tiny.step``: a recorded Dice-CE step of a 16^3-window model, whose
+  up-steps start from a one-voxel grid: its logits, its loss and the
+  gradient of every parameter;
 * ``tiny.infer``: ``infer_volume`` (overlap 0.5) of a 32^3 phantom with a
   16^3-window model: the probabilities and the mask;
 * ``phantom``: the voxels and labels of ``generate_phantom`` at the
@@ -51,21 +54,30 @@ def digest(arrays):
     return h.hexdigest()[:16]
 
 
+def step(model, dims, rng):
+    """The digest of a recorded Dice-CE step on standard-normal inputs."""
+    lf, hf = (rng.standard_normal((1, *dims), dtype=np.float32) for _ in range(2))
+    labels = (rng.random(dims) < 0.1).astype(np.float32)
+    logits = model(ynetr.Tensor(lf), ynetr.Tensor(hf))
+    total = ynetr.segmentation_loss(ynetr.LossConfig(), labels, logits)[0]
+    total.backward()
+    return digest([logits.data, total.data] + [p.grad for p in model.parameters()])
+
+
 def mid_runs():
     model = ynetr.YNetr(ynetr.ModelConfig(init_seed=1, zero_init_head=False, **MID))
     params = model.parameters()
     rng = np.random.default_rng(5)
-    lf, hf = (rng.standard_normal((1, *MID["input_dims"]), dtype=np.float32) for _ in range(2))
-    labels = (rng.random(MID["input_dims"]) < 0.1).astype(np.float32)
-    logits = model(ynetr.Tensor(lf), ynetr.Tensor(hf))
-    total = ynetr.segmentation_loss(ynetr.LossConfig(), labels, logits)[0]
-    total.backward()
-    yield "mid.step", digest([logits.data, total.data] + [p.grad for p in params])
-    del logits, total
+    yield "mid.step", step(model, MID["input_dims"], rng)
     ynetr.AdamW(params, lr=1e-4, weight_decay=0.01).step()
     yield "mid.adamw", digest([p.data for p in params])
     lf, hf = (rng.standard_normal(MID["input_dims"], dtype=np.float32) for _ in range(2))
     yield "mid.predict", digest([model.predict(lf, hf)])
+
+
+def tiny_step():
+    model = ynetr.YNetr(ynetr.ModelConfig(init_seed=3, zero_init_head=False, **TINY))
+    return "tiny.step", step(model, TINY["input_dims"], np.random.default_rng(6))
 
 
 def tiny_infer():
@@ -88,7 +100,7 @@ def phantoms():
 
 
 def main():
-    for name, value in [*mid_runs(), tiny_infer(), phantoms()]:
+    for name, value in [*mid_runs(), tiny_step(), tiny_infer(), phantoms()]:
         print(f"{name}  {value}", flush=True)
 
 
