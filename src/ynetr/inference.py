@@ -4,6 +4,13 @@ Windows are placed at stride window*(1-overlap) per axis with the final
 start clamped so coverage is complete; per-window softmax probabilities
 are blended into a running uniform average and thresholded at 0.5 with
 ties to background.
+
+Memory: beside the (padded) input, ``infer_volume`` holds the float64
+blend sum (8 B/voxel) and the quarter-size float32 block mean of the
+split (1 B/voxel), and cuts each window's LF/HF pair from that mean
+(``wavelet.split_crop``), bitwise the crop of the whole-volume images.
+It used to hold full-size LF and HF images as well, 16 B/voxel in all
+instead of 9: at a 512x512x200 CT, 840 MB instead of 472 MB.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 from .autograd import Tensor, keep_freed_heap
 from .sampling import pad_to_window
 from .volume import LabelVolume, Volume3D, check_finite
-from .wavelet import split_frequency
+from .wavelet import block_mean, split_crop
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,7 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
     check_finite(volume.voxels, "inference volume")
     orig = volume.voxels.shape
     padded = pad_to_window(volume.voxels, window)
-    pair = split_frequency(Volume3D(padded, volume.spacing_mm))
-    lf, hf = pair.lf.voxels, pair.hf.voxels
+    mean = block_mean(padded)
 
     plan = build_tiling_plan(padded.shape, window, cfg.overlap)
     wx, wy, wz = plan.window
@@ -86,7 +92,7 @@ def infer_volume(predict_fn, volume: Volume3D, window, cfg: InferenceConfig | No
         for oy in plan.starts[1]:
             for oz in plan.starts[2]:
                 sl = (slice(ox, ox + wx), slice(oy, oy + wy), slice(oz, oz + wz))
-                logits = predict_fn(lf[sl], hf[sl])
+                logits = predict_fn(*split_crop(padded, mean, sl))
                 acc[sl] += Tensor(logits).softmax(axis=0).data[1]
     # the windows are a grid, so a voxel's window count is the product of
     # its per-axis counts: small integers, so the product is exact

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ynetr.inference import InferenceConfig, build_tiling_plan, infer_volume, tile_positions
+from ynetr.sampling import pad_to_window
 from ynetr.volume import Volume3D
 from ynetr.wavelet import split_frequency
 
@@ -177,3 +180,58 @@ class TestInferVolume:
         # prob > threshold would give an all-empty (>= 1) or all-full (< 0) mask
         with pytest.raises(ValueError, match="threshold must be in"):
             InferenceConfig(threshold=threshold)
+
+
+def _zero_stub(lf, hf):
+    return np.zeros((2,) + lf.shape, dtype=np.float32)
+
+
+class TestWindowInputs:
+    # (37, 29, 41): odd in-plane dims and an odd clamped start on every axis;
+    # (10, 12, 8): smaller than the window, so reflect-padded first
+    @pytest.mark.parametrize("shape", [(37, 29, 41), (10, 12, 8), (48, 32, 24)],
+                             ids=["37x29x41", "10x12x8", "48x32x24"])
+    def test_windows_get_the_crops_of_the_whole_volume_split(self, shape):
+        vol = Volume3D(np.random.default_rng(11).random(shape, dtype=np.float32), (1.0, 1.0, 1.0))
+        window = (16, 16, 16)
+        seen = []
+
+        def record(lf, hf):
+            seen.append((lf.copy(), hf.copy()))
+            return _zero_stub(lf, hf)
+
+        infer_volume(record, vol, window, InferenceConfig(overlap=0.5))
+        padded = pad_to_window(vol.voxels, window)
+        pair = split_frequency(Volume3D(padded, vol.spacing_mm))
+        plan = build_tiling_plan(padded.shape, window, 0.5)
+        crops = [
+            (slice(ox, ox + 16), slice(oy, oy + 16), slice(oz, oz + 16))
+            for ox in plan.starts[0] for oy in plan.starts[1] for oz in plan.starts[2]
+        ]
+        assert len(seen) == len(crops)
+        for (lf, hf), sl in zip(seen, crops):
+            for got, want in ((lf, pair.lf.voxels[sl]), (hf, pair.hf.voxels[sl])):
+                assert got.dtype == np.float32 and got.shape == window
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestInferenceMemory:
+    # tracemalloc peak of a second infer_volume call with a zero-logit stub,
+    # 16^3 windows at overlap 0.5, in bytes per voxel: with full-size LF and
+    # HF images beside the float64 blend sum it read 26.0 and 24.7; with
+    # each window's pair cut from the quarter-size block mean, 19.0 and 17.7
+    FULL_SPLIT = {(65, 47, 33): 26.0, (96, 80, 48): 24.7}
+    CROP_SPLIT = {(65, 47, 33): 19.0, (96, 80, 48): 17.7}
+
+    @pytest.mark.parametrize("shape", [(65, 47, 33), (96, 80, 48)], ids=["65x47x33", "96x80x48"])
+    def test_no_whole_volume_frequency_images(self, shape):
+        vol = Volume3D(np.random.default_rng(0).random(shape, dtype=np.float32), (1.0, 1.0, 1.0))
+        infer_volume(_zero_stub, vol, (16, 16, 16))
+        tracemalloc.start()
+        try:
+            infer_volume(_zero_stub, vol, (16, 16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (self.FULL_SPLIT[shape] + self.CROP_SPLIT[shape]) / 2
+        assert peak / np.prod(shape) <= bound

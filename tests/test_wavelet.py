@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from haar import SubbandSet2D, dwt2_haar, haar_split, idwt2_haar
 from ynetr.volume import Volume3D
-from ynetr.wavelet import split_frequency
+from ynetr.wavelet import block_mean, split_crop, split_frequency
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -203,3 +203,29 @@ def test_reconstruction_property(nx, ny, nz, seed):
     vox = rng.standard_normal((nx, ny, nz)).astype(np.float32)
     pair = split_frequency(Volume3D(vox, (1, 1, 1)))
     assert np.abs(pair.lf.voxels + pair.hf.voxels - vox).max() <= 1e-4
+
+
+class TestSplitCrop:
+    @pytest.mark.parametrize("shape", [(9, 7, 3), (8, 6, 2)])
+    def test_every_crop_is_bitwise_the_crop_of_the_whole_split(self, shape):
+        x = np.random.default_rng(3).standard_normal(shape, dtype=np.float32)
+        pair = split_frequency(Volume3D(x, (1.0, 1.0, 1.0)))
+        mean = block_mean(x)
+        nx, ny, nz = shape
+        for sx in range(nx - 1):
+            for sy in range(ny - 1):
+                for ex, ey in ((nx, ny), (sx + 2, min(sy + 3, ny))):
+                    crop = (slice(sx, ex), slice(sy, ey), slice(1, nz))
+                    lf, hf = split_crop(x, mean, crop)
+                    assert lf.tobytes() == np.ascontiguousarray(pair.lf.voxels[crop]).tobytes()
+                    assert hf.tobytes() == np.ascontiguousarray(pair.hf.voxels[crop]).tobytes()
+
+    def test_a_crop_split_on_its_own_pairs_other_voxels_at_an_odd_start(self):
+        x = np.random.default_rng(4).standard_normal((8, 8, 2), dtype=np.float32)
+        crop = (slice(1, 7), slice(0, 8), slice(0, 2))
+        alone = split_frequency(Volume3D(x[crop], (1.0, 1.0, 1.0)))
+        lf, _ = split_crop(x, block_mean(x), crop)
+        assert not np.array_equal(alone.lf.voxels, lf)
+
+    def test_block_mean_is_quarter_size(self):
+        assert block_mean(np.zeros((9, 6, 4), dtype=np.float32)).shape == (5, 3, 4)

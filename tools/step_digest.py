@@ -20,6 +20,10 @@ in two checkouts it compares their sources. Each line is ``<name>
   gradient of every parameter;
 * ``tiny.infer``: ``infer_volume`` (overlap 0.5) of a 32^3 phantom with a
   16^3-window model: the probabilities and the mask;
+* ``odd.infer``: the same on a 33x47x29 phantom, whose odd in-plane dims
+  are reflect-padded by the split and whose last window start is odd on
+  every axis (17, 31, 13), so each window's LF/HF pair is cut at an odd
+  block offset;
 * ``phantom``: the voxels and labels of ``generate_phantom`` at the
   bench's 128x128x96 for seeds 1-3 and at an odd 33x47x29 shape.
 
@@ -80,13 +84,12 @@ def tiny_step():
     return "tiny.step", step(model, TINY["input_dims"], np.random.default_rng(6))
 
 
-def tiny_infer():
-    vol, _ = ynetr.generate_phantom(ynetr.PhantomSpec(
-        shape=(32, 32, 32), tumor_count=(1, 1), tumor_volume_cm3=(0.3, 1.0), seed=7))
+def tiny_infer(name, spec):
+    vol, _ = ynetr.generate_phantom(spec)
     model = ynetr.YNetr(ynetr.ModelConfig(init_seed=2, zero_init_head=False, **TINY))
     prob, mask = ynetr.infer_volume(model.predict, ynetr.normalize_intensity(vol),
                                     TINY["input_dims"], ynetr.InferenceConfig(overlap=0.5))
-    return "tiny.infer", digest([prob.voxels, mask.labels])
+    return name, digest([prob.voxels, mask.labels])
 
 
 def phantoms():
@@ -100,7 +103,12 @@ def phantoms():
 
 
 def main():
-    for name, value in [*mid_runs(), tiny_step(), tiny_infer(), phantoms()]:
+    cube = ynetr.PhantomSpec(shape=(32, 32, 32), tumor_count=(1, 1),
+                             tumor_volume_cm3=(0.3, 1.0), seed=7)
+    odd = ynetr.PhantomSpec(shape=(33, 47, 29), tumor_volume_cm3=(0.3, 1.0), seed=4)
+    lines = [*mid_runs(), tiny_step(), tiny_infer("tiny.infer", cube),
+             tiny_infer("odd.infer", odd), phantoms()]
+    for name, value in lines:
         print(f"{name}  {value}", flush=True)
 
 
