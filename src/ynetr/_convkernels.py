@@ -1,4 +1,8 @@
-"""Raw numpy kernels for the two convolutions the model uses.
+"""Raw numpy kernels for the two convolutions the model uses, and the
+layer ops over them that write in place: ``conv`` (conv3d, bias, ReLU),
+``stem`` (two of them on one buffer) and ``add_``. This is the one module
+that knows the padded-row layout of a conv3d output; its callers get
+plain (C, X, Y, Z) maps.
 
 Layout conventions (no batch axis; the pipeline trains one window at a
 time):
@@ -25,9 +29,10 @@ single-threaded copies.
 
 Flat padded layout. The input is zero-padded once by p = k // 2 to the
 grid (C, Xp, Yp, Zp) and viewed as the matrix ``flat`` of shape
-(C, Xp*Yp*Zp), followed by a zero tail. Output voxel (a, b, c) of the
-valid correlation is computed at column q = (a*Yp + b)*Zp + c, and its
-input under kernel offset (dx, dy, dz) sits at column q + d with the
+(C, Xp*Yp*Zp), followed by a zero tail of (k-1)*(Zp+1) columns
+(``_cols`` gives the layout's column count). Output voxel (a, b, c) of
+the valid correlation is computed at column q = (a*Yp + b)*Zp + c, and
+its input under kernel offset (dx, dy, dz) sits at column q + d with the
 constant shift
 
     d = (dx*Yp + dy)*Zp + dz.
@@ -37,52 +42,69 @@ to every output at once, where ``flat[:, d:d + n]`` is a contiguous slice
 of each row. The n = X*Yp*Zp columns cover whole rows of the padded
 grid, including junk columns with b >= Y or c >= Z whose windows wrap
 around into the next row. They are computed and left out of the result:
-the forward returns the (Cout, X, Y, Z) crop as a view, without a copy.
-The zero tail of (k-1)*(Zp+1) columns keeps the last shifted slice
-inside the buffer.
+the forward returns the (Cout, X, Y, Z) crop of its (Cout, X, Yp, Zp)
+rows as a view, without a copy. The zero tail keeps the last shifted
+slice inside the buffer.
 
-Where the output lives. The output rows, (Cout, n), are written over the
-first Cout rows of ``flat`` whenever k > 1 (so that ``flat`` is the
-pass's own padded copy, not a view of its input) and ``flat`` has at
-least Cout rows; otherwise they get a buffer of their own. Overwriting
-is safe because every shift is >= 0 and the blocks of output columns
-run in increasing order: block q0 reads only the columns >= q0 of
-``flat``, and writes only the columns [q0, q0 + m), after its GEMM has
-read the whole block into its own result. So a same-size conv holds one
-buffer per full-size map: a 16 -> 16 forward at 64^3 peaked at 24.9 MB
-by tracemalloc, against 42.7 MB with a separate output buffer. The k = 1
-head, whose ``flat`` is a view of its input, keeps its own output. Its
-input is a crop, final_conv's output, so its GEMM runs over the whole
-rows under that crop (``whole_rows``), junk columns included, and only
-its small (2, X, Y, Z) crop is copied out, into a contiguous buffer: the
-layout of the logits sets the order of the loss's sums. A MID head call
-peaked at 4.3 MB by tracemalloc, against 18.9 MB with a contiguous copy
-of its 16.8 MB input. Its backward still copies the input, so that the
-weight gradient sums over the real columns alone. autograd adds the
-bias and runs the ReLU in place on the ``whole_rows`` of every conv3d
-output, junk columns included. At 16 channels on a 64^3 grid
-(medians of 41 calls, 2-core host) the bias add took 0.8-0.9 ms there,
-against 3.5-3.9 ms in place on the cropped view and 2.0-2.2 ms into a
-new array; the ReLU 2.0-2.5 ms, against 7.3-8.6 and 3.2-3.5 ms.
-
-Padded input. A buffer of the output's own (k > 1 and more output
-channels than input rows, as in the stem's 1 -> 16 conv1) is laid out as
+Where the output lives. When k > 1, ``flat`` is the pass's own (its
+padded copy, or a padded input that the call consumes, see below), and
+the output rows, (Cout, n), are written over its first Cout rows when it
+has that many. Overwriting is safe because every shift is >= 0 and the
+blocks of output columns run in increasing order: block q0 reads only
+the columns >= q0 of ``flat``, and writes only the columns [q0, q0 + m),
+after its GEMM has read the whole block into its own result. So a
+same-size conv holds one buffer per full-size map: a 16 -> 16 forward at
+64^3 peaked at 24.9 MB by tracemalloc, against 42.7 MB with a separate
+output buffer. Otherwise the rows get a buffer of their own, laid out as
 the flat padded input of a next same-size k-conv on the same grid: a
 zero head of (p*Yp + p)*Zp + p columns, the n output columns, and a zero
 tail as long as the head, which ends where the flat layout's tail does.
-Output voxel (a, b, c) then sits at padded voxel
-(a + p, b + p, c + p), and each wrap-around column at a padding voxel.
-``padded_input`` zeroes those columns, after the bias and the ReLU have
-run over them, and returns the buffer's (C, Xp, Yp, Zp) grid.
-``conv3d_forward(x, w, 1, 0)`` runs the valid correlation of such an
-input. When ``x`` lies in whole rows of its contiguous array, each
-followed by the zero tail, ``flat`` is a view of them, and the output
-is written over them as above: the call consumes ``x``. Any other ``x``
-is copied first. The call keeps the kernel's arguments, whose
-(x, w, stride, pad) fix its FLOPs, (Xp-k+1)*(Yp-k+1)*(Zp-k+1) outputs at
-padding 0. So ``autograd.stem`` holds one full-resolution buffer for
-both its convs, and conv2 pads no copy of conv1's map. The backward
-serves the same-size form alone.
+Output voxel (a, b, c) then sits at padded voxel (a + p, b + p, c + p),
+and each wrap-around column at a padding voxel.
+
+The k = 1 head, whose ``flat`` is a view of its input, keeps its own
+output. Its input is a crop, final_conv's output, so its GEMM runs over
+the whole rows under that crop (``_whole_rows``), junk columns included,
+and only its small (2, X, Y, Z) crop is copied out, into a contiguous
+buffer: the layout of the logits sets the order of the loss's sums. A
+MID head call peaked at 4.3 MB by tracemalloc, against 18.9 MB with a
+contiguous copy of its 16.8 MB input. Its backward still copies the
+input, so that the weight gradient sums over the real columns alone.
+
+Padded input. ``conv3d_forward(x, w, 1, 0)`` runs the valid correlation
+of an input padded already, and its k = 1 form is the head. When ``x``
+lies in whole rows of its contiguous array, each followed by the zero
+tail, ``flat`` is a view of them, and for k > 1 the output is written
+over them as above: the call consumes ``x``. Any other ``x`` is copied
+first. The call keeps the kernel's arguments, whose (x, w, stride, pad)
+fix its FLOPs, (Xp-k+1)*(Yp-k+1)*(Zp-k+1) outputs at padding 0.
+``stem`` runs a branch stem's two convs this way: conv1 (1 -> 16) gets a
+buffer of its own, laid out as conv2's padded input; ``_padded_input``
+zeroes its wrap-around columns, after the bias and the ReLU have run
+over them, and returns the buffer's (C, Xp, Yp, Zp) grid, and conv2
+reads it in place and writes its output over it. So the stem holds one
+full-resolution buffer for both convs, and conv2 pads no copy of conv1's
+map. The backward serves the same-size form alone.
+
+Epilogues. ``conv`` adds the bias into a conv3d output and runs the ReLU
+there, and ``add_`` adds two maps into one of them, each in place over
+the whole rows under the output (``_whole_rows``), wrap-around columns
+included: numpy 2.4 runs an in-place ufunc whose ``out`` crops a 2-D
+buffer viewed as 4-D through a temporary of the whole map (16.0 MiB for
+a 16 x 64^3 crop by tracemalloc, against 0.1 MiB on a crop of a plain
+4-D array). At 16 channels on a 64^3 grid (medians of 41 calls, 2-core
+host) the bias add took 0.8-0.9 ms over the whole rows, against 3.5-3.9
+ms in place on the cropped view and 2.0-2.2 ms into a new array; the
+ReLU 2.0-2.5 ms, against 7.3-8.6 and 3.2-3.5 ms. The junk columns these
+ops write hold no value, and ``_padded_input`` zeroes them where they are
+padding. Any new in-place op on a conv output belongs here and must run
+over ``_whole_rows`` as well. ``add_`` writes into the left operand,
+over its rows when both lie in rows of one grid, as two conv outputs of
+one shape do; otherwise into the operand that is C-contiguous, so that
+a crop plus a contiguous map (the fused stem level plus final_up's
+output) lands in the contiguous one. Each is the same IEEE operation on
+the same operands as the separate op, so values are bitwise those of
+``conv + b``, ``.relu()`` and ``a + b``.
 
 Backward. The input gradient of a same-size conv is the same-size conv
 of ``g`` with the flipped, channel-swapped weight:
@@ -203,6 +225,12 @@ def _flip(w):
     return w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
 
 
+def _cols(grid, k):
+    """Columns of the flat padded layout of ``grid`` (Xp, Yp, Zp) for a
+    k-kernel: its voxels and the zero tail (see the module docstring)."""
+    return math.prod(grid) + (k - 1) * (grid[2] + 1)
+
+
 def _flat_padded(x, pad, k):
     """``x`` (C, X, Y, Z) zero-padded by ``pad`` voxels per side, as the
     flat array (C, Xp*Yp*Zp) with the zero tail of a k-kernel; returns
@@ -211,10 +239,9 @@ def _flat_padded(x, pad, k):
     grid = tuple(n + 2 * pad for n in x.shape[1:])
     if k == 1:
         return np.ascontiguousarray(x).reshape(c, -1), grid
-    n = math.prod(grid)
-    flat = np.zeros((c, n + (k - 1) * (grid[2] + 1)), dtype=np.float32)
+    flat = np.zeros((c, _cols(grid, k)), dtype=np.float32)
     inner = tuple(slice(pad, pad + m) for m in x.shape[1:])
-    flat[:, :n].reshape(c, *grid)[(slice(None), *inner)] = x
+    flat[:, : math.prod(grid)].reshape(c, *grid)[(slice(None), *inner)] = x
     return flat, grid
 
 
@@ -222,7 +249,8 @@ def _rows(x, k):
     """The whole rows under ``x`` (C, X, Y, Z) followed by the zero tail of
     a k-kernel, as a view (flat, grid) with grid = (X, Yr, Zr), when ``x``
     crops a grid (C, X, Yr, Zr) whose rows and tails lie whole inside the
-    contiguous array it views; otherwise None."""
+    contiguous array it views; otherwise None. The view is built on that
+    array, so a crop of it is checked against the array's bounds."""
     c, X, Y, Z = x.shape
     s0, s1, s2, s3 = x.strides
     base = x.base
@@ -230,14 +258,14 @@ def _rows(x, k):
             and s3 == x.itemsize and s2 >= Z * s3 and s2 % s3 == 0
             and s1 >= Y * s2 and s1 % s2 == 0):
         grid = (X, s1 // s2, s2 // s3)
-        cols = math.prod(grid) + (k - 1) * (grid[2] + 1)
+        cols = _cols(grid, k)
         start = x.ctypes.data - base.ctypes.data
         if s0 >= cols * s3 and start >= 0 and start + (c - 1) * s0 + cols * s3 <= base.nbytes:
-            return np.lib.stride_tricks.as_strided(x, (c, cols), (s0, s3)), grid
+            return np.ndarray((c, cols), x.dtype, buffer=base, offset=start, strides=(s0, s3)), grid
     return None
 
 
-def whole_rows(x):
+def _whole_rows(x):
     """The whole rows under ``x`` as (flat, grid), without a copy where it
     can be had: when ``x`` (C, X, Y, Z) crops a grid (C, X, Yr, Zr) whose
     rows lie whole inside the contiguous array it views, as a
@@ -246,7 +274,7 @@ def whole_rows(x):
     return _rows(x, 1) or _flat_padded(x, 0, 1)
 
 
-def padded_input(y, k):
+def _padded_input(y, k):
     """``y`` (C, X, Y, Z) zero-padded by k // 2 voxels per side, as the
     (C, Xp, Yp, Zp) view of a flat padded layout, zero tail included, that
     ``conv3d_forward(.., w, 1, 0)`` reads and overwrites in place. Where a
@@ -258,11 +286,10 @@ def padded_input(y, k):
     p = k // 2
     grid = (X + 2 * p, Y + 2 * p, Z + 2 * p)
     _, yp, zp = grid
-    n = math.prod(grid)
     head = (p * yp + p) * zp + p
     buf = y.base
     if (isinstance(buf, np.ndarray) and buf.flags.c_contiguous
-            and buf.shape == (c, n + (k - 1) * (zp + 1))
+            and buf.shape == (c, _cols(grid, k))
             and y.strides == (buf.strides[0], 4 * yp * zp, 4 * zp, 4)
             and y.ctypes.data == buf.ctypes.data + 4 * head):
         rows = buf[:, head : head + X * yp * zp].reshape(c, X, yp, zp)
@@ -270,7 +297,7 @@ def padded_input(y, k):
         rows[:, :, :Y, Z:] = 0
     else:
         buf, _ = _flat_padded(y, p, k)
-    return buf[:, :n].reshape(c, *grid)
+    return buf[:, : math.prod(grid)].reshape(c, *grid)
 
 
 # -- shifted GEMMs over the flat padded volume ------------------------------
@@ -315,14 +342,14 @@ def _column_blocks(flat, shifts, halo, n):
         yield q0, m, block.reshape(rows, -1)
 
 
-def _corr1(flat, grid, w, overwrite):
+def _corr1(flat, grid, w):
     """Valid stride-1 correlation of the flat padded volume with ``w``
     (Cout, Cin, k, k, k); returns (Cout, Xp-k+1, Yp-k+1, Zp-k+1), a view
-    that drops the wrap-around columns. With ``overwrite``, for a ``flat``
-    the caller owns and no longer reads, the output is written over its
-    first Cout rows when it has that many; otherwise it gets a buffer of
-    its own, laid out as the padded input of a next same-size conv (see
-    the module docstring)."""
+    that drops the wrap-around columns. For k > 1, ``flat`` is the caller's
+    own and no longer read: the output is written over its first Cout rows
+    when it has that many. Otherwise it gets a buffer of its own, laid out
+    as the padded input of a next same-size conv (see the module
+    docstring)."""
     cout, cin, k = w.shape[:3]
     xp, yp, zp = grid
     ox, oy, oz = xp - k + 1, yp - k + 1, zp - k + 1
@@ -332,12 +359,12 @@ def _corr1(flat, grid, w, overwrite):
     halo = outs[-1]
     # rows (output-side offset, o), columns (copied offset, c)
     wm = w.reshape(cout, cin, -1, k**a).transpose(3, 0, 2, 1).reshape(k**a * cout, -1)
-    if overwrite and cout <= len(flat):
+    if k > 1 and cout <= len(flat):
         y = flat[:cout, :n]
     else:  # laid out as the padded input of a next same-size conv
         p = k // 2
         head = (p * yp + p) * zp + p
-        y = np.empty((cout, n + 2 * head), dtype=np.float32)
+        y = np.empty((cout, _cols(grid, k)), dtype=np.float32)
         y[:, :head] = 0
         y[:, head + n :] = 0
         y = y[:, head : head + n]
@@ -384,15 +411,11 @@ def conv3d_forward(x, w, stride, pad):
     if x.shape[0] != cin:
         raise ValueError(f"conv3d expects {cin} input channels, got {x.shape[0]}")
     k = w.shape[2]
-    if (stride, pad) == (1, 0) and k % 2 and k > 1:  # x is padded already
+    if (stride, pad) == (1, 0) and k % 2:  # x is padded already, or the k = 1 head
         _, X, Y, Z = x.shape
-        y = _corr1(*(_rows(x, k) or _flat_padded(x, 0, k)), w, overwrite=True)
-        return y[:, :, : Y - k + 1, : Z - k + 1]
-    k = _same_size(w, stride, pad)
-    if k > 1:
-        return _corr1(*_flat_padded(x, pad, k), w, overwrite=True)
-    y = _corr1(*whole_rows(x), w, overwrite=False)[:, :, : x.shape[2], : x.shape[3]]
-    return np.ascontiguousarray(y)  # the logits' layout sets the order of the loss's sums
+        y = _corr1(*(_rows(x, k) or _flat_padded(x, 0, k)), w)[:, :, : Y - k + 1, : Z - k + 1]
+        return y if k > 1 else np.ascontiguousarray(y)  # the logits' layout orders the loss's sums
+    return _corr1(*_flat_padded(x, pad, _same_size(w, stride, pad)), w)
 
 
 def conv3d_backward(x, w, g, stride, pad):
@@ -408,7 +431,55 @@ def conv3d_backward(x, w, g, stride, pad):
     gw = np.ascontiguousarray(_weight_grad1(g_full, flat, grid, k))
     del flat, g_full  # the padded x goes before gx's pass, which may overwrite gflat
     # contiguous: gradient layouts set the order of _unbroadcast's sums (see autograd._accum)
-    return np.ascontiguousarray(_corr1(gflat, grid, _flip(w), overwrite=k > 1)), gw
+    return np.ascontiguousarray(_corr1(gflat, grid, _flip(w))), gw
+
+
+# -- layer ops: a kernel call and its in-place epilogue --------------------
+
+
+def _bias_relu(y, b, relu):
+    """``y``, a conv3d output, with the bias ``b`` (Cout,) added and the
+    ReLU run if ``relu``, in place over its whole rows (see "Epilogues" in
+    the module docstring)."""
+    r = _whole_rows(y)[0]
+    r += b[:, None]
+    if relu:
+        # bitwise np.where(r > 0, r, 0) on every float32, without its branch
+        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
+        # fmax may return for r = -0.0 into 0.0
+        np.fmax(r, np.float32(0.0), out=r)
+        r += np.float32(0.0)
+    return y
+
+
+def conv(x, w, b, relu):
+    """The same-size conv3d of ``x`` with ``w``, plus the bias ``b``
+    (Cout,), then the ReLU if ``relu``, as a new array."""
+    return _bias_relu(conv3d_forward(x, w, 1, w.shape[2] // 2), b, relu)
+
+
+def stem(x, w1, b1, w2, b2):
+    """``conv(conv(x, w1, b1, True), w2, b2, False)``, holding one
+    full-resolution buffer: conv1's output is conv2's padded input, and
+    conv2 writes its output over it (see "Padded input" in the module
+    docstring)."""
+    h = _padded_input(conv(x, w1, b1, True), w2.shape[2])
+    return _bias_relu(conv3d_forward(h, w2, 1, 0), b2, False)
+
+
+def add_(a, b):
+    """``a + b``, written into the array of ``a`` or of ``b``, which no one
+    else may read, and returned: into ``a``'s, over the whole rows of both
+    when they lie in rows of one grid, unless ``b`` alone is C-contiguous
+    and of ``a``'s shape (see "Epilogues" in the module docstring)."""
+    if a.ndim == 4 and a.shape == b.shape:
+        (ra, ga), (rb, gb) = _whole_rows(a), _whole_rows(b)
+        if ga == gb and np.may_share_memory(ra, a) and np.may_share_memory(rb, b):
+            np.add(ra, rb, out=ra)
+            return a
+        if b.flags.c_contiguous and not a.flags.c_contiguous:
+            return np.add(a, b, out=b)
+    return np.add(a, b, out=a)
 
 
 def convt3d_forward(x, w, stride, pad):

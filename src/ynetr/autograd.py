@@ -49,22 +49,16 @@ These ops write a value in place, each into an array that no closure
 reads and that only the op's caller holds:
 
 * each conv adds its bias into the kernel's new output, and conv3d runs
-  its ReLU there too;
-* stem zeroes the wrap-around columns of conv1's new output, and conv2
-  writes its output over conv1's (see ``_convkernels.padded_input``);
-* ``Tensor.add_`` adds into its left operand: ``model.fuse_add`` adds
-  the hf pyramid into the lf pyramid's levels, and the decoder adds each
-  of its three lower skips into its up-step's new output;
-* ``Tensor.radd_`` adds into its right operand, and the left operand
-  keeps its place in the graph: the decoder adds the fused stem level
-  into final_up's new output (see ``Decoder.forward``).
+  its ReLU there too (``_convkernels.conv``);
+* stem runs conv2 over conv1's new output (``_convkernels.stem``);
+* ``Tensor.add_`` adds into one of its operands (``_convkernels.add_``):
+  ``model.fuse_add`` adds the hf pyramid into the lf pyramid's levels,
+  and the decoder adds each of its three lower skips into its up-step's
+  new output, and the fused stem level into final_up's.
 
-An in-place add runs over the operands' whole rows when both lie in rows
-of one grid, as two conv outputs of one shape do: numpy adds into a
-cropped 4-D view through a temporary of the whole map. Each is the same
-IEEE operation on the same operands as the op it replaces, so values and
-gradients are bitwise those of separate ops, in the recorded and the
-``no_grad`` pass alike.
+Each is the same IEEE operation on the same operands as the op it
+replaces, so values and gradients are bitwise those of separate ops, in
+the recorded and the ``no_grad`` pass alike.
 
 ``Tensor.backward()`` sorts the nodes reachable from the loss once and
 runs their closures in reverse topological order, adding each returned
@@ -101,6 +95,7 @@ import numpy as np
 from . import _convkernels as _ck
 
 _GRAD_ENABLED = True
+_LN_EPS = 1e-5  # added to layer_norm's variance
 
 
 @contextmanager
@@ -325,28 +320,18 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return self._add(other, None)
+        return self._add(other, np.add)
 
     def add_(self, other):
-        """``self + other``, written into ``self``'s array, which no closure
-        may read (say, an up-step's new output) and which takes the sum's
-        shape; returns a new tensor over that array. Where both arrays crop
-        whole rows of one grid, those rows are written whole (see
-        ``_add_into``), so the buffer around ``self``'s crop must hold no
-        other value, as a conv output's holds only wrap-around columns."""
-        return self._add(other, self.data)
+        """``self + other``, written into the array of one operand, which no
+        closure may read (say, an up-step's new output) and which takes the
+        sum's shape (see ``_convkernels.add_``); ``self`` stays the left
+        operand. Returns a new tensor over that array."""
+        return self._add(other, _ck.add_)
 
-    def radd_(self, other):
-        """``other + self``, written into ``self``'s array as by ``add_``;
-        ``other`` stays the left operand. Returns a new tensor over that
-        array."""
-        return _wrap(other)._add(self, self.data)
-
-    def _add(self, other, into):
+    def _add(self, other, add):
         other = _wrap(other)
-        a, b = self.data, other.data
-        value = np.add(a, b) if into is None else _add_into(a, b, into)
-        return _binary(self, other, value, lambda g: g, lambda g: g)
+        return _binary(self, other, add(self.data, other.data), lambda g: g, lambda g: g)
 
     def __sub__(self, other):
         other = _wrap(other)
@@ -475,20 +460,6 @@ def _binary(a, b, value, grad_a, grad_b):
     return Tensor(value)._record((a, b), bw)
 
 
-def _add_into(a, b, out):
-    """``np.add(a, b, out=out)`` for ``out`` one of ``a`` and ``b``; over
-    their whole rows (``_convkernels.whole_rows``), wrap-around columns
-    included, when both are maps of one shape that lie in rows of one
-    grid, as the two branches' conv outputs do. numpy adds into a cropped
-    4-D view through a temporary of the whole map."""
-    if a.ndim == 4 and a.shape == b.shape:
-        (ra, ga), (rb, gb) = _ck.whole_rows(a), _ck.whole_rows(b)
-        if ga == gb and np.may_share_memory(ra, a) and np.may_share_memory(rb, b):
-            np.add(ra, rb, out=ra if out is a else rb)
-            return out
-    return np.add(a, b, out=out)
-
-
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -566,14 +537,14 @@ def _build_tape(root):
 # -- multi-tensor and structured ops -------------------------------------
 
 
-def layer_norm(x, weight, bias, eps=1e-5):
+def layer_norm(x, weight, bias):
     """Normalize ``x`` along its last axis to zero mean / unit variance,
     then apply the learned affine map. Built from primitives so the
     gradient comes from the graph."""
     mu = x.mean()
     centered = x - mu
     var = (centered * centered).mean()
-    xhat = centered / (var + eps).sqrt()
+    xhat = centered / (var + _LN_EPS).sqrt()
     return xhat * weight + bias
 
 
@@ -581,25 +552,6 @@ def _bias_grad(g, b, need):
     """The bias gradient of ``out + b.reshape(cout, 1, 1, 1)``, by the same
     sums as the add's and the reshape's gradients."""
     return _unbroadcast(g, (len(b), 1, 1, 1)).reshape(b.shape) if need else None
-
-
-def _conv3d_data(xd, wd, bd, relu):
-    """The value of ``conv3d``."""
-    return _bias_relu(_ck.conv3d_forward(xd, wd, 1, wd.shape[2] // 2), bd, relu)
-
-
-def _bias_relu(y, bd, relu):
-    """``y``, a conv3d kernel's new output, with the bias added and the
-    ReLU run if ``relu``, in place over its whole rows."""
-    r = _ck.whole_rows(y)[0]
-    r += bd[:, None]
-    if relu:
-        # bitwise np.where(r > 0, r, 0) on every float32, without its branch
-        # on the data: fmax(NaN, 0) is 0, and adding 0.0 turns the -0.0 that
-        # fmax may return for r = -0.0 into 0.0
-        np.fmax(r, np.float32(0.0), out=r)
-        r += np.float32(0.0)
-    return y
 
 
 def _conv_grads(xs, w, gs, b, need_b):
@@ -616,14 +568,13 @@ def conv3d(x, w, b, relu=False):
     if ``relu``; ``x`` is (Cin, X, Y, Z), ``w`` is (Cout, Cin, k, k, k) with
     odd k, so stride 1 and padding k // 2.
 
-    The bias add and the ReLU run in place over the whole rows of the
-    kernel's output buffer (``_convkernels.whole_rows``), wrap-around
-    columns included; each value equals that of ``conv + b`` and
+    The bias add and the ReLU run in place in the kernel's new output
+    (``_convkernels.conv``); each value equals that of ``conv + b`` and
     ``.relu()`` as separate ops, and so does each gradient.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd, wd, bd = x.data, w.data, b.data
-    y = _conv3d_data(xd, wd, bd, relu)
+    y = _ck.conv(xd, wd, bd, relu)
     need_b = b.requires_grad
     saved = [xd, y] if relu else [xd]  # popped by the backward, the output first
 
@@ -642,21 +593,17 @@ def stem(x, w1, b1, w2, b2):
     h = relu(conv(x, w1) + b1) with the same kernel call instead of holding
     it from the forward (gradient checkpointing, Chen et al., arXiv
     1604.06174), then runs the composed ops' backward steps in their order.
-    Values and gradients are bitwise those of the two ops. In the forward,
-    conv1's output buffer is conv2's padded input, and conv2 writes its
-    output over it (see ``_convkernels.padded_input``), so the op holds one
-    full-resolution map.
+    Values and gradients are bitwise those of the two ops. The forward
+    holds one full-resolution map (``_convkernels.stem``).
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     xd, w1d, b1d, w2d, b2d = (t.data for t in (x, w1, b1, w2, b2))
-    # conv1's output buffer is conv2's padded input, which conv2 overwrites
-    h = _ck.padded_input(_conv3d_data(xd, w1d, b1d, True), w2d.shape[2])
-    y = _bias_relu(_ck.conv3d_forward(h, w2d, 1, 0), b2d, False)
+    y = _ck.stem(xd, w1d, b1d, w2d, b2d)
     need_b1, need_b2 = b1.requires_grad, b2.requires_grad
     saved = [xd]  # popped by conv1's backward
 
     def bw(g):
-        h = [_conv3d_data(saved[0], w1d, b1d, True)]
+        h = [_ck.conv(saved[0], w1d, b1d, True)]
         mask = h[0] > 0  # the ReLU's, taken before h goes to conv2's backward
         g = [g]
         gh, gw2, gb2 = _conv_grads(h, w2d, g, b2d, need_b2)

@@ -173,19 +173,13 @@ class Stem(nn.Module):
     decoder's last add (see ``Decoder.forward``), so both stems' backward
     runs right after decoder.final_conv's, while the graph still holds the
     forward's saved values but before any gradient of final_up, the lower
-    decoder, the projections or the encoders exists. In a MID step by tracemalloc
-    (CPython 3.11), each stem's backward peaks at 102.4 MiB (114.9 MiB when
-    the stems ran last, after every encoder gradient), decoder.final_conv's
-    at 99.3 MiB and the forward at 101.0 MiB.
+    decoder, the projections or the encoders exists. In a MID step by
+    tracemalloc (CPython 3.11), each stem's backward peaks at 102.4 MiB,
+    decoder.final_conv's at 99.3 MiB and the forward at 101.0 MiB.
 
-    In the forward, conv1 writes its output straight into conv2's padded
-    layout, and conv2 writes its output over that buffer (see
-    ``_convkernels.padded_input``), so a branch holds one full-resolution
-    map at a time. A MID ``predict`` peaked at 63.7 MiB by tracemalloc
-    inside the hf stem when conv2 padded a copy of conv1's map next to the
-    whole lf pyramid; with this, the fusing adds in place and the per-offset
-    up-steps, the whole predict peaks at 47.2 MiB. One lever remains, which
-    needs a kernel argument: skip conv1's unused input gradient.
+    In the forward a branch holds one full-resolution map at a time, and a
+    MID ``predict`` peaks at 47.2 MiB. One lever remains, which needs a
+    kernel argument: skip conv1's unused input gradient.
     """
 
     def __init__(self, rng, cout):
@@ -229,12 +223,7 @@ def fuse_add(a: list, b: list) -> list:
     scale; both come from branches built from one config, so their levels
     match. Each level of ``b`` is added into ``a``'s array (``Tensor.add_``),
     which no closure reads, and the fused levels are new tensors over those
-    arrays. The stem and proj_deep levels are conv outputs cropped from
-    their padded rows, and the add runs over those whole rows: numpy adds
-    into a cropped 4-D view through a temporary of the whole map (16.0 MiB
-    for a 16 x 64^3 crop). A MID ``predict`` peaked at 67.3 MiB by
-    tracemalloc here when the adds made new arrays, where both stems'
-    outputs and their sum coexisted."""
+    arrays, so both stems' outputs and their sum never coexist."""
     return [la.add_(lb) for la, lb in zip(a, b)]
 
 
@@ -260,24 +249,21 @@ class Decoder(nn.Module):
         dropped from ``levels`` once used, so that a forward without a graph
         frees it.
 
-        The three lower skips are added into their up-step's new output,
-        and so is the fused stem level into final_up's (``Tensor.radd_``):
-        that output is contiguous, and the cropped stem level is not (see
-        ``fuse_add``). The stem level stays the last add's left operand, so
-        the backward's depth-first tape (``autograd._build_tape``) runs both
+        Each skip is added into its up-step's new output (``Tensor.add_``),
+        the fused stem level as the last add's left operand, so the
+        backward's depth-first tape (``autograd._build_tape``) runs both
         stems' backward, the step's largest, right after final_conv's,
-        before any gradient of
-        final_up, the lower decoder, the projections or the encoders exists
-        (see ``Stem``). The lower skip adds keep their order: swapped the
-        same way, they run each level's projection first, the taps'
-        gradients reach the encoder's token sequence in another order, and
-        since float addition does not associate, the encoder's gradients
-        change in their last bits."""
+        before any gradient of final_up, the lower decoder, the projections
+        or the encoders exists (see ``Stem``). The lower skip adds keep
+        their order: swapped the same way, they run each level's projection
+        first, the taps' gradients reach the encoder's token sequence in
+        another order, and since float addition does not associate, the
+        encoder's gradients change in their last bits."""
         levels.reverse()
         d = levels.pop()
         for up, conv in zip(self.ups, self.convs):
             d = conv(up(d).add_(levels.pop()), relu=True)
-        d = self.final_up(d).radd_(levels.pop())
+        d = levels.pop().add_(self.final_up(d))
         d = self.final_conv(d, relu=True)
         return self.head(d)
 

@@ -82,9 +82,6 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self.items)
 
-    def __getitem__(self, i):
-        return self.items[i]
-
     def named_parameters(self, prefix=""):
         for i, m in enumerate(self.items):
             yield from m.named_parameters(prefix=f"{prefix}{i}.")

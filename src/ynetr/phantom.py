@@ -46,6 +46,8 @@ BOUNDARY_NOISE = 0.08  # amplitude of the tumor radius wobble, as a fraction
 # binary-search bracket for the radial multiplier; the analytic semi-axis
 # solve lands the voxelized volume near u=1, so a narrow bracket suffices
 _RADIAL_LO, _RADIAL_HI = 0.85, 1.15
+_PLACE_ATTEMPTS = 200  # tumor centres drawn before placement gives up
+_VOLUME_TOL = 0.03  # largest relative miss of a calibrated tumor volume
 
 
 class PhantomError(Exception):
@@ -149,7 +151,7 @@ def generate_phantom(spec: PhantomSpec):
     return Volume3D(volume, SPACING_MM), LabelVolume(labels, SPACING_MM)
 
 
-def _place_tumor(spec, rng, labels, volume, attempts=200):
+def _place_tumor(spec, rng, labels, volume):
     lo, hi = spec.tumor_volume_cm3
     target_cm3 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     p = float(rng.uniform(1.6, 3.0))
@@ -176,7 +178,7 @@ def _place_tumor(spec, rng, labels, volume, attempts=200):
     # and disjointness of the stamped mask are verified exactly afterwards
     span = ls * np.maximum(0.95 - 1.05 * semi_vox / ls, 0.1)
 
-    for _ in range(attempts):
+    for _ in range(_PLACE_ATTEMPTS):
         center = lc + rng.uniform(-span, span)
         # cheap necessary condition: the six axis-extreme points fit
         extremes = (np.abs(center - lc) + semi_vox) / ls
@@ -211,7 +213,7 @@ def _inside_liver(mask, bbox, lc, ls):
     return bool((((coords - lc) / ls) ** 2).sum(axis=1).max() <= 1.0)
 
 
-def _calibrate(rho, noise, target_cm3, tol=0.03):
+def _calibrate(rho, noise, target_cm3):
     """Binary-search the radial multiplier so the voxel count hits target;
     the closest mask, or None when none lands within tolerance."""
     thresh = 1.0 + noise
@@ -236,7 +238,7 @@ def _calibrate(rho, noise, target_cm3, tol=0.03):
         else:
             hi = mid
     # voxel quantization floor: tiny tumors cannot land closer than one voxel
-    limit = max(tol * target_cm3, 1.1 * _VOXEL_CM3)
+    limit = max(_VOLUME_TOL * target_cm3, 1.1 * _VOXEL_CM3)
     if abs(best_vol - target_cm3) > limit:
         return None
     return best_mask

@@ -463,7 +463,7 @@ def conv3d_backward_composed(x, w, g, pad):
     untouched padded ``g``."""
     k = w.shape[2]
     gflat, grid = ck._flat_padded(g, pad, k)
-    gx = np.ascontiguousarray(ck._corr1(gflat, grid, ck._flip(w), overwrite=False))
+    gx = np.ascontiguousarray(ck._corr1(gflat.copy(), grid, ck._flip(w)))
     flat, _ = ck._flat_padded(x, pad, k)
     _, yp, zp = grid
     q = (pad * yp + pad) * zp + pad
@@ -483,7 +483,7 @@ class TestInPlaceConvBitwise:
         w = rng.standard_normal((cout, cin, k, k, k), dtype=np.float32) / np.float32(cin * k**3)
         pad = k // 2
         flat, pgrid = ck._flat_padded(x, pad, k)
-        want = ck._corr1(flat, pgrid, w, overwrite=False)
+        want = ck._corr1(flat.copy(), pgrid, w)
         assert ck.conv3d_forward(x, w, 1, pad).tobytes() == want.tobytes()
         g = rng.standard_normal((cout, *grid), dtype=np.float32)
         got = ck.conv3d_backward(x, w, g, 1, pad)
@@ -501,7 +501,8 @@ class TestInPlaceConvBitwise:
         out = conv3d(xt, wt, bt, relu)
         # the composed ops: the conv, then ``+ b``, then ``.relu()``
         pad = k // 2
-        y = ck._corr1(*ck._flat_padded(x, pad, k), w, overwrite=False) + b.reshape(-1, 1, 1, 1)
+        flat, pgrid = ck._flat_padded(x, pad, k)
+        y = ck._corr1(flat.copy(), pgrid, w) + b.reshape(-1, 1, 1, 1)
         if relu:
             y = np.where(y > 0, y, np.float32(0.0))
         assert out.data.tobytes() == y.tobytes()
@@ -537,6 +538,39 @@ class TestInPlaceConvBitwise:
         (out * Tensor(g)).sum().backward()
         assert at.grad.tobytes() == bt.grad.tobytes() == g.tobytes()
 
+    def test_add_of_a_crop_goes_into_the_contiguous_operand(self):
+        # a cropped conv output plus a contiguous map of its shape, as the
+        # fused stem level plus final_up's output: the sum lands in the
+        # contiguous array, and the crop stays the left operand
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 6, 5, 4), dtype=np.float32)
+        w = rng.standard_normal((3, 3, 3, 3, 3), dtype=np.float32)
+        a = ck.conv3d_forward(x, w, 1, 1)
+        b = rng.standard_normal(a.shape, dtype=np.float32)
+        assert not a.flags.c_contiguous
+        want = (a + b).tobytes()
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = at.add_(bt)
+        assert np.shares_memory(out.data, b) and out.data.tobytes() == want
+        assert out._node.parents[0] is at and out._node.parents[1] is bt
+        g = rng.standard_normal(a.shape, dtype=np.float32)
+        (out * Tensor(g)).sum().backward()
+        assert at.grad.tobytes() == bt.grad.tobytes() == g.tobytes()
+
+    def test_add_of_two_conv_outputs_runs_over_the_left_rows(self):
+        # both lie in rows of one grid: the left one's whole rows, wrap-around
+        # columns included, take the sum, with no temporary of the map
+        rng = np.random.default_rng(9)
+        w = rng.standard_normal((3, 3, 3, 3, 3), dtype=np.float32)
+        a, b = (ck.conv3d_forward(rng.standard_normal((3, 6, 5, 4), dtype=np.float32), w, 1, 1)
+                for _ in range(2))
+        (ra, grid), (rb, _) = ck._whole_rows(a), ck._whole_rows(b)
+        assert grid == (6, 7, 6) and np.shares_memory(ra, a) and np.shares_memory(rb, b)
+        want, rows = (a + b).tobytes(), (ra + rb).tobytes()
+        out = Tensor(a).add_(Tensor(b))
+        assert out.data is a and out.data.tobytes() == want
+        assert ck._whole_rows(a)[0].tobytes() == rows
+
 
 def _head_cases():
     """(channels, grid) of the k = 1 head of the tiny, MID and ENCODER models."""
@@ -557,7 +591,7 @@ class TestHeadReadsWholeRows:
         w = rng.standard_normal((c, c, 3, 3, 3), dtype=np.float32) / np.float32(c * 27)
         head = rng.standard_normal((2, c, 1, 1, 1), dtype=np.float32)
         y = ck.conv3d_forward(x, w, 1, 1)  # decoder.final_conv's output, a crop
-        flat, _ = ck.whole_rows(y)
+        flat, _ = ck._whole_rows(y)
         assert not y.flags.c_contiguous and np.shares_memory(flat, y)
         tracemalloc.start()
         try:
@@ -567,7 +601,7 @@ class TestHeadReadsWholeRows:
             tracemalloc.stop()
         # the GEMM's output over the whole rows and the crop: no copy of y
         assert peak <= 2 * flat[:2].nbytes + 2**12
-        assert got.flags.c_contiguous and ck.whole_rows(got)[0].shape == (2, np.prod(grid))
+        assert got.flags.c_contiguous and ck._whole_rows(got)[0].shape == (2, np.prod(grid))
         assert got.tobytes() == ck.conv3d_forward(np.ascontiguousarray(y), head, 1, 0).tobytes()
 
     @pytest.mark.parametrize("crop", [np.s_[:, :, 1:5, 2:6], np.s_[:, :, :, ::2], np.s_[::-1, :, :, :3]],
@@ -577,7 +611,7 @@ class TestHeadReadsWholeRows:
         # crop of contiguous rows, is copied as before
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 5, 6, 7), dtype=np.float32)[crop]
-        flat, grid = ck.whole_rows(x)
+        flat, grid = ck._whole_rows(x)
         assert not np.shares_memory(flat, x) and grid == x.shape[1:]
         head = rng.standard_normal((2, 3, 1, 1, 1), dtype=np.float32)
         assert (ck.conv3d_forward(x, head, 1, 0).tobytes()
@@ -596,7 +630,7 @@ class TestPaddedInputInPlace:
         w2 = rng.standard_normal((8, 8, 3, 3, 3), dtype=np.float32)
         h = ck.conv3d_forward(x, w1, 1, 1)  # 1 -> 8: a buffer of its own
         want = ck.conv3d_forward(np.ascontiguousarray(h), w2, 1, 1)
-        hp = ck.padded_input(h, 3)
+        hp = ck._padded_input(h, 3)
         assert np.shares_memory(hp, h)
         assert hp.tobytes() == np.pad(h, ((0, 0),) + ((1, 1),) * 3).tobytes()
         tracemalloc.start()
@@ -612,7 +646,7 @@ class TestPaddedInputInPlace:
     def test_other_inputs_are_copied(self):
         rng = np.random.default_rng(10)
         h = rng.standard_normal((3, 5, 4, 6), dtype=np.float32)
-        hp = ck.padded_input(h, 3)
+        hp = ck._padded_input(h, 3)
         assert not np.shares_memory(hp, h)
         assert hp.tobytes() == np.pad(h, ((0, 0),) + ((1, 1),) * 3).tobytes()
         w = rng.standard_normal((2, 3, 3, 3, 3), dtype=np.float32)

@@ -138,7 +138,7 @@ class TestEncoder:
         enc.pos.data[...] = 0.0
         x = Tensor(np.zeros((1, 32, 32, 32), dtype=np.float32))
         h = enc.embed(patchify(x, 16)) + enc.pos
-        block = enc.blocks[0]
+        block = enc.blocks.items[0]
         weights = attention_weights(block.attn, block.ln1(h))
         np.testing.assert_allclose(weights, 1.0 / 8.0, atol=1e-6)
 

@@ -18,6 +18,10 @@ in two checkouts it compares their sources. Each line is ``<name>
 * ``tiny.step``: a recorded Dice-CE step of a 16^3-window model, whose
   up-steps start from a one-voxel grid: its logits, its loss and the
   gradient of every parameter;
+* ``tiny.biased``: such a step with every bias (conv, linear and norm)
+  drawn from N(0, 0.1^2) first, so that a bias or ReLU lost to a copy of
+  a conv output shows (every other step runs with zero-initialised
+  biases);
 * ``tiny.infer``: ``infer_volume`` (overlap 0.5) of a 32^3 phantom with a
   16^3-window model: the probabilities and the mask;
 * ``odd.infer``: the same on a 33x47x29 phantom, whose odd in-plane dims
@@ -84,6 +88,15 @@ def tiny_step():
     return "tiny.step", step(model, TINY["input_dims"], np.random.default_rng(6))
 
 
+def tiny_biased():
+    model = ynetr.YNetr(ynetr.ModelConfig(init_seed=3, zero_init_head=False, **TINY))
+    rng = np.random.default_rng(8)
+    for name, p in model.named_parameters():
+        if name.endswith("bias"):
+            p.data = rng.normal(0.0, 0.1, p.shape).astype(np.float32)
+    return "tiny.biased", step(model, TINY["input_dims"], rng)
+
+
 def tiny_infer(name, spec):
     vol, _ = ynetr.generate_phantom(spec)
     model = ynetr.YNetr(ynetr.ModelConfig(init_seed=2, zero_init_head=False, **TINY))
@@ -106,7 +119,7 @@ def main():
     cube = ynetr.PhantomSpec(shape=(32, 32, 32), tumor_count=(1, 1),
                              tumor_volume_cm3=(0.3, 1.0), seed=7)
     odd = ynetr.PhantomSpec(shape=(33, 47, 29), tumor_volume_cm3=(0.3, 1.0), seed=4)
-    lines = [*mid_runs(), tiny_step(), tiny_infer("tiny.infer", cube),
+    lines = [*mid_runs(), tiny_step(), tiny_biased(), tiny_infer("tiny.infer", cube),
              tiny_infer("odd.infer", odd), phantoms()]
     for name, value in lines:
         print(f"{name}  {value}", flush=True)
